@@ -14,7 +14,7 @@ farther apart than the band, nonzero as soon as R has long-range entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,11 @@ from .lattice import OperatorMatrix
 class PropagationExperiment:
     """Fixed Hamiltonian, optional perturbation, and a source/target pair.
 
-    ``source`` and ``target`` are sample indices.  The eigendecomposition of
-    the total generator is computed once on first use and shared by every
-    amplitude evaluated afterwards, so sweeping epsilon costs one dense
-    diagonalization total.
+    ``source`` and ``target`` are sample indices.  H_m = H + R is summed and
+    checked Hermitian once.  Column ``source`` of exp(-i eps H_m / hbar) comes
+    from a Lanczos basis grown from e_source on first use (Saad, SIAM J. Numer.
+    Anal. 29, 1992; Hochbruck & Lubich, ibid. 34, 1997), cached, and extended
+    only when a larger |epsilon| needs more vectors: no G x G diagonalization.
     """
 
     hamiltonian: OperatorMatrix
@@ -36,9 +37,6 @@ class PropagationExperiment:
     target: int
     perturbation: OperatorMatrix | None = None
     hbar: float = 1.0
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         grid = self.hamiltonian.grid
@@ -49,41 +47,73 @@ class PropagationExperiment:
             raise ValueError(f"source and target must be sample indices in [0, {g})")
         if not np.isfinite(self.hbar) or self.hbar <= 0:
             raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        total = self.total_matrix()
+        total = self.hamiltonian.entries
+        if self.perturbation is not None:
+            total = total + self.perturbation.entries
         defect = float(np.max(np.abs(total - total.conj().T)))
         scale = max(float(np.max(np.abs(total))), 1.0)
         if defect > 1e-10 * scale:
             raise ValueError(f"total generator is not Hermitian (defect {defect:.3e})")
+        self._total, self._alpha, self._beta = total, [], []
+        # np.zeros leaves untouched pages unmapped: only filled rows cost memory.
+        self._basis = np.zeros((g, g), dtype=total.dtype)
+        self._basis[0, self.source] = 1.0
 
     def total_matrix(self) -> np.ndarray:
-        if self.perturbation is None:
-            return self.hamiltonian.entries
-        return self.hamiltonian.entries + self.perturbation.entries
+        return self._total
 
     def ring_distance(self) -> float:
         return self.hamiltonian.grid.ring_distance(self.source, self.target)
 
     def kernel_entry(self) -> complex:
         """Matrix entry H_m[target, source] that first-order theory probes."""
-        return complex(self.total_matrix()[self.target, self.source])
+        return complex(self._total[self.target, self.source])
 
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            energies, vectors = np.linalg.eigh(self.total_matrix())
-            self._eig = (energies, vectors)
-        return self._eig
+    def _extend(self, m: int) -> None:
+        """Grow the basis to m vectors, or until its span is invariant
+        (beta = 0, at the latest at m = G)."""
+        while len(self._alpha) < m and not (self._beta and self._beta[-1] == 0.0):
+            j = len(self._alpha)
+            basis = self._basis[: j + 1]
+            w = self._total @ basis[j]
+            self._alpha.append(float(np.vdot(basis[j], w).real))
+            for _ in range(2):  # full reorthogonalization; twice is enough
+                w -= basis.T @ (basis.conj() @ w)
+            self._beta.append(float(np.linalg.norm(w)) if j + 1 < len(w) else 0.0)
+            if self._beta[-1] > 0.0:
+                self._basis[j + 1] = w / self._beta[-1]
+
+    def _krylov(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+        """c = exp(-i eps T_m / hbar) e_1 and basis rows V_m, U(eps) e_source = c @ V_m.
+
+        Convergence is checked after every max(4, m // 8) new vectors; m is the
+        first checked size at which the a-posteriori error estimate (Saad 1992)
+        is at roundoff, beta_m |c_m| <= 8 u ||T_m|| (u the machine epsilon,
+        ||T_m|| the largest |Ritz value|), or the size of an invariant Krylov
+        space.  The estimate bottoms out near beta_m u, with beta_m ~ ||H_m|| / 4,
+        so a fixed absolute threshold would never be met on a fine grid.
+        m grows roughly like |eps| ||H_m|| / hbar.  eps = 0 gives e_1 exactly.
+        """
+        tau = epsilon / self.hbar
+        m, c = 0, np.ones(1)
+        while tau != 0.0:
+            m += max(4, m // 8)
+            self._extend(m)
+            m = min(m, len(self._alpha))
+            off = self._beta[: m - 1]
+            theta, q = np.linalg.eigh(np.diag(self._alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))
+            c = q @ (np.exp(-1j * tau * theta) * q[0])
+            if self._beta[m - 1] * abs(c[-1]) <= 8 * np.finfo(float).eps * np.max(np.abs(theta)):
+                break
+        return c, self._basis[: len(c)]
 
 
 def exact_amplitude(experiment: PropagationExperiment, epsilon: float) -> complex:
-    """<target| exp(-i eps H_m / hbar) |source> via the cached eigensystem."""
+    """<target| exp(-i eps H_m / hbar) |source> from the cached Lanczos basis."""
     if not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon!r}")
-    energies, vectors = experiment._eigensystem()
-    h = experiment.hamiltonian.grid.spacing
-    phases = np.exp(-1j * epsilon * energies / experiment.hbar)
-    row = vectors[experiment.target, :]
-    col = vectors[experiment.source, :]
-    return complex((row * phases) @ col.conj() / h)
+    c, basis = experiment._krylov(epsilon)
+    return complex(c @ basis[:, experiment.target] / experiment.hamiltonian.grid.spacing)
 
 
 def first_order_amplitude(experiment: PropagationExperiment, epsilon: float) -> complex:
@@ -99,11 +129,8 @@ def transport_profile(experiment: PropagationExperiment, epsilon: float) -> np.n
     The h^2-weighted sum of the profile is exactly 1 (unitarity with two
     continuum normalizations), so entries read as transition densities.
     """
-    energies, vectors = experiment._eigensystem()
-    h = experiment.hamiltonian.grid.spacing
-    phases = np.exp(-1j * epsilon * energies / experiment.hbar)
-    col = (vectors * phases[None, :]) @ vectors[experiment.source, :].conj()
-    return np.abs(col / h) ** 2
+    c, basis = experiment._krylov(epsilon)
+    return np.abs(c @ basis / experiment.hamiltonian.grid.spacing) ** 2
 
 
 def cell_transport_profile(experiment: PropagationExperiment, epsilon: float) -> np.ndarray:

@@ -113,9 +113,6 @@ class WaveFunction:
             raise ValueError("cannot normalize the zero wavefunction")
         return WaveFunction(self.grid, self.samples / n)
 
-    def probability_density(self) -> np.ndarray:
-        return np.abs(self.samples) ** 2
-
 
 def _require_same_grid(a, b) -> None:
     if a.grid != b.grid:

@@ -98,9 +98,6 @@ class OperatorMatrix:
         sym = 0.5 * (self.entries + self.entries.conj().T)
         return OperatorMatrix(self.grid, sym, label=self.label)
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
 
 def _require_grid(op: OperatorMatrix, other) -> None:
     if op.grid != other.grid:

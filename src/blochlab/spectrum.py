@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .grid import RingGrid, WaveFunction, inner_product
+from .grid import RingGrid, WaveFunction
 from .lattice import OperatorMatrix, PotentialSpec
 
 # Relative spectral-gap threshold below which eigh ordering inside a
@@ -365,7 +365,3 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
             rows[n].append(fix_gauge(state))
     return BandStructure(grid, rows)
 
-
-def spectral_overlap(a: BlochState, b: BlochState) -> complex:
-    """Plain state overlap <psi_a|psi_b>, a small convenience."""
-    return inner_product(a.wavefunction, b.wavefunction)

@@ -58,8 +58,10 @@ def test_outputs_are_deterministic(tmp_path):
                  "--out", str(out1)]) == 0
     assert main(["scan", "--config", str(config), "--observable", "site0",
                  "--out", str(out2)]) == 0
+    assert main(["propagate", "--config", str(config), "--out", str(out1)]) == 0
+    assert main(["propagate", "--config", str(config), "--out", str(out2)]) == 0
     for name in ("bands.csv", "solve_summary.json", "scan.csv", "scan_summary.json",
-                 "locality.csv"):
+                 "locality.csv", "propagation.csv", "propagation_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

@@ -1,19 +1,60 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochlab import (
     OperatorMatrix,
+    PotentialSpec,
     PropagationExperiment,
+    RingGrid,
     build_hamiltonian,
+    build_wannier,
     exact_amplitude,
     first_order_amplitude,
     linear_response_slope,
+    solve_bands,
     transport_profile,
+    wannier_projector,
 )
 from blochlab.dynamics import (
     cell_transport_profile,
     first_order_error_exponent,
 )
+
+
+def eigh_propagator(experiment):
+    """Oracle: U(eps) = exp(-i eps H_m / hbar) from one dense diagonalization."""
+    energies, vectors = np.linalg.eigh(experiment.total_matrix())
+
+    def propagator(eps, columns=slice(None)):
+        phases = np.exp(-1j * eps * energies / experiment.hbar)
+        return (vectors * phases) @ vectors[columns].conj().T
+
+    return propagator
+
+
+def series_first_order_error(experiment, epsilons):
+    """Oracle: |exact - first_order| * h as sum_{k>=2} [(-i eps H_m / hbar)^k / k!]_{yz},
+    summed in extended precision.
+
+    The eigh oracle's absolute noise (~2e-16 in U) is a visible share of
+    errors near 1e-13, enough to move a fitted exponent by 1e-4; this series
+    resolves them.
+    """
+    a = experiment.total_matrix().astype(np.clongdouble) / experiment.hbar
+    term = np.zeros(len(a), dtype=np.clongdouble)
+    term[experiment.source] = 1.0
+    eps = np.asarray(epsilons, dtype=np.longdouble)
+    total = np.zeros(eps.shape, dtype=np.clongdouble)
+    for k in range(1, 400):
+        term = a @ term / k
+        if k >= 2:
+            size = np.max(np.abs(term)) * np.max(np.abs(eps)) ** k
+            total += (-1j * eps) ** k * term[experiment.target]
+            if size < 1e-40:
+                break
+    return np.abs(total).astype(float)
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +67,18 @@ def distant_pair(ref_grid):
     return ref_grid.index_of_cell(2), ref_grid.index_of_cell(6)
 
 
-def test_zero_time_is_a_discrete_delta(ref_grid, banded_hamiltonian, distant_pair):
+def test_zero_time_is_a_discrete_delta(ref_grid, banded_hamiltonian, site0_projector,
+                                       distant_pair):
     y, z = distant_pair
-    apart = PropagationExperiment(banded_hamiltonian, source=z, target=y)
-    assert abs(exact_amplitude(apart, 0.0)) < 1e-12
+    h = ref_grid.spacing
+    apart = PropagationExperiment(banded_hamiltonian, source=z, target=y,
+                                  perturbation=site0_projector)
+    assert exact_amplitude(apart, 0.0) == 0.0
+    delta = np.zeros(ref_grid.total_points)
+    delta[z] = 1.0 / h**2
+    assert np.array_equal(transport_profile(apart, 0.0), delta)
     same = PropagationExperiment(banded_hamiltonian, source=z, target=z)
-    assert exact_amplitude(same, 0.0) == pytest.approx(1.0 / ref_grid.spacing, abs=1e-9)
+    assert exact_amplitude(same, 0.0) == 1.0 / h
 
 
 def test_first_order_formula_is_literal(ref_grid, banded_hamiltonian, site0_projector,
@@ -119,18 +166,17 @@ def test_transport_profile_with_and_without_long_range_part(
     assert cells[0] / max(bare_cells[0], 1e-300) > 1e6
 
 
-def test_propagator_composes(banded_hamiltonian, site0_projector):
+def test_propagator_composes(ref_grid, banded_hamiltonian, site0_projector, distant_pair):
+    y, z = distant_pair
     experiment = PropagationExperiment(
-        banded_hamiltonian, source=0, target=0, perturbation=site0_projector
+        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
     )
-    energies, vectors = experiment._eigensystem()
-
-    def propagator(eps):
-        return (vectors * np.exp(-1j * eps * energies)) @ vectors.conj().T
-
+    propagator = eigh_propagator(experiment)
     u = propagator(2e-4) @ propagator(3e-4)
     direct = propagator(5e-4)
     assert np.max(np.abs(u - direct)) < 1e-10
+    assert exact_amplitude(experiment, 5e-4) * ref_grid.spacing == pytest.approx(u[y, z],
+                                                                                abs=1e-12)
 
 
 def test_hbar_rescales_time(banded_hamiltonian, distant_pair, site0_projector):
@@ -174,3 +220,123 @@ def test_exact_amplitude_rejects_nonfinite_time(banded_hamiltonian):
     experiment = PropagationExperiment(banded_hamiltonian, source=0, target=1)
     with pytest.raises(ValueError):
         exact_amplitude(experiment, np.nan)
+
+
+@pytest.fixture(scope="module")
+def g1024_experiment(ref_potential):
+    grid = RingGrid(16, 1.0, 64)
+    projector = wannier_projector(build_wannier(solve_bands(grid, ref_potential, 1), 0, 0))
+    return PropagationExperiment(
+        build_hamiltonian(grid, ref_potential, scheme="fd4"),
+        source=grid.index_of_cell(12), target=grid.index_of_cell(4), perturbation=projector,
+    )
+
+
+@pytest.fixture(scope="module")
+def reference_experiment(banded_hamiltonian, site0_projector, distant_pair):
+    # The set-up of acceptance criterion 7.
+    y, z = distant_pair
+    return PropagationExperiment(banded_hamiltonian, source=z, target=y,
+                                 perturbation=site0_projector)
+
+
+@pytest.mark.parametrize("name", ["reference_experiment", "g1024_experiment"])
+def test_lanczos_agrees_with_the_eigh_oracle(name, request):
+    experiment = request.getfixturevalue(name)
+    y, z = experiment.target, experiment.source
+    h = experiment.hamiltonian.grid.spacing
+    propagator = eigh_propagator(experiment)
+    eps = np.geomspace(1e-4, 1e-3, 9)
+    columns = {e: propagator(e, z) for e in eps}
+    oracle = np.array([columns[e][y] / h for e in eps])
+    amps = np.array([exact_amplitude(experiment, e) for e in eps])
+    assert np.max(np.abs(amps - oracle)) * h <= 1e-12
+    for e in (eps[0], eps[-1]):
+        oracle_profile = np.abs(columns[e] / h) ** 2
+        assert np.max(np.abs(transport_profile(experiment, e) - oracle_profile)) * h**2 <= 1e-12
+
+    fit = np.column_stack([eps, eps**2])
+    oracle_slope = np.linalg.lstsq(fit, np.abs(oracle), rcond=None)[0][0]
+    slope, _ = linear_response_slope(experiment, eps)
+    assert abs(slope - oracle_slope) <= 1e-8 * abs(oracle_slope)
+    errors = series_first_order_error(experiment, eps)
+    oracle_exponent = np.polyfit(np.log(eps), np.log(errors), 1)[0]
+    assert first_order_error_exponent(experiment, eps) == pytest.approx(oracle_exponent,
+                                                                        abs=1e-4)
+
+
+def test_negative_time_is_the_adjoint(ref_grid, banded_hamiltonian, site0_projector,
+                                      distant_pair):
+    y, z = distant_pair
+    forward = PropagationExperiment(banded_hamiltonian, source=z, target=y,
+                                    perturbation=site0_projector)
+    backward = PropagationExperiment(banded_hamiltonian, source=y, target=z,
+                                     perturbation=site0_projector)
+    for eps in (1e-4, 7e-4):
+        back = exact_amplitude(backward, -eps)
+        assert back * ref_grid.spacing == pytest.approx(
+            np.conj(exact_amplitude(forward, eps)) * ref_grid.spacing, abs=1e-12
+        )
+
+
+def test_diagonal_generator_breaks_down_exactly(ref_grid, rng):
+    energies = rng.uniform(-50.0, 50.0, ref_grid.total_points)
+    diagonal = OperatorMatrix(ref_grid, np.diag(energies))
+    h = ref_grid.spacing
+    for eps in (3e-4, -0.2, 5.0):
+        same = PropagationExperiment(diagonal, source=17, target=17)
+        assert exact_amplitude(same, eps) == np.exp(-1j * eps * energies[17]) / h
+        apart = PropagationExperiment(diagonal, source=17, target=40)
+        assert exact_amplitude(apart, eps) == 0.0
+
+
+def test_basis_reaching_the_whole_space_matches_the_oracle(ref_potential, rng):
+    # A random Hermitian perturbation breaks the reflection and time-reversal
+    # degeneracies that would otherwise close the Krylov space early.
+    grid = RingGrid(3, 1.0, 8)
+    g = grid.total_points
+    noise = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+    experiment = PropagationExperiment(
+        build_hamiltonian(grid, ref_potential), source=5, target=19,
+        perturbation=OperatorMatrix(grid, noise + noise.conj().T),
+    )
+    amp = exact_amplitude(experiment, 10.0)
+    assert len(experiment._alpha) == g
+    oracle = eigh_propagator(experiment)(10.0, 5)[19] / grid.spacing
+    assert abs(amp - oracle) * grid.spacing <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_cells=st.integers(2, 5),
+    points=st.integers(8, 13),
+    harmonics=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        max_size=2, unique_by=lambda term: term[0],
+    ),
+    scheme=st.sampled_from(["spectral", "fd2", "fd4", "fd6", "fd8"]),
+    hbar=st.floats(0.5, 2.0),
+    epsilon=st.floats(-2e-2, 2e-2),
+    perturbed=st.booleans(),
+    data=st.data(),
+)
+def test_lanczos_property(n_cells, points, harmonics, scheme, hbar, epsilon, perturbed, data):
+    grid = RingGrid(n_cells, 1.0, points)
+    g = grid.total_points
+    source = data.draw(st.integers(0, g - 1), label="source")
+    target = data.draw(st.integers(0, g - 1), label="target")
+    perturbation = None
+    if perturbed:
+        noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        r = noise.normal(size=(g, g)) + 1j * noise.normal(size=(g, g))
+        perturbation = OperatorMatrix(grid, r + r.conj().T)
+    experiment = PropagationExperiment(
+        build_hamiltonian(grid, PotentialSpec(0.0, tuple(harmonics)), hbar=hbar, scheme=scheme),
+        source=source, target=target, perturbation=perturbation, hbar=hbar,
+    )
+    h = grid.spacing
+    column = eigh_propagator(experiment)(epsilon, source)
+    assert abs(exact_amplitude(experiment, epsilon) - column[target] / h) * h <= 1e-12
+    profile = transport_profile(experiment, epsilon)
+    assert np.max(np.abs(profile - np.abs(column / h) ** 2)) * h**2 <= 1e-12
+    assert h**2 * profile.sum() == pytest.approx(1.0, abs=1e-12)
