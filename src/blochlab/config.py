@@ -21,7 +21,8 @@ A run file is one JSON object.  Required structure, with defaults shown:
 
 ``lattice`` and ``potential`` are required; everything else has defaults
 (``bands`` defaults to 1, no observables, no dynamics section).  Validation
-failures raise :class:`ConfigError` whose message names the offending key.
+failures, unknown keys included, raise :class:`ConfigError` whose message
+names the offending key.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ def _get(mapping, key: str, path: str, required: bool = True, default=None):
         return default
     return mapping[key]
 
+
+def _known_keys(mapping, allowed: tuple[str, ...], path: str) -> None:
+    """Reject any key of ``mapping`` outside ``allowed``, at its key path."""
+    if not isinstance(mapping, dict):
+        _fail(path, "must be an object")
+    for key in mapping:
+        if key not in allowed:
+            _fail(f"{path}.{key}" if path else key, f"unknown key; expected one of {allowed}")
+
+
 def _as_int(value, path: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"must be an integer, got {value!r}")
@@ -74,7 +85,14 @@ def _as_number(value, path: str, positive: bool = False) -> float:
 
 
 _SCHEMES = ("spectral", "fd2", "fd4", "fd6", "fd8")
-_OBSERVABLE_KINDS = ("series", "wannier_projector", "hamiltonian", "translation")
+# Keys each observable kind accepts, beyond "name" and "kind".
+_OBSERVABLE_KEYS = {
+    "series": ("terms", "symmetrize", "scheme"),
+    "wannier_projector": ("band", "site"),
+    "hamiltonian": (),
+    "translation": (),
+}
+_OBSERVABLE_KINDS = tuple(_OBSERVABLE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -219,6 +237,7 @@ def _parse_observable(raw, index: int, bands: int, n_cells: int) -> ObservableCo
     kind = _get(raw, "kind", f"{path}.kind")
     if kind not in _OBSERVABLE_KINDS:
         _fail(f"{path}.kind", f"must be one of {_OBSERVABLE_KINDS}, got {kind!r}")
+    _known_keys(raw, ("name", "kind") + _OBSERVABLE_KEYS[kind], path)
     if kind == "series":
         terms = _parse_terms(_get(raw, "terms", f"{path}.terms"), f"{path}.terms")
         symmetrize = _get(raw, "symmetrize", f"{path}.symmetrize", required=False, default=True)
@@ -246,8 +265,12 @@ def parse_config(data: dict) -> RunConfig:
     """Validate a decoded JSON object into a :class:`RunConfig`."""
     if not isinstance(data, dict):
         raise ConfigError("config root: must be a JSON object")
+    _known_keys(data, ("lattice", "potential", "bands", "observables", "dynamics",
+                       "output_dir"), "")
 
     lattice = _get(data, "lattice", "lattice")
+    _known_keys(lattice, ("n_cells", "cell_length", "points_per_cell", "mass", "hbar"),
+                "lattice")
     n_cells = _as_int(_get(lattice, "n_cells", "lattice.n_cells"), "lattice.n_cells", minimum=2)
     cell_length = _as_number(
         _get(lattice, "cell_length", "lattice.cell_length"), "lattice.cell_length", positive=True
@@ -266,6 +289,7 @@ def parse_config(data: dict) -> RunConfig:
     )
 
     potential = _get(data, "potential", "potential")
+    _known_keys(potential, ("constant", "harmonics"), "potential")
     constant = _as_number(
         _get(potential, "constant", "potential.constant", required=False, default=0.0),
         "potential.constant",
@@ -295,6 +319,8 @@ def parse_config(data: dict) -> RunConfig:
     dynamics = None
     raw_dynamics = _get(data, "dynamics", "dynamics", required=False)
     if raw_dynamics is not None:
+        _known_keys(raw_dynamics, ("epsilons", "source_cell", "target_cell", "kinetic_scheme",
+                                   "perturbation"), "dynamics")
         raw_eps = _get(raw_dynamics, "epsilons", "dynamics.epsilons")
         if not isinstance(raw_eps, list) or not raw_eps:
             _fail("dynamics.epsilons", "must be a non-empty list of positive times")

@@ -99,11 +99,6 @@ class OperatorMatrix:
         return OperatorMatrix(self.grid, sym, label=self.label)
 
 
-def _require_grid(op: OperatorMatrix, other) -> None:
-    if op.grid != other.grid:
-        raise GridMismatchError(f"grids differ: {op.grid} vs {other.grid}")
-
-
 def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.0,
                       hbar: float = 1.0, scheme: str = "spectral") -> OperatorMatrix:
     """H = (hbar^2/2m) (-i d/dx)^2 + V(x) as a dense Hermitian operator.
@@ -122,10 +117,11 @@ def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.
 
 
 def build_translation(grid: RingGrid) -> OperatorMatrix:
-    """Unitary one-cell shift T with (T psi)(x) = psi(x + a).
+    """Unitary one-cell shift T with (T psi)(x) = psi(x + a), as a dense matrix.
 
-    T permutes samples: row i has a single 1 in column (i + P) mod G, the
-    matrix form of :func:`blochlab.grid.translate_by_cells` with one cell.
+    Row i has a single 1 in column (i + P) mod G.  The library never multiplies
+    by it: functions taking T check it with :func:`is_one_cell_shift` and shift
+    indices, so it serves the ``translation`` observable kind and such callers.
     """
     g = grid.total_points
     entries = np.zeros((g, g), dtype=complex)
@@ -134,8 +130,23 @@ def build_translation(grid: RingGrid) -> OperatorMatrix:
     return OperatorMatrix(grid, entries, label="translation")
 
 
+def is_one_cell_shift(op: OperatorMatrix) -> bool:
+    """True when ``op`` is exactly :func:`build_translation` of its grid; O(G^2)."""
+    g, rows = op.grid.total_points, np.arange(op.grid.total_points)
+    ones = op.entries[rows, (rows + op.grid.points_per_cell) % g] == 1.0
+    return np.count_nonzero(op.entries) == g and bool(np.all(ones))
+
+
 def commutator_norm(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    """Frobenius norm of [A, B], a quick commutation check."""
-    _require_grid(a, b)
-    c = a.entries @ b.entries - b.entries @ a.entries
-    return float(np.linalg.norm(c))
+    """Frobenius norm of [A, B], where A or B must be the one-cell shift T.
+
+    T acts as an index shift, so the value equals the dense product's bit for bit.
+    """
+    if a.grid != b.grid:
+        raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
+    other = a if is_one_cell_shift(b) else b if is_one_cell_shift(a) else None
+    if other is None:
+        raise ValueError("commutator_norm needs the one-cell shift as one operand")
+    p = a.grid.points_per_cell
+    return float(np.linalg.norm(np.roll(other.entries, p, axis=1)
+                                - np.roll(other.entries, -p, axis=0)))

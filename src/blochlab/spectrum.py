@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .grid import RingGrid, WaveFunction
-from .lattice import OperatorMatrix, PotentialSpec
+from .grid import GridMismatchError, RingGrid, WaveFunction
+from .lattice import OperatorMatrix, PotentialSpec, is_one_cell_shift
 
 # Relative spectral-gap threshold below which eigh ordering inside a
 # degenerate cluster is not trustworthy and a deterministic rule takes over.
@@ -288,16 +288,20 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
     so the restricted translation matrix becomes diagonal (a unitary Schur
     decomposition, since that restriction is unitary when [H, T] = 0), and
     the sector label l is read from the eigenvalue exp(+i 2 pi l / N).
+    ``translation`` must be exactly the one-cell shift (checked in O(G^2));
+    it is applied as an index shift.
     """
     grid = hamiltonian.grid
     if translation.grid != grid:
-        raise ValueError("hamiltonian and translation live on different grids")
+        raise GridMismatchError("hamiltonian and translation live on different grids")
+    if not is_one_cell_shift(translation):
+        raise ValueError("translation operator is not the unitary one-cell shift")
     h = hamiltonian.entries
-    t = translation.entries
+    p = grid.points_per_cell
     scale = max(float(np.max(np.abs(h))), 1.0)
     if hamiltonian.hermitian_defect() > 1e-10 * scale:
         raise ValueError("hamiltonian is not Hermitian")
-    comm = float(np.max(np.abs(h @ t - t @ h)))
+    comm = float(np.max(np.abs(np.roll(h, p, axis=1) - np.roll(h, -p, axis=0))))
     if comm > 1e-9 * scale:
         raise ValueError(
             f"hamiltonian does not commute with translation (defect {comm:.3e})"
@@ -320,11 +324,10 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
         while stop < g and energies[stop] - energies[stop - 1] <= tol:
             stop += 1
         block = vectors[:, start:stop]
+        restricted = block.conj().T @ np.roll(block, -p, axis=0)
         if stop - start == 1:
-            rotated = block
-            t_eigs = np.array([(block.conj().T @ t @ block)[0, 0]])
+            rotated, t_eigs = block, restricted[0]
         else:
-            restricted = block.conj().T @ t @ block
             # Unitary matrices are normal, so the complex Schur form is
             # diagonal and Z holds an orthonormal eigenbasis.
             schur_t, z = scipy.linalg.schur(restricted, output="complex")

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import WaveFunction, inner_product, translate_by_cells
-from .lattice import OperatorMatrix, build_translation
-from .observables import LocalObservableSeries, apply_kernel, cell_periodicity_defect, materialize
+from .lattice import OperatorMatrix
+from .observables import LocalObservableSeries, _periodicity_defect, apply_kernel, materialize
 from .spectrum import BandStructure, BlochState
 
 # A kernel this close to cell-periodic must show no off-sector leakage
@@ -106,7 +106,7 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure,
     b, n = bands.band_count, bands.n_cells
     table = flat.reshape(b, n, b, n)
 
-    defect = cell_periodicity_defect(op, build_translation(bands.grid))
+    defect = _periodicity_defect(op)
     scan = SelectionScan(
         table=table,
         periodicity_defect=defect,

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from blochlab.cli import main
+from blochlab.cli import main, write_json
 
 
 def write_config(path, **overrides):
@@ -192,3 +193,33 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "out" / "bands.csv").exists()
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path / "run.json")
+    data = json.loads(config.read_text())
+    data["lattice"]["mas"] = 2.0
+    config.write_text(json.dumps(data))
+    assert main(["solve", "--config", str(config)]) == 2
+    assert "lattice.mas" in capsys.readouterr().err
+
+
+def test_outputs_honor_the_umask(tmp_path):
+    config = write_config(tmp_path / "run.json")
+    previous = os.umask(0o022)
+    try:
+        assert main(["scan", "--config", str(config), "--observable", "h"]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("scan.csv", "locality.csv", "scan_summary.json"):
+        assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o644
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        write_json(tmp_path / "summary.json", {"a": 1})
+    assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,16 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from blochlab.config import ConfigError, load_config, parse_config
+
+ROOT = str(Path(__file__).resolve().parent.parent)
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from perfbench import workloads  # noqa: E402
 
 
 MINIMAL = {
@@ -137,3 +145,31 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(path)
     assert cfg.n_cells == 8
     assert cfg.dynamics.epsilons == (1e-4, 2e-4)
+
+
+@pytest.mark.parametrize(
+    "mutate,expected_key",
+    [
+        (lambda d: d.__setitem__("outputdir", "x"), "'outputdir'"),
+        (lambda d: d["lattice"].__setitem__("mas", 2.0), "lattice.mas"),
+        (lambda d: d["potential"].__setitem__("harmonic", []), "potential.harmonic"),
+        (lambda d: d["dynamics"].__setitem__("scheme", "fd4"), "dynamics.scheme"),
+        (lambda d: d["observables"][0].__setitem__("terms", []), "observables[0].terms"),
+        (lambda d: d["observables"][1].__setitem__("band", 0), "observables[1].band"),
+        (lambda d: d["observables"][2].__setitem__("scheme", "fd2"), "observables[2].scheme"),
+        (lambda d: d["observables"][3].__setitem__("site", 0), "observables[3].site"),
+    ],
+)
+def test_unknown_keys_are_rejected_at_their_path(mutate, expected_key):
+    data = json.loads(json.dumps(full_config()))
+    mutate(data)
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        parse_config(data)
+    assert expected_key in str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.BUILDERS))
+def test_benchmark_run_files_use_only_known_keys(name):
+    for seed in (0, 1, 2, 7):
+        for payload in workloads.build(name, seed).configs.values():
+            parse_config(payload)

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochlab import (
+    GridMismatchError,
     OperatorMatrix,
     PotentialSpec,
     RingGrid,
     build_hamiltonian,
     build_translation,
+    cell_periodicity_defect,
+    classify_by_translation,
 )
-from blochlab.lattice import commutator_norm
+from blochlab.lattice import commutator_norm, is_one_cell_shift
 
 
 def test_potential_sampling_tiles_exactly():
@@ -121,3 +126,68 @@ def test_translation_action_matches_roll(ref_grid, ref_translation, rng):
     samples = rng.normal(size=256) + 1j * rng.normal(size=256)
     moved = ref_translation.entries @ samples
     assert np.array_equal(moved, np.roll(samples, -ref_grid.points_per_cell))
+
+
+@given(n_cells=st.integers(2, 6), points=st.integers(8, 13), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_shift_products_match_the_dense_oracle(n_cells, points, seed):
+    # The index shifts must reproduce the dense permutation products exactly.
+    grid = RingGrid(n_cells, 1.0, points)
+    g = grid.total_points
+    rng = np.random.default_rng(seed)
+    a = OperatorMatrix(grid, rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g)))
+    translation = build_translation(grid)
+    t = translation.entries
+    dense_commutator = float(np.linalg.norm(a.entries @ t - t @ a.entries))
+    assert commutator_norm(a, translation) == dense_commutator
+    assert commutator_norm(translation, a) == dense_commutator
+    moved = t @ a.entries @ t.conj().T
+    dense_defect = float(np.linalg.norm(a.entries - moved) / np.linalg.norm(a.entries))
+    assert cell_periodicity_defect(a, translation) == dense_defect
+
+
+def test_one_cell_shift_test_accepts_only_the_shift(ref_grid, ref_translation):
+    assert is_one_cell_shift(ref_translation)
+    assert is_one_cell_shift(build_translation(RingGrid(3, 2.0, 9)))
+    assert not is_one_cell_shift(OperatorMatrix(ref_grid, np.eye(256)))
+
+
+def _not_the_shift(grid):
+    """Operators the shift test must reject, unitary ones included."""
+    t = build_translation(grid).entries
+    return {
+        "half_identity": 0.5 * np.eye(grid.total_points),
+        "two_cell_shift": t @ t,
+        "inverse_shift": t.conj().T,
+        "phased_shift": np.exp(0.3j) * t,
+        "shift_plus_entry": t + 1e-3 * np.eye(grid.total_points),
+    }
+
+
+@pytest.mark.parametrize("name", ["half_identity", "two_cell_shift", "inverse_shift",
+                                  "phased_shift", "shift_plus_entry"])
+def test_operators_other_than_the_shift_are_rejected(name, ref_grid, ref_hamiltonian):
+    bad = OperatorMatrix(ref_grid, _not_the_shift(ref_grid)[name])
+    with pytest.raises(ValueError, match="unitary one-cell shift"):
+        cell_periodicity_defect(ref_hamiltonian, bad)
+    with pytest.raises(ValueError, match="unitary one-cell shift"):
+        classify_by_translation(ref_hamiltonian, bad, 2)
+    with pytest.raises(ValueError, match="one-cell shift"):
+        commutator_norm(ref_hamiltonian, bad)
+    with pytest.raises(ValueError, match="one-cell shift"):
+        commutator_norm(bad, ref_hamiltonian)
+
+
+def test_commutator_norm_needs_the_shift_as_an_operand(ref_hamiltonian):
+    with pytest.raises(ValueError, match="one-cell shift"):
+        commutator_norm(ref_hamiltonian, ref_hamiltonian)
+
+
+def test_shift_sites_reject_a_grid_mismatch(ref_hamiltonian):
+    other = build_translation(RingGrid(8, 1.0, 16))
+    with pytest.raises(GridMismatchError):
+        cell_periodicity_defect(ref_hamiltonian, other)
+    with pytest.raises(GridMismatchError):
+        classify_by_translation(ref_hamiltonian, other, 2)
+    with pytest.raises(GridMismatchError):
+        commutator_norm(ref_hamiltonian, other)

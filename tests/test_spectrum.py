@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blochlab import (
     OperatorMatrix,
@@ -190,3 +191,40 @@ def test_cell_part_definition(ref_bands, ref_grid):
     phase = np.exp(1j * state.wavevector * ref_grid.points)
     rebuilt = state.cell_part.samples * phase
     assert np.max(np.abs(rebuilt - state.wavefunction.samples)) < 1e-12
+
+
+def dense_classifier_oracle(hamiltonian, translation, band_count):
+    """Sector energies, shape (band_count, N), from the dense block^dagger T block.
+
+    The classifier's own algorithm with the translation applied as a dense
+    matrix product, kept here only to check the index-shift path against.
+    """
+    grid = hamiltonian.grid
+    energies, vectors = np.linalg.eigh(hamiltonian.entries)
+    tol = 1e-9 * max(float(energies[-1] - energies[0]), 1.0)
+    per_sector = [[] for _ in range(grid.n_cells)]
+    start = 0
+    while start < energies.size:
+        stop = start + 1
+        while stop < energies.size and energies[stop] - energies[stop - 1] <= tol:
+            stop += 1
+        block = vectors[:, start:stop]
+        schur_t, _ = scipy.linalg.schur(block.conj().T @ translation.entries @ block,
+                                        output="complex")
+        for i, lam in enumerate(np.diag(schur_t)):
+            l = int(np.rint(np.angle(lam) * grid.n_cells / (2.0 * np.pi))) % grid.n_cells
+            per_sector[l].append(float(energies[start + i]))
+        start = stop
+    return np.array([sorted(bucket)[:band_count] for bucket in per_sector]).T
+
+
+@pytest.mark.parametrize("amplitude", [2.0, 1e-6])
+def test_classifier_matches_the_dense_translation_oracle(ref_grid, ref_translation, amplitude):
+    h = build_hamiltonian(ref_grid, PotentialSpec(0.0, ((1, amplitude, 0.0),)))
+    classified = classify_by_translation(h, ref_translation, 4)
+    for state in classified.all_states():
+        psi = state.wavefunction.samples
+        lam = ref_grid.spacing * (psi.conj() @ ref_translation.entries @ psi)
+        assert abs(lam - np.exp(2j * np.pi * state.sector / 8)) < 1e-10
+    oracle = dense_classifier_oracle(h, ref_translation, 4)
+    assert np.max(np.abs(classified.energies() - oracle)) < 1e-10

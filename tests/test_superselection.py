@@ -7,6 +7,8 @@ from blochlab import (
     PotentialSpec,
     RingGrid,
     WaveFunction,
+    build_translation,
+    cell_periodicity_defect,
     materialize,
     matrix_element,
     sector_weights,
@@ -236,3 +238,12 @@ def test_probe_preserves_winding_of_nodeless_output(free_bands):
     report = winding_preservation_probe(series, free_bands, 0, 3)
     assert report.input_winding.value == 3
     assert report.output_winding.value == 3
+
+
+def test_scan_defect_is_the_public_periodicity_defect(ref_grid, ref_bands, ref_hamiltonian,
+                                                      site0_projector):
+    ring = materialize(LocalObservableSeries(((1, 1, 1.0, 0.3),)), ref_grid)
+    translation = build_translation(ref_grid)
+    for op in (ref_hamiltonian, site0_projector, ring):
+        scan = selection_scan(op, ref_bands)
+        assert scan.periodicity_defect == cell_periodicity_defect(op, translation)
