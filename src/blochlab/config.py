@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .derivatives import SCHEMES
 from .grid import RingGrid
 from .lattice import PotentialSpec
 
@@ -84,7 +85,8 @@ def _as_number(value, path: str, positive: bool = False) -> float:
     return value
 
 
-_SCHEMES = ("spectral", "fd2", "fd4", "fd6", "fd8")
+# A tuple, so that an unhashable JSON value fails the membership test cleanly.
+_SCHEMES = tuple(SCHEMES)
 # Keys each observable kind accepts, beyond "name" and "kind".
 _OBSERVABLE_KEYS = {
     "series": ("terms", "symmetrize", "scheme"),

@@ -14,14 +14,13 @@ they commute exactly with the cell shift:
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import RingGrid
 
-_FD_SCHEME = re.compile(r"^fd([1-9][0-9]*)$")
+# Scheme name -> finite-difference accuracy order (None for spectral).
+SCHEMES = {"spectral": None, "fd2": 2, "fd4": 4, "fd6": 6, "fd8": 8}
 
 
 def fornberg_weights(order: int, offsets: np.ndarray) -> np.ndarray:
@@ -50,21 +49,7 @@ def fornberg_weights(order: int, offsets: np.ndarray) -> np.ndarray:
     return d[order, npts - 1, :]
 
 
-def _parse_scheme(scheme: str) -> int | None:
-    """Return the finite-difference accuracy order, or None for 'spectral'."""
-    if scheme == "spectral":
-        return None
-    m = _FD_SCHEME.match(scheme)
-    if m:
-        p = int(m.group(1))
-        if p in (2, 4, 6, 8):
-            return p
-    raise ValueError(
-        f"unknown derivative scheme {scheme!r}; expected 'spectral' or 'fd2', 'fd4', 'fd6', 'fd8'"
-    )
-
-
-def _spectral_matrix(grid: RingGrid, n: int) -> np.ndarray:
+def _spectral_column(grid: RingGrid, n: int) -> np.ndarray:
     g = grid.total_points
     k = 2.0 * np.pi * np.fft.fftfreq(g, d=grid.spacing)
     mult = k**n
@@ -74,13 +59,10 @@ def _spectral_matrix(grid: RingGrid, n: int) -> np.ndarray:
     if n % 2 == 0:
         # Even multiplier: the kernel is real and symmetric.
         col = col.real.astype(complex)
-    # Hermiticity of a circulant reads col[d] == conj(col[G-d]); the ifft
-    # satisfies it to roundoff, this makes it exact.
-    col = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
-    return scipy.linalg.circulant(col)
+    return col
 
 
-def _finite_difference_matrix(grid: RingGrid, n: int, accuracy: int) -> np.ndarray:
+def _finite_difference_column(grid: RingGrid, n: int, accuracy: int) -> np.ndarray:
     g = grid.total_points
     # Minimal centered stencil achieving the requested accuracy order.
     npts = 2 * ((n + 1) // 2) - 1 + accuracy
@@ -92,11 +74,7 @@ def _finite_difference_matrix(grid: RingGrid, n: int, accuracy: int) -> np.ndarr
     col = np.zeros(g)
     for off, w in zip(offsets, weights):
         col[(-off) % g] += w
-    full = (-1j) ** n * col
-    # The Fornberg recursion does not return bitwise-mirrored weights, so the
-    # circulant column is symmetrized exactly, as in the spectral scheme.
-    full = 0.5 * (full + np.conj(np.roll(full[::-1], 1)))
-    return scipy.linalg.circulant(full)
+    return (-1j) ** n * col
 
 
 def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> np.ndarray:
@@ -115,11 +93,23 @@ def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> n
     """
     if not isinstance(n, (int, np.integer)) or not 0 <= n <= 8:
         raise ValueError(f"derivative power must be an integer in [0, 8], got {n!r}")
-    accuracy = _parse_scheme(scheme)
+    if scheme not in SCHEMES:
+        raise ValueError(
+            f"unknown derivative scheme {scheme!r}; expected one of {tuple(SCHEMES)}"
+        )
+    g = grid.total_points
     if n == 0:
-        return np.eye(grid.total_points, dtype=complex)
+        return np.eye(g, dtype=complex)
+    accuracy = SCHEMES[scheme]
     if accuracy is None:
-        mat = _spectral_matrix(grid, n)
+        col = _spectral_column(grid, n)
     else:
-        mat = _finite_difference_matrix(grid, n, accuracy)
-    return np.asarray(mat, dtype=complex)
+        col = _finite_difference_column(grid, n, accuracy)
+    # Hermiticity of a circulant reads col[d] == conj(col[G-d]).  The ifft
+    # meets it only to roundoff and the Fornberg weights are not bitwise
+    # mirrored, so the column is symmetrized exactly.
+    col = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    # C[i, j] = col[(i - j) mod G]: row G-1-i of the length-G windows over
+    # the doubled reversed column, copied out of the strided view.
+    rev = col[::-1]
+    return sliding_window_view(np.concatenate((rev, rev)), g)[g - 1::-1].copy()

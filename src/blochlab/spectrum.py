@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .grid import GridMismatchError, RingGrid, WaveFunction
 from .lattice import OperatorMatrix, PotentialSpec, is_one_cell_shift
@@ -94,6 +93,17 @@ def fix_gauge(state: BlochState) -> BlochState:
     )
 
 
+def _clusters(energies: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) spans of ascending ``energies`` that count as degenerate.
+
+    Neighbours closer than _CLUSTER_RTOL times the spectrum's span (at least
+    1) share a cluster.
+    """
+    tol = _CLUSTER_RTOL * max(float(energies[-1] - energies[0]), 1.0)
+    edges = [0, *(np.flatnonzero(np.diff(energies) > tol) + 1).tolist(), energies.size]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray,
                       wavenumbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Resolve degenerate clusters toward definite plane-wave content.
@@ -104,14 +114,8 @@ def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray,
     crossings such as the free particle at the zone edge, where LAPACK's
     ordering is arbitrary.
     """
-    spread = max(float(energies[-1] - energies[0]), 1.0)
-    tol = _CLUSTER_RTOL * spread
     vectors = vectors.copy()
-    start = 0
-    while start < energies.size:
-        stop = start + 1
-        while stop < energies.size and energies[stop] - energies[stop - 1] <= tol:
-            stop += 1
+    for start, stop in _clusters(energies):
         if stop - start > 1:
             block = vectors[:, start:stop]
             q_block = block.conj().T @ (wavenumbers[:, None] * block)
@@ -120,7 +124,6 @@ def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray,
             q_round = np.rint(q_vals).astype(int)
             rank = np.lexsort((q_round < 0, np.abs(q_round)))
             vectors[:, start:stop] = rotated[:, rank]
-        start = stop
     return energies, vectors
 
 
@@ -152,14 +155,12 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
 
     kinetic = np.diag((hbar**2 / (2.0 * mass)) * kappa**2).astype(complex)
     # The potential couples plane waves differing by a reciprocal lattice
-    # vector: <kappa_i| V |kappa_j> = V_hat((q_i - q_j)/N).  q_i - q_j is
-    # always a multiple of N inside one sector, and the Toeplitz structure
-    # in (i - j) captures all of it.
-    row_diffs = (q[0] - q) // n_cells
-    col_diffs = (q - q[0]) // n_cells
-    first_col = np.array([potential.fourier_coefficient(d) for d in col_diffs])
-    first_row = np.array([potential.fourier_coefficient(d) for d in row_diffs])
-    block = kinetic + scipy.linalg.toeplitz(first_col, first_row)
+    # vector: <kappa_i| V |kappa_j> = V_hat((q_i - q_j)/N).  Inside one
+    # sector q_i - q_j = N (i - j), so the block is Toeplitz in i - j and
+    # one table of V_hat(d), d = 1-P .. P-1, fills it.
+    coeff = np.array([potential.fourier_coefficient(d) for d in range(1 - p, p)])
+    i = np.arange(p)
+    block = kinetic + coeff[i[:, None] - i[None, :] + p - 1]
 
     energies, coeffs = np.linalg.eigh(block)
     energies, coeffs = _tie_broken_order(energies, coeffs, q.astype(float))
@@ -311,18 +312,12 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
             f"band_count must lie in [1, {grid.points_per_cell}], got {band_count}"
         )
 
-    energies, vectors = np.linalg.eigh(h)
-    spread = max(float(energies[-1] - energies[0]), 1.0)
-    tol = _CLUSTER_RTOL * spread
+    import scipy.linalg  # only this classifier needs scipy (Schur)
 
+    energies, vectors = np.linalg.eigh(h)
     n_cells = grid.n_cells
     per_sector: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(n_cells)]
-    start = 0
-    g = grid.total_points
-    while start < g:
-        stop = start + 1
-        while stop < g and energies[stop] - energies[stop - 1] <= tol:
-            stop += 1
+    for start, stop in _clusters(energies):
         block = vectors[:, start:stop]
         restricted = block.conj().T @ np.roll(block, -p, axis=0)
         if stop - start == 1:
@@ -347,7 +342,6 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
                 )
             psi = WaveFunction(grid, rotated[:, i] / np.sqrt(grid.spacing))
             per_sector[l].append((float(energies[start + i]), psi))
-        start = stop
 
     rows: list[list[BlochState]] = [[] for _ in range(band_count)]
     for l, bucket in enumerate(per_sector):

@@ -67,10 +67,6 @@ class SelectionScan:
         l_ket = np.arange(self.n_cells)[None, None, None, :]
         return float(np.max(np.where(l_bra != l_ket, mods, 0.0)))
 
-    def same_band_moduli(self, band: int) -> np.ndarray:
-        """N x N moduli within one band, all sector pairs."""
-        return self.moduli()[band, :, band, :]
-
     def hermitian_symmetry_defect(self) -> float:
         """Largest |table[a, b] - conj(table[b, a])| over state pairs."""
         flat = self.table.reshape(self.band_count * self.n_cells, -1)

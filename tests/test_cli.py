@@ -223,3 +223,36 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         write_json(tmp_path / "summary.json", {"a": 1})
     assert list(tmp_path.iterdir()) == []
+
+
+_NO_SCIPY = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import blochlab
+assert not scipy_modules(), ("import blochlab", scipy_modules())
+from blochlab.cli import main
+config = sys.argv[1]
+for argv in (["solve"], ["wannier", "--band", "0", "--site", "0"],
+             ["scan", "--observable", "site0"], ["scan", "--observable", "ring1"],
+             ["scan", "--observable", "h"], ["scan", "--observable", "shift"],
+             ["winding", "--band", "0"], ["propagate"]):
+    assert main(argv + ["--config", config]) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+"""
+
+
+def test_import_and_every_command_load_no_scipy(tmp_path):
+    # scipy is needed only by classify_by_translation, which imports it on
+    # its first call; the package and the CLI must not pay for it.
+    config = write_config(tmp_path / "run.json", observables=[
+        {"name": "site0", "kind": "wannier_projector", "band": 0, "site": 0},
+        {"name": "ring1", "kind": "series", "terms": [[1, 1, 1.0, 0.5]], "scheme": "fd6"},
+        {"name": "h", "kind": "hamiltonian"},
+        {"name": "shift", "kind": "translation"},
+    ])
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(config)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -99,6 +99,11 @@ def test_errors_name_the_offending_key(mutate, expected_key):
     [
         (lambda d: d["observables"][1].__setitem__("terms", []), "observables[1].terms"),
         (lambda d: d["observables"][1].__setitem__("scheme", "fd3"), "observables[1].scheme"),
+        pytest.param(
+            lambda d: d["observables"][1].__setitem__("scheme", ["fd4"]),
+            "observables[1].scheme",
+            id="non-string-scheme",
+        ),
         (lambda d: d["observables"][0].__setitem__("band", 4), "observables[0].band"),
         (lambda d: d["observables"][0].__setitem__("site", 8), "observables[0].site"),
         (lambda d: d["observables"][0].__setitem__("kind", "spin"), "observables[0].kind"),

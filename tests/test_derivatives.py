@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blochlab import RingGrid, momentum_power_matrix
-from blochlab.derivatives import fornberg_weights
+from blochlab.derivatives import (
+    SCHEMES,
+    _finite_difference_column,
+    _spectral_column,
+    fornberg_weights,
+)
 
 
 def test_fornberg_classic_stencils():
@@ -98,3 +104,25 @@ def test_scheme_and_power_validation():
         momentum_power_matrix(grid, 2, "fd3")
     with pytest.raises(ValueError):
         momentum_power_matrix(grid, 2, "chebyshev")
+
+
+def scipy_circulant_oracle(grid, n, scheme):
+    """The matrix as scipy.linalg.circulant builds it from the folded column."""
+    accuracy = SCHEMES[scheme]
+    if accuracy is None:
+        col = _spectral_column(grid, n)
+    else:
+        col = _finite_difference_column(grid, n, accuracy)
+    col = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    return scipy.linalg.circulant(col)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("n_cells,points", [(4, 8), (3, 9)], ids=["even_g", "odd_g"])
+def test_matrix_is_the_scipy_circulant_bit_for_bit(scheme, n_cells, points):
+    # Odd n on the even grid covers the spectral scheme's zeroed Nyquist mode.
+    grid = RingGrid(n_cells, 1.0, points)
+    for n in range(1, 9):
+        mat = momentum_power_matrix(grid, n, scheme)
+        assert mat.dtype == complex
+        assert np.array_equal(mat, scipy_circulant_oracle(grid, n, scheme)), n

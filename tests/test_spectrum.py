@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochlab import (
     OperatorMatrix,
@@ -15,6 +17,7 @@ from blochlab import (
     solve_bands,
     solve_sector,
 )
+from blochlab.spectrum import _CLUSTER_RTOL, _clusters
 
 
 def free_sector_energies(grid, sector, count):
@@ -228,3 +231,57 @@ def test_classifier_matches_the_dense_translation_oracle(ref_grid, ref_translati
         assert abs(lam - np.exp(2j * np.pi * state.sector / 8)) < 1e-10
     oracle = dense_classifier_oracle(h, ref_translation, 4)
     assert np.max(np.abs(classified.energies() - oracle)) < 1e-10
+
+
+def scipy_toeplitz_sector_block(grid, potential, sector):
+    """Sector block with the potential part built by scipy.linalg.toeplitz."""
+    p, n_cells = grid.points_per_cell, grid.n_cells
+    q = sector + n_cells * np.arange(-(p // 2), p - p // 2)
+    kappa = 2.0 * np.pi * q / grid.ring_length
+    kinetic = np.diag(0.5 * kappa**2).astype(complex)
+    first_col = np.array([potential.fourier_coefficient(d) for d in (q - q[0]) // n_cells])
+    first_row = np.array([potential.fourier_coefficient(d) for d in (q[0] - q) // n_cells])
+    return kinetic + scipy.linalg.toeplitz(first_col, first_row), kappa
+
+
+@pytest.mark.parametrize("potential", [
+    PotentialSpec(0.0, ((1, 2.0, 0.0),)),
+    PotentialSpec(0.3, ((1, 2.0, 0.7), (3, 0.0, -1.1))),
+], ids=["reference", "sine_harmonics"])
+def test_sector_solve_matches_the_toeplitz_oracle(ref_grid, potential):
+    p = ref_grid.points_per_cell
+    for sector in range(ref_grid.n_cells):
+        block, kappa = scipy_toeplitz_sector_block(ref_grid, potential, sector)
+        states = solve_sector(ref_grid, potential, sector, p)
+        assert np.array_equal([s.energy for s in states], np.linalg.eigh(block)[0])
+        # Equal energies do not fix the orientation of the Toeplitz block:
+        # its transpose has the same spectrum.  The plane-wave coefficients
+        # of the returned states must be eigenvectors of the oracle block.
+        phases = np.exp(1j * np.outer(ref_grid.points, kappa)) / np.sqrt(ref_grid.ring_length)
+        for state in states[:4]:
+            c = ref_grid.spacing * (phases.conj().T @ state.wavefunction.samples)
+            assert np.linalg.norm(block @ c - state.energy * c) < 1e-9
+
+
+def loop_clusters(energies):
+    """The scalar walk both cluster sites used before they shared a helper."""
+    tol = _CLUSTER_RTOL * max(float(energies[-1] - energies[0]), 1.0)
+    spans, start = [], 0
+    while start < energies.size:
+        stop = start + 1
+        while stop < energies.size and energies[stop] - energies[stop - 1] <= tol:
+            stop += 1
+        spans.append((start, stop))
+        start = stop
+    return spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3),
+       st.lists(st.sampled_from([0.0, 1e-13, 5e-10, 1e-9, 2e-9, 1e-6, 0.5, 7.0, 3e3]),
+                max_size=40))
+def test_cluster_spans_match_the_scalar_walk(first, gaps):
+    energies = first + np.cumsum([0.0] + gaps)
+    spans = _clusters(energies)
+    assert spans == loop_clusters(energies)
+    assert spans[0][0] == 0 and spans[-1][1] == energies.size
