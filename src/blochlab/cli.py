@@ -62,15 +62,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def write_csv(path: Path, columns: dict) -> None:
+    """One row per index of the equal-length named columns.  Numpy columns go
+    through ``tolist()``, so every cell is ``str`` of a Python scalar (a float's repr)."""
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -85,24 +81,34 @@ def _solve(config: RunConfig) -> BandStructure:
 
 
 def _resolve_operator(config: RunConfig, obs: ObservableConfig,
-                      bands: BandStructure) -> OperatorMatrix:
+                      bands: BandStructure | None = None) -> OperatorMatrix:
+    """The observable's matrix; only a projector needs bands, solved if not given."""
     grid = config.grid()
     if obs.kind == "hamiltonian":
         return build_hamiltonian(grid, config.potential(), mass=config.mass, hbar=config.hbar)
     if obs.kind == "translation":
         return build_translation(grid)
     if obs.kind == "wannier_projector":
+        bands = bands if bands is not None else _solve(config)
         return wannier_projector(build_wannier(bands, obs.band, obs.site))
     series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
     return materialize(series, grid, scheme=obs.scheme)
 
 
+def _require_band(config: RunConfig, band: int) -> None:
+    if not 0 <= band < config.bands:
+        raise ConfigError(f"config key 'bands': band {band} not solved (bands={config.bands})")
+
+
 def cmd_solve(config: RunConfig, out: Path) -> int:
     bands = _solve(config)
-    rows = []
-    for state in bands.all_states():
-        rows.append([state.band, state.sector, state.wavevector, state.energy])
-    write_csv(out / "bands.csv", ["band", "sector", "wavevector", "energy"], rows)
+    sectors = np.tile(np.arange(bands.n_cells), bands.band_count)
+    write_csv(out / "bands.csv", {
+        "band": np.repeat(np.arange(bands.band_count), bands.n_cells),
+        "sector": sectors,
+        "wavevector": bands.grid.wavevector(sectors),
+        "energy": bands.energies().ravel(),
+    })
     write_json(
         out / "solve_summary.json",
         {
@@ -119,15 +125,21 @@ def cmd_solve(config: RunConfig, out: Path) -> int:
 
 
 def cmd_wannier(config: RunConfig, out: Path, band: int, site: int) -> int:
+    _require_band(config, band)
+    if not 0 <= site < config.n_cells:
+        raise ConfigError(
+            f"config key 'lattice.n_cells': site {site} outside [0, {config.n_cells})"
+        )
     bands = _solve(config)
     wannier = build_wannier(bands, band, site)
-    grid = bands.grid
     samples = wannier.wavefunction.samples
-    rows = [
-        [i, grid.points[i], samples[i].real, samples[i].imag, abs(samples[i]) ** 2]
-        for i in range(grid.total_points)
-    ]
-    write_csv(out / "wannier.csv", ["index", "x", "re", "im", "density"], rows)
+    write_csv(out / "wannier.csv", {
+        "index": np.arange(samples.size),
+        "x": bands.grid.points,
+        "re": samples.real,
+        "im": samples.imag,
+        "density": (abs(z) ** 2 for z in samples.tolist()),
+    })
     write_json(
         out / "wannier_summary.json",
         {
@@ -146,26 +158,18 @@ def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
     bands = _solve(config)
     op = _resolve_operator(config, obs, bands)
     scan = selection_scan(op, bands, label=obs.name)
-    rows = []
-    b, n = scan.band_count, scan.n_cells
-    for n_bra in range(b):
-        for l_bra in range(n):
-            for n_ket in range(b):
-                for l_ket in range(n):
-                    el = scan.table[n_bra, l_bra, n_ket, l_ket]
-                    rows.append([n_bra, l_bra, n_ket, l_ket, el.real, el.imag, abs(el)])
-    write_csv(
-        out / "scan.csv",
-        ["band_bra", "sector_bra", "band_ket", "sector_ket", "re", "im", "modulus"],
-        rows,
-    )
+    labels = np.indices(scan.table.shape).reshape(4, -1)
+    elements = scan.table.ravel()
+    write_csv(out / "scan.csv", {
+        **dict(zip(("band_bra", "sector_bra", "band_ket", "sector_ket"), labels)),
+        "re": elements.real,
+        "im": elements.imag,
+        # Scalar abs: numpy's vectorized abs can differ in the last bit.
+        "modulus": map(abs, elements.tolist()),
+    })
     report = locality_report(op.symmetrized())
-    distances = np.arange(bands.grid.total_points // 2 + 1) * bands.grid.spacing
-    write_csv(
-        out / "locality.csv",
-        ["distance", "cumulative_mass"],
-        [[distances[i], float(report.cumulative[i])] for i in range(distances.size)],
-    )
+    distances = np.arange(report.cumulative.size) * bands.grid.spacing
+    write_csv(out / "locality.csv", {"distance": distances, "cumulative_mass": report.cumulative})
     write_json(
         out / "scan_summary.json",
         {
@@ -183,33 +187,21 @@ def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
 
 
 def cmd_winding(config: RunConfig, out: Path, band: int) -> int:
+    _require_band(config, band)
     bands = _solve(config)
-    if not 0 <= band < bands.band_count:
-        raise ConfigError(f"config key 'bands': band {band} not solved (bands={bands.band_count})")
-    rows = []
-    values = {}
-    for l in range(bands.n_cells):
-        state = bands.state(band, l)
-        result = winding_number(state.wavefunction)
-        rows.append(
-            [
-                band,
-                l,
-                "" if result.value is None else result.value,
-                result.min_modulus,
-                result.max_step,
-                result.residual,
-            ]
-        )
-        values[str(l)] = result.value
-    write_csv(
-        out / "winding.csv",
-        ["band", "sector", "winding", "min_modulus", "max_step", "residual"],
-        rows,
-    )
+    results = [winding_number(bands.state(band, l).wavefunction) for l in range(bands.n_cells)]
+    write_csv(out / "winding.csv", {
+        "band": [band] * len(results),
+        "sector": range(len(results)),
+        "winding": ["" if r.value is None else r.value for r in results],
+        "min_modulus": [r.min_modulus for r in results],
+        "max_step": [r.max_step for r in results],
+        "residual": [r.residual for r in results],
+    })
     write_json(
         out / "winding_summary.json",
-        {"config": config.resolved(), "band": band, "windings": values},
+        {"config": config.resolved(), "band": band,
+         "windings": {str(l): r.value for l, r in enumerate(results)}},
     )
     return EXIT_OK
 
@@ -226,9 +218,7 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
     )
     perturbation = None
     if perturb_name is not None:
-        obs = config.observable(perturb_name)
-        bands = _solve(config)
-        perturbation = _resolve_operator(config, obs, bands)
+        perturbation = _resolve_operator(config, config.observable(perturb_name))
     experiment = PropagationExperiment(
         hamiltonian=hamiltonian,
         source=grid.index_of_cell(dyn.source_cell),
@@ -236,11 +226,11 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
         perturbation=perturbation,
         hbar=config.hbar,
     )
-    rows = []
-    for eps in dyn.epsilons:
-        amp = exact_amplitude(experiment, eps)
-        rows.append([eps, amp.real, amp.imag, abs(amp)])
-    write_csv(out / "propagation.csv", ["epsilon", "re", "im", "modulus"], rows)
+    amplitudes = np.array([exact_amplitude(experiment, eps) for eps in dyn.epsilons])
+    write_csv(out / "propagation.csv", {
+        "epsilon": dyn.epsilons, "re": amplitudes.real, "im": amplitudes.imag,
+        "modulus": map(abs, amplitudes.tolist()),
+    })
 
     summary = {
         "config": config.resolved(),
@@ -314,15 +304,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return cmd_solve(config, out)
         if args.command == "wannier":
-            if not 0 <= args.band < config.bands:
-                raise ConfigError(
-                    f"config key 'bands': band {args.band} not solved (bands={config.bands})"
-                )
-            if not 0 <= args.site < config.n_cells:
-                raise ConfigError(
-                    f"config key 'lattice.n_cells': site {args.site} outside "
-                    f"[0, {config.n_cells})"
-                )
             return cmd_wannier(config, out, args.band, args.site)
         if args.command == "scan":
             return cmd_scan(config, out, args.observable)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .derivatives import SCHEMES
@@ -45,23 +45,48 @@ def _fail(key: str, problem: str):
     raise ConfigError(f"config key '{key}': {problem}")
 
 
-def _get(mapping, key: str, path: str, required: bool = True, default=None):
-    if not isinstance(mapping, dict):
-        _fail(path.rsplit(".", 1)[0] if "." in path else path, "must be an object")
-    if key not in mapping:
-        if required:
-            _fail(path, "missing")
-        return default
-    return mapping[key]
+# The keys of each object section, by its key path ("" is the root), in the
+# order they are read; resolved() writes the same keys back.
+_KEYS = {
+    "": ("lattice", "potential", "bands", "observables", "dynamics", "output_dir"),
+    "lattice": ("n_cells", "cell_length", "points_per_cell", "mass", "hbar"),
+    "potential": ("constant", "harmonics"),
+    "dynamics": ("epsilons", "source_cell", "target_cell", "kinetic_scheme", "perturbation"),
+}
+# Keys each observable kind accepts, beyond "name" and "kind".
+_OBSERVABLE_KEYS = {
+    "series": ("terms", "symmetrize", "scheme"),
+    "wannier_projector": ("band", "site"),
+    "hamiltonian": (),
+    "translation": (),
+}
+# Tuples, so that an unhashable JSON value fails the membership test cleanly.
+_OBSERVABLE_KINDS = tuple(_OBSERVABLE_KEYS)
+_SCHEMES = tuple(SCHEMES)
+_REQUIRED = object()
 
 
-def _known_keys(mapping, allowed: tuple[str, ...], path: str) -> None:
-    """Reject any key of ``mapping`` outside ``allowed``, at its key path."""
+def _section(mapping, path: str, keys: tuple[str, ...] | None = None):
+    """Check that ``mapping`` is an object with no key outside ``keys`` and return
+    ``read(key, parse, default, **limits)``, which hands ``mapping[key]`` (or the
+    default; no default means required) to ``parse(value, key_path, **limits)``."""
     if not isinstance(mapping, dict):
         _fail(path, "must be an object")
     for key in mapping:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, f"unknown key; expected one of {allowed}")
+        if keys is not None and key not in keys:
+            _fail(f"{path}.{key}" if path else key, f"unknown key; expected one of {keys}")
+
+    def read(key: str, parse=None, default=_REQUIRED, **limits):
+        here = f"{path}.{key}" if path else key
+        if key in mapping:
+            value = mapping[key]
+        elif default is _REQUIRED:
+            _fail(here, "missing")
+        else:
+            value = default
+        return value if parse is None else parse(value, here, **limits)
+
+    return read
 
 
 def _as_int(value, path: str, minimum=None, maximum=None) -> int:
@@ -85,16 +110,22 @@ def _as_number(value, path: str, positive: bool = False) -> float:
     return value
 
 
-# A tuple, so that an unhashable JSON value fails the membership test cleanly.
-_SCHEMES = tuple(SCHEMES)
-# Keys each observable kind accepts, beyond "name" and "kind".
-_OBSERVABLE_KEYS = {
-    "series": ("terms", "symmetrize", "scheme"),
-    "wannier_projector": ("band", "site"),
-    "hamiltonian": (),
-    "translation": (),
-}
-_OBSERVABLE_KINDS = tuple(_OBSERVABLE_KEYS)
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        _fail(path, "must be true or false")
+    return value
+
+
+def _as_name(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(path, "must be a non-empty string")
+    return value
+
+
+def _one_of(value, path: str, choices: tuple) -> str:
+    if value not in choices:
+        _fail(path, f"must be one of {choices}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -119,7 +150,7 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters plus the raw resolved dictionary."""
+    """Validated run parameters; the lattice and potential keys are flat fields."""
 
     n_cells: int
     cell_length: float
@@ -148,50 +179,19 @@ class RunConfig:
     def resolved(self) -> dict:
         """Plain dictionary with every default filled in, for output provenance."""
         out = {
-            "lattice": {
-                "n_cells": self.n_cells,
-                "cell_length": self.cell_length,
-                "points_per_cell": self.points_per_cell,
-                "mass": self.mass,
-                "hbar": self.hbar,
-            },
-            "potential": {
-                "constant": self.constant,
-                "harmonics": [list(h) for h in self.harmonics],
-            },
-            "bands": self.bands,
-            "observables": [
-                {
-                    "name": o.name,
-                    "kind": o.kind,
-                    **(
-                        {
-                            "terms": [list(t) for t in o.terms],
-                            "symmetrize": o.symmetrize,
-                            "scheme": o.scheme,
-                        }
-                        if o.kind == "series"
-                        else {}
-                    ),
-                    **(
-                        {"band": o.band, "site": o.site}
-                        if o.kind == "wannier_projector"
-                        else {}
-                    ),
-                }
-                for o in self.observables
-            ],
-            "output_dir": self.output_dir,
+            section: {key: getattr(self, key) for key in _KEYS[section]}
+            for section in ("lattice", "potential")
         }
+        out["bands"] = self.bands
+        out["observables"] = [
+            {key: getattr(o, key) for key in ("name", "kind", *_OBSERVABLE_KEYS[o.kind])}
+            for o in self.observables
+        ]
         if self.dynamics is not None:
-            out["dynamics"] = {
-                "epsilons": list(self.dynamics.epsilons),
-                "source_cell": self.dynamics.source_cell,
-                "target_cell": self.dynamics.target_cell,
-                "kinetic_scheme": self.dynamics.kinetic_scheme,
-                "perturbation": self.dynamics.perturbation,
-            }
-        return out
+            out["dynamics"] = asdict(self.dynamics)
+        out["output_dir"] = self.output_dir
+        # A JSON round trip turns the tuples into lists and changes nothing else.
+        return json.loads(json.dumps(out))
 
 
 def _parse_harmonics(raw, path: str) -> tuple[tuple[int, float, float], ...]:
@@ -225,41 +225,37 @@ def _parse_terms(raw, path: str) -> tuple[tuple[int, int, float, float], ...]:
     return tuple(out)
 
 
-def _parse_scheme(raw, path: str) -> str:
-    if raw not in _SCHEMES:
-        _fail(path, f"must be one of {_SCHEMES}, got {raw!r}")
+def _parse_epsilons(raw, path: str) -> tuple[float, ...]:
+    if not isinstance(raw, list) or not raw:
+        _fail(path, "must be a non-empty list of positive times")
+    return tuple(_as_number(e, f"{path}[{i}]", positive=True) for i, e in enumerate(raw))
+
+
+def _parse_perturbation(raw, path: str, names: set[str]) -> str | None:
+    if raw is not None:
+        if not isinstance(raw, str):
+            _fail(path, "must be an observable name")
+        if raw not in names:
+            _fail(path, f"references undefined observable {raw!r}")
     return raw
 
 
-def _parse_observable(raw, index: int, bands: int, n_cells: int) -> ObservableConfig:
-    path = f"observables[{index}]"
-    name = _get(raw, "name", f"{path}.name")
-    if not isinstance(name, str) or not name:
-        _fail(f"{path}.name", "must be a non-empty string")
-    kind = _get(raw, "kind", f"{path}.kind")
-    if kind not in _OBSERVABLE_KINDS:
-        _fail(f"{path}.kind", f"must be one of {_OBSERVABLE_KINDS}, got {kind!r}")
-    _known_keys(raw, ("name", "kind") + _OBSERVABLE_KEYS[kind], path)
+def _parse_observable(raw, path: str, bands: int, n_cells: int) -> ObservableConfig:
+    read = _section(raw, path)
+    name = read("name", _as_name)
+    kind = read("kind", _one_of, choices=_OBSERVABLE_KINDS)
+    _section(raw, path, ("name", "kind", *_OBSERVABLE_KEYS[kind]))
     if kind == "series":
-        terms = _parse_terms(_get(raw, "terms", f"{path}.terms"), f"{path}.terms")
-        symmetrize = _get(raw, "symmetrize", f"{path}.symmetrize", required=False, default=True)
-        if not isinstance(symmetrize, bool):
-            _fail(f"{path}.symmetrize", "must be true or false")
-        scheme = _parse_scheme(
-            _get(raw, "scheme", f"{path}.scheme", required=False, default="spectral"),
-            f"{path}.scheme",
+        return ObservableConfig(
+            name, kind, terms=read("terms", _parse_terms),
+            symmetrize=read("symmetrize", _as_bool, True),
+            scheme=read("scheme", _one_of, "spectral", choices=_SCHEMES),
         )
-        return ObservableConfig(name, kind, terms=terms, symmetrize=symmetrize, scheme=scheme)
     if kind == "wannier_projector":
-        band = _as_int(
-            _get(raw, "band", f"{path}.band", required=False, default=0),
-            f"{path}.band", minimum=0, maximum=bands - 1,
+        return ObservableConfig(
+            name, kind, band=read("band", _as_int, 0, minimum=0, maximum=bands - 1),
+            site=read("site", _as_int, 0, minimum=0, maximum=n_cells - 1),
         )
-        site = _as_int(
-            _get(raw, "site", f"{path}.site", required=False, default=0),
-            f"{path}.site", minimum=0, maximum=n_cells - 1,
-        )
-        return ObservableConfig(name, kind, band=band, site=site)
     return ObservableConfig(name, kind)
 
 
@@ -267,94 +263,41 @@ def parse_config(data: dict) -> RunConfig:
     """Validate a decoded JSON object into a :class:`RunConfig`."""
     if not isinstance(data, dict):
         raise ConfigError("config root: must be a JSON object")
-    _known_keys(data, ("lattice", "potential", "bands", "observables", "dynamics",
-                       "output_dir"), "")
+    root = _section(data, "", _KEYS[""])
+    lattice = root("lattice", _section, keys=_KEYS["lattice"])
+    n_cells = lattice("n_cells", _as_int, minimum=2)
+    cell_length = lattice("cell_length", _as_number, positive=True)
+    points_per_cell = lattice("points_per_cell", _as_int, minimum=8)
+    mass = lattice("mass", _as_number, 1.0, positive=True)
+    hbar = lattice("hbar", _as_number, 1.0, positive=True)
+    potential = root("potential", _section, keys=_KEYS["potential"])
+    constant = potential("constant", _as_number, 0.0)
+    harmonics = potential("harmonics", _parse_harmonics, [])
+    bands = root("bands", _as_int, 1, minimum=1, maximum=points_per_cell)
 
-    lattice = _get(data, "lattice", "lattice")
-    _known_keys(lattice, ("n_cells", "cell_length", "points_per_cell", "mass", "hbar"),
-                "lattice")
-    n_cells = _as_int(_get(lattice, "n_cells", "lattice.n_cells"), "lattice.n_cells", minimum=2)
-    cell_length = _as_number(
-        _get(lattice, "cell_length", "lattice.cell_length"), "lattice.cell_length", positive=True
-    )
-    points_per_cell = _as_int(
-        _get(lattice, "points_per_cell", "lattice.points_per_cell"),
-        "lattice.points_per_cell", minimum=8,
-    )
-    mass = _as_number(
-        _get(lattice, "mass", "lattice.mass", required=False, default=1.0),
-        "lattice.mass", positive=True,
-    )
-    hbar = _as_number(
-        _get(lattice, "hbar", "lattice.hbar", required=False, default=1.0),
-        "lattice.hbar", positive=True,
-    )
-
-    potential = _get(data, "potential", "potential")
-    _known_keys(potential, ("constant", "harmonics"), "potential")
-    constant = _as_number(
-        _get(potential, "constant", "potential.constant", required=False, default=0.0),
-        "potential.constant",
-    )
-    harmonics = _parse_harmonics(
-        _get(potential, "harmonics", "potential.harmonics", required=False, default=[]),
-        "potential.harmonics",
-    )
-
-    bands = _as_int(
-        _get(data, "bands", "bands", required=False, default=1),
-        "bands", minimum=1, maximum=points_per_cell,
-    )
-
-    raw_observables = _get(data, "observables", "observables", required=False, default=[])
+    raw_observables = root("observables", default=[])
     if not isinstance(raw_observables, list):
         _fail("observables", "must be a list")
     observables = []
     names = set()
     for i, raw in enumerate(raw_observables):
-        obs = _parse_observable(raw, i, bands, n_cells)
+        obs = _parse_observable(raw, f"observables[{i}]", bands, n_cells)
         if obs.name in names:
             _fail(f"observables[{i}].name", f"duplicate observable name {obs.name!r}")
         names.add(obs.name)
         observables.append(obs)
 
-    dynamics = None
-    raw_dynamics = _get(data, "dynamics", "dynamics", required=False)
-    if raw_dynamics is not None:
-        _known_keys(raw_dynamics, ("epsilons", "source_cell", "target_cell", "kinetic_scheme",
-                                   "perturbation"), "dynamics")
-        raw_eps = _get(raw_dynamics, "epsilons", "dynamics.epsilons")
-        if not isinstance(raw_eps, list) or not raw_eps:
-            _fail("dynamics.epsilons", "must be a non-empty list of positive times")
-        epsilons = tuple(
-            _as_number(e, f"dynamics.epsilons[{i}]", positive=True) for i, e in enumerate(raw_eps)
+    dynamics = root("dynamics", default=None)
+    if dynamics is not None:
+        read = _section(dynamics, "dynamics", _KEYS["dynamics"])
+        cell = {"minimum": 0, "maximum": n_cells - 1}
+        dynamics = DynamicsConfig(
+            read("epsilons", _parse_epsilons),
+            read("source_cell", _as_int, **cell),
+            read("target_cell", _as_int, **cell),
+            read("kinetic_scheme", _one_of, "fd4", choices=_SCHEMES),
+            read("perturbation", _parse_perturbation, None, names=names),
         )
-        source_cell = _as_int(
-            _get(raw_dynamics, "source_cell", "dynamics.source_cell"),
-            "dynamics.source_cell", minimum=0, maximum=n_cells - 1,
-        )
-        target_cell = _as_int(
-            _get(raw_dynamics, "target_cell", "dynamics.target_cell"),
-            "dynamics.target_cell", minimum=0, maximum=n_cells - 1,
-        )
-        kinetic_scheme = _parse_scheme(
-            _get(raw_dynamics, "kinetic_scheme", "dynamics.kinetic_scheme",
-                 required=False, default="fd4"),
-            "dynamics.kinetic_scheme",
-        )
-        perturbation = _get(raw_dynamics, "perturbation", "dynamics.perturbation",
-                            required=False)
-        if perturbation is not None:
-            if not isinstance(perturbation, str):
-                _fail("dynamics.perturbation", "must be an observable name")
-            if perturbation not in names:
-                _fail("dynamics.perturbation",
-                      f"references undefined observable {perturbation!r}")
-        dynamics = DynamicsConfig(epsilons, source_cell, target_cell, kinetic_scheme, perturbation)
-
-    output_dir = _get(data, "output_dir", "output_dir", required=False, default="out")
-    if not isinstance(output_dir, str) or not output_dir:
-        _fail("output_dir", "must be a non-empty string")
 
     return RunConfig(
         n_cells=n_cells,
@@ -367,7 +310,7 @@ def parse_config(data: dict) -> RunConfig:
         bands=bands,
         observables=tuple(observables),
         dynamics=dynamics,
-        output_dir=output_dir,
+        output_dir=root("output_dir", _as_name, "out"),
     )
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import OperatorMatrix
+from .grid import _require_same_grid
+from .lattice import OperatorMatrix, _require_positive
 
 
 @dataclass
@@ -39,14 +40,12 @@ class PropagationExperiment:
     hbar: float = 1.0
 
     def __post_init__(self):
-        grid = self.hamiltonian.grid
-        if self.perturbation is not None and self.perturbation.grid != grid:
-            raise ValueError("perturbation lives on a different grid")
-        g = grid.total_points
+        if self.perturbation is not None:
+            _require_same_grid(self.hamiltonian, self.perturbation)
+        g = self.hamiltonian.grid.total_points
         if not (0 <= self.source < g and 0 <= self.target < g):
             raise ValueError(f"source and target must be sample indices in [0, {g})")
-        if not np.isfinite(self.hbar) or self.hbar <= 0:
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
+        _require_positive("hbar", self.hbar)
         total = self.hamiltonian.entries
         if self.perturbation is not None:
             total = total + self.perturbation.entries

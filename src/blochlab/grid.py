@@ -107,12 +107,6 @@ class WaveFunction:
     def norm(self) -> float:
         return float(np.sqrt(self.grid.spacing * np.vdot(self.samples, self.samples).real))
 
-    def normalized(self) -> "WaveFunction":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero wavefunction")
-        return WaveFunction(self.grid, self.samples / n)
-
 
 def _require_same_grid(a, b) -> None:
     if a.grid != b.grid:

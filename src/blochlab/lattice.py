@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .derivatives import momentum_power_matrix
-from .grid import GridMismatchError, RingGrid
+from .grid import RingGrid, _require_same_grid
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,12 @@ class OperatorMatrix:
         return OperatorMatrix(self.grid, sym, label=self.label)
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Reject a mass or hbar that is not positive and finite."""
+    if not np.isfinite(value) or value <= 0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.0,
                       hbar: float = 1.0, scheme: str = "spectral") -> OperatorMatrix:
     """H = (hbar^2/2m) (-i d/dx)^2 + V(x) as a dense Hermitian operator.
@@ -107,10 +113,8 @@ def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.
     the potential diagonal is an exact tiling of one cell, so H commutes
     with the one-cell translation bit for bit.
     """
-    if not np.isfinite(mass) or mass <= 0:
-        raise ValueError(f"mass must be positive and finite, got {mass!r}")
-    if not np.isfinite(hbar) or hbar <= 0:
-        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+    _require_positive("mass", mass)
+    _require_positive("hbar", hbar)
     kinetic = (hbar**2 / (2.0 * mass)) * momentum_power_matrix(grid, 2, scheme)
     entries = kinetic + np.diag(potential.sample(grid).astype(complex))
     return OperatorMatrix(grid, entries, label="hamiltonian")
@@ -142,8 +146,7 @@ def commutator_norm(a: OperatorMatrix, b: OperatorMatrix) -> float:
 
     T acts as an index shift, so the value equals the dense product's bit for bit.
     """
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
+    _require_same_grid(a, b)
     other = a if is_one_cell_shift(b) else b if is_one_cell_shift(a) else None
     if other is None:
         raise ValueError("commutator_norm needs the one-cell shift as one operand")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .derivatives import momentum_power_matrix
-from .grid import GridMismatchError, RingGrid, WaveFunction
+from .grid import RingGrid, WaveFunction, _require_same_grid
 from .lattice import OperatorMatrix, is_one_cell_shift
 
 
@@ -50,11 +50,6 @@ class LocalObservableSeries:
                 raise ValueError(f"amplitudes must be finite, got {term!r}")
             cleaned.append((int(m), int(n), float(c), float(d)))
         object.__setattr__(self, "terms", tuple(cleaned))
-
-    def combined_with(self, other: "LocalObservableSeries") -> "LocalObservableSeries":
-        if self.symmetrize != other.symmetrize:
-            raise ValueError("cannot combine series with different symmetrize settings")
-        return LocalObservableSeries(self.terms + other.terms, symmetrize=self.symmetrize)
 
 
 def _harmonic_profiles(grid: RingGrid, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,9 +120,6 @@ class LocalityReport:
         idx = min(idx, self.cumulative.size - 1)
         return idx * self.grid.spacing
 
-    def is_local(self, width: float, threshold: float = 0.99) -> bool:
-        return self.bandwidth_mass(width) >= threshold
-
 
 def locality_report(op: OperatorMatrix) -> LocalityReport:
     """Cumulative band-mass profile of a Hermitian operator.
@@ -160,8 +152,7 @@ def cell_periodicity_defect(op: OperatorMatrix, translation: OperatorMatrix) -> 
     shift; order one when a single cell's worth of structure moves.
     ``translation`` must be exactly the one-cell shift (checked in O(G^2)).
     """
-    if op.grid != translation.grid:
-        raise GridMismatchError("operator and translation live on different grids")
+    _require_same_grid(op, translation)
     if not is_one_cell_shift(translation):
         raise ValueError("translation operator is not the unitary one-cell shift")
     return _periodicity_defect(op)
@@ -176,6 +167,5 @@ def _periodicity_defect(op: OperatorMatrix) -> float:
 
 def apply_kernel(op: OperatorMatrix, chi: WaveFunction) -> WaveFunction:
     """Act with the kernel on a wavefunction: (A chi)_i = sum_j A_ij chi_j."""
-    if op.grid != chi.grid:
-        raise GridMismatchError("operator and wavefunction live on different grids")
+    _require_same_grid(op, chi)
     return WaveFunction(chi.grid, op.entries @ chi.samples)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridMismatchError, RingGrid, WaveFunction
-from .lattice import OperatorMatrix, PotentialSpec, is_one_cell_shift
+from .grid import RingGrid, WaveFunction, _require_same_grid
+from .lattice import OperatorMatrix, PotentialSpec, _require_positive, is_one_cell_shift
 
 # Relative spectral-gap threshold below which eigh ordering inside a
 # degenerate cluster is not trustworthy and a deterministic rule takes over.
@@ -143,8 +143,8 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
         raise ValueError(
             f"band_count must lie in [1, {grid.points_per_cell}], got {band_count}"
         )
-    if not np.isfinite(mass) or mass <= 0:
-        raise ValueError(f"mass must be positive and finite, got {mass!r}")
+    _require_positive("mass", mass)
+    _require_positive("hbar", hbar)
 
     p = grid.points_per_cell
     n_cells = grid.n_cells
@@ -293,8 +293,7 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
     it is applied as an index shift.
     """
     grid = hamiltonian.grid
-    if translation.grid != grid:
-        raise GridMismatchError("hamiltonian and translation live on different grids")
+    _require_same_grid(hamiltonian, translation)
     if not is_one_cell_shift(translation):
         raise ValueError("translation operator is not the unitary one-cell shift")
     h = hamiltonian.entries

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import WaveFunction, inner_product, translate_by_cells
+from .grid import WaveFunction, _require_same_grid, inner_product, translate_by_cells
 from .lattice import OperatorMatrix
 from .observables import LocalObservableSeries, _periodicity_defect, apply_kernel, materialize
 from .spectrum import BandStructure, BlochState
@@ -94,8 +94,7 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure,
     the scan itself or the states are broken, so a RuntimeError is raised
     rather than returning numbers that contradict a theorem.
     """
-    if op.grid != bands.grid:
-        raise ValueError("operator and band structure live on different grids")
+    _require_same_grid(op, bands)
     psis = bands.state_matrix()
     transformed = op.entries @ psis
     flat = bands.grid.spacing * (psis.conj().T @ transformed)

