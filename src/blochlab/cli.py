@@ -158,6 +158,18 @@ def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
     bands = _solve(config)
     op = _resolve_operator(config, obs, bands)
     scan = selection_scan(op, bands, label=obs.name)
+    # Build every output before the first write, so a failure leaves no file.
+    report = locality_report(op.symmetrized())
+    summary = {
+        "config": config.resolved(),
+        "observable": obs.name,
+        "periodicity_defect": scan.periodicity_defect,
+        "off_sector_max": scan.off_sector_max(),
+        "hermitian_symmetry_defect": scan.hermitian_symmetry_defect(),
+        "sector_difference_profile": [float(v) for v in scan.sector_difference_profile()],
+        "locality_width_99": report.locality_width(0.99),
+        "bandwidth_mass_one_cell": report.bandwidth_mass(config.cell_length),
+    }
     labels = np.indices(scan.table.shape).reshape(4, -1)
     elements = scan.table.ravel()
     write_csv(out / "scan.csv", {
@@ -167,22 +179,9 @@ def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
         # Scalar abs: numpy's vectorized abs can differ in the last bit.
         "modulus": map(abs, elements.tolist()),
     })
-    report = locality_report(op.symmetrized())
     distances = np.arange(report.cumulative.size) * bands.grid.spacing
     write_csv(out / "locality.csv", {"distance": distances, "cumulative_mass": report.cumulative})
-    write_json(
-        out / "scan_summary.json",
-        {
-            "config": config.resolved(),
-            "observable": obs.name,
-            "periodicity_defect": scan.periodicity_defect,
-            "off_sector_max": scan.off_sector_max(),
-            "hermitian_symmetry_defect": scan.hermitian_symmetry_defect(),
-            "sector_difference_profile": [float(v) for v in scan.sector_difference_profile()],
-            "locality_width_99": report.locality_width(0.99),
-            "bandwidth_mass_one_cell": report.bandwidth_mass(config.cell_length),
-        },
-    )
+    write_json(out / "scan_summary.json", summary)
     return EXIT_OK
 
 
@@ -227,11 +226,7 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
         hbar=config.hbar,
     )
     amplitudes = np.array([exact_amplitude(experiment, eps) for eps in dyn.epsilons])
-    write_csv(out / "propagation.csv", {
-        "epsilon": dyn.epsilons, "re": amplitudes.real, "im": amplitudes.imag,
-        "modulus": map(abs, amplitudes.tolist()),
-    })
-
+    # The summary's fits can fail, so they run before the first write.
     summary = {
         "config": config.resolved(),
         "perturbation": perturb_name,
@@ -254,6 +249,10 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
             )
         except ValueError:
             summary["first_order_error_exponent"] = None
+    write_csv(out / "propagation.csv", {
+        "epsilon": dyn.epsilons, "re": amplitudes.real, "im": amplitudes.imag,
+        "modulus": map(abs, amplitudes.tolist()),
+    })
     write_json(out / "propagation_summary.json", summary)
     return EXIT_OK
 

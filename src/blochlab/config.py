@@ -102,7 +102,10 @@ def _as_int(value, path: str, minimum=None, maximum=None) -> int:
 def _as_number(value, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         _fail(path, "must be finite")
     if positive and value <= 0:
@@ -298,6 +301,9 @@ def parse_config(data: dict) -> RunConfig:
             read("kinetic_scheme", _one_of, "fd4", choices=_SCHEMES),
             read("perturbation", _parse_perturbation, None, names=names),
         )
+        if len(dynamics.epsilons) >= 2 and dynamics.target_cell == dynamics.source_cell:
+            _fail("dynamics.target_cell", "must differ from source_cell when two or more "
+                  "epsilons are given (the slope fit needs two distinct samples)")
 
     return RunConfig(
         n_cells=n_cells,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import RingGrid, WaveFunction, _require_same_grid
+from .grid import RingGrid, WaveFunction, _require_same_grid, translate_by_cells
 from .lattice import OperatorMatrix, PotentialSpec, _require_positive, is_one_cell_shift
 
 # Relative spectral-gap threshold below which eigh ordering inside a
@@ -136,6 +136,11 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     the symmetric window [-P/2, P/2).  The kinetic part is diagonal there
     and a cell-periodic potential couples only these waves to each other, so
     the sector block is exact on the grid.
+
+    Each state is built from one cell.  On the samples x_j = j h,
+    kappa_m x_j = k_l x_j + 2 pi m j / P, so psi = exp(i k_l x) u where u is
+    (P / sqrt(L)) times the length-P inverse FFT of the coefficients placed
+    at m mod P, tiled over the N cells: u is cell-periodic bit for bit.
     """
     if not 0 <= sector < grid.n_cells:
         raise ValueError(f"sector must lie in [0, {grid.n_cells}), got {sector}")
@@ -165,19 +170,16 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     energies, coeffs = np.linalg.eigh(block)
     energies, coeffs = _tie_broken_order(energies, coeffs, q.astype(float))
 
-    x = grid.points
-    phases = np.exp(1j * np.outer(x, kappa)) / np.sqrt(length)
+    # m_window is in FFT-shifted order, so ifftshift puts m at index m mod P.
+    cells = np.fft.ifft(np.fft.ifftshift(coeffs[:, :band_count], axes=0), axis=0)
+    phase = np.exp(1j * grid.wavevector(sector) * grid.points)
     states = []
-    for band in range(band_count):
-        psi = WaveFunction(grid, phases @ coeffs[:, band])
-        state = BlochState(
-            band=band,
-            sector=sector,
-            energy=float(energies[band]),
-            wavefunction=psi,
-            cell_part=_cell_part(psi, sector),
-        )
-        states.append(fix_gauge(state))
+    for band, cell in enumerate(cells.T * (p / np.sqrt(length))):
+        u = np.tile(cell, n_cells)
+        states.append(fix_gauge(BlochState(
+            band=band, sector=sector, energy=float(energies[band]),
+            wavefunction=WaveFunction(grid, phase * u), cell_part=WaveFunction(grid, u),
+        )))
     return states
 
 
@@ -224,8 +226,6 @@ class BandStructure:
 
     def translation_defect(self) -> float:
         """Largest norm of T_a psi - exp(+i k_l a) psi over all states."""
-        from .grid import translate_by_cells
-
         worst = 0.0
         for s in self.all_states():
             shifted = translate_by_cells(s.wavefunction, 1)

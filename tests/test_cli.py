@@ -2,13 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blochlab
 from blochlab import LocalObservableSeries, materialize, selection_scan, solve_bands
 from blochlab.cli import main, write_json
 from blochlab.config import load_config
+
+
+# Child interpreters import blochlab from the same tree as this one.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (str(Path(blochlab.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p)}
 
 
 def write_config(path, **overrides):
@@ -231,12 +238,39 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_failed_scan_leaves_no_output(tmp_path, capsys):
+    config = write_config(tmp_path / "run.json")
+    data = json.loads(config.read_text())
+    data["observables"].append({"name": "zero", "kind": "series", "terms": [[1, 0, 0.0, 0.0]]})
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["scan", "--config", str(config), "--observable", "zero", "--out", str(out)]) == 3
+    assert "zero operator" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_failed_propagate_leaves_no_output(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path / "run.json")
+
+    def explode(*args, **kwargs):
+        raise ValueError("slope fit failed")
+
+    monkeypatch.setattr("blochlab.cli.linear_response_slope", explode)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["propagate", "--config", str(config), "--out", str(out)]) == 3
+    assert "slope fit failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_module_entrypoint_smoke(tmp_path):
     config = write_config(tmp_path / "run.json")
     result = subprocess.run(
         [sys.executable, "-m", "blochlab", "solve", "--config", str(config)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert (tmp_path / "out" / "bands.csv").exists()
@@ -301,5 +335,5 @@ def test_import_and_every_command_load_no_scipy(tmp_path):
         {"name": "shift", "kind": "translation"},
     ])
     result = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(config)],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr

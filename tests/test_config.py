@@ -84,6 +84,13 @@ def test_full_config_round_trip():
         (lambda d: d["potential"].__setitem__("harmonics", [[0, 1.0, 0.0]]),
          "potential.harmonics[0]"),
         (lambda d: d.__setitem__("output_dir", ""), "output_dir"),
+        # Integers beyond the float range: finite in JSON, infinite as floats.
+        pytest.param(lambda d: d["lattice"].__setitem__("mass", 10**400), "lattice.mass",
+                     id="huge-mass"),
+        pytest.param(lambda d: d["lattice"].__setitem__("cell_length", 10**400),
+                     "lattice.cell_length", id="huge-cell-length"),
+        pytest.param(lambda d: d["potential"].__setitem__("constant", -10**400),
+                     "potential.constant", id="huge-constant"),
     ],
 )
 def test_errors_name_the_offending_key(mutate, expected_key):
@@ -113,6 +120,10 @@ def test_errors_name_the_offending_key(mutate, expected_key):
         (lambda d: d["dynamics"].__setitem__("source_cell", 8), "dynamics.source_cell"),
         (lambda d: d["dynamics"].__setitem__("perturbation", "ghost"), "dynamics.perturbation"),
         (lambda d: d["dynamics"].pop("target_cell"), "dynamics.target_cell"),
+        pytest.param(lambda d: d["dynamics"]["epsilons"].__setitem__(0, 10**400),
+                     "dynamics.epsilons[0]", id="huge-epsilon"),
+        pytest.param(lambda d: d["dynamics"].__setitem__("target_cell", 6),
+                     "dynamics.target_cell", id="target-equals-source"),
     ],
 )
 def test_observable_and_dynamics_errors_name_keys(mutate, expected_key):
@@ -121,6 +132,12 @@ def test_observable_and_dynamics_errors_name_keys(mutate, expected_key):
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert expected_key in str(err.value)
+
+
+def test_equal_source_and_target_cells_allowed_with_one_epsilon():
+    data = full_config()
+    data["dynamics"].update(epsilons=[1e-4], target_cell=6)
+    assert parse_config(data).dynamics.target_cell == 6
 
 
 def test_observable_lookup_failure():

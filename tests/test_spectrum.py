@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochlab import (
+    BlochState,
     OperatorMatrix,
     PotentialSpec,
     PropagationExperiment,
@@ -18,7 +21,8 @@ from blochlab import (
     solve_bands,
     solve_sector,
 )
-from blochlab.spectrum import _CLUSTER_RTOL, _clusters
+from blochlab import spectrum
+from blochlab.spectrum import _CLUSTER_RTOL, _cell_part, _clusters
 
 
 def free_sector_energies(grid, sector, count):
@@ -210,6 +214,70 @@ def test_cell_part_definition(ref_bands, ref_grid):
     phase = np.exp(1j * state.wavevector * ref_grid.points)
     rebuilt = state.cell_part.samples * phase
     assert np.max(np.abs(rebuilt - state.wavefunction.samples)) < 1e-12
+
+
+def exponential_table_states(grid, sector, energies, coeffs, band_count):
+    """Bloch states synthesized from a G x P table of plane waves.
+
+    psi = sum_m c_m exp(i kappa_m x) / sqrt(L) and u = psi exp(-i k_l x), the
+    route the solver took before its one-cell FFT synthesis, kept here only
+    to check that synthesis against.
+    """
+    p = grid.points_per_cell
+    q = sector + grid.n_cells * np.arange(-(p // 2), p - p // 2)
+    kappa = 2.0 * np.pi * q / grid.ring_length
+    phases = np.exp(1j * np.outer(grid.points, kappa)) / np.sqrt(grid.ring_length)
+    states = []
+    for band in range(band_count):
+        psi = WaveFunction(grid, phases @ coeffs[:, band])
+        states.append(fix_gauge(BlochState(band, sector, float(energies[band]), psi,
+                                           _cell_part(psi, sector))))
+    return states
+
+
+def solve_sector_and_coefficients(grid, potential, sector, band_count):
+    """solve_sector's states plus the sector eigenpairs it synthesized them from."""
+    captured = []
+    tie_broken_order = spectrum._tie_broken_order
+
+    def recording(*args):
+        captured.append(tie_broken_order(*args))
+        return captured[-1]
+
+    with mock.patch.object(spectrum, "_tie_broken_order", recording):
+        states = solve_sector(grid, potential, sector, band_count)
+    energies, coeffs = captured[0]
+    return states, energies, coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(8, 33), st.sampled_from([0.0, 1e-7, 1e-3, 3.0]),
+       st.data())
+def test_one_cell_synthesis_matches_the_exponential_table(n_cells, points, amplitude, data):
+    grid = RingGrid(n_cells, 1.0, points)
+    potential = PotentialSpec(0.0, ((1, amplitude, 0.4 * amplitude),
+                                    (3, -0.7 * amplitude, 0.2 * amplitude)))
+    band_count = data.draw(st.integers(1, points))
+    for sector in range(n_cells):
+        states, energies, coeffs = solve_sector_and_coefficients(
+            grid, potential, sector, band_count)
+        oracle = exponential_table_states(grid, sector, energies, coeffs, band_count)
+        for state, reference in zip(states, oracle, strict=True):
+            assert state.energy == reference.energy
+            u = state.cell_part.samples
+            assert np.array_equal(np.roll(u, -points), u)
+            diff = state.wavefunction.samples - reference.wavefunction.samples
+            assert WaveFunction(grid, diff).norm() <= 1e-12
+
+
+@pytest.mark.parametrize("grid, potential", [
+    (RingGrid(8, 1.0, 32), PotentialSpec(0.0, ((1, 2.0, 0.0),))),
+    (RingGrid(5, 1.3, 9), PotentialSpec(0.3, ((1, 2.0, 0.7), (3, 0.0, -1.1)))),
+    (RingGrid(4, 1.0, 16), PotentialSpec()),
+], ids=["reference", "odd_sine", "free"])
+def test_solver_cell_parts_are_exactly_periodic(grid, potential):
+    bands = solve_bands(grid, potential, grid.points_per_cell)
+    assert bands.cell_periodicity_defect() == 0.0
 
 
 def dense_classifier_oracle(hamiltonian, translation, band_count):
