@@ -56,10 +56,8 @@ def _spectral_column(grid: RingGrid, n: int) -> np.ndarray:
     if n % 2 == 1 and g % 2 == 0:
         mult[g // 2] = 0.0
     col = np.fft.ifft(mult)
-    if n % 2 == 0:
-        # Even multiplier: the kernel is real and symmetric.
-        col = col.real.astype(complex)
-    return col
+    # Even multiplier: the kernel is real and symmetric.
+    return col.real if n % 2 == 0 else col
 
 
 def _finite_difference_column(grid: RingGrid, n: int, accuracy: int) -> np.ndarray:
@@ -74,7 +72,7 @@ def _finite_difference_column(grid: RingGrid, n: int, accuracy: int) -> np.ndarr
     col = np.zeros(g)
     for off, w in zip(offsets, weights):
         col[(-off) % g] += w
-    return (-1j) ** n * col
+    return (-1) ** (n // 2) * col if n % 2 == 0 else (-1j) ** n * col
 
 
 def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> np.ndarray:
@@ -89,7 +87,8 @@ def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> n
         'spectral' or 'fd{p}' with accuracy order p in {2, 4, 6, 8}.
 
     The result is circulant, hence commutes exactly with translation by any
-    number of samples, and is Hermitian for every n and scheme.
+    number of samples, and is Hermitian for every n and scheme.  It is real
+    (float64) for even n and complex for odd n.
     """
     if not isinstance(n, (int, np.integer)) or not 0 <= n <= 8:
         raise ValueError(f"derivative power must be an integer in [0, 8], got {n!r}")
@@ -99,7 +98,7 @@ def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> n
         )
     g = grid.total_points
     if n == 0:
-        return np.eye(g, dtype=complex)
+        return np.eye(g)
     accuracy = SCHEMES[scheme]
     if accuracy is None:
         col = _spectral_column(grid, n)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .derivatives import momentum_power_matrix
 from .grid import RingGrid, WaveFunction, _require_same_grid
-from .lattice import OperatorMatrix, is_one_cell_shift
+from .lattice import OperatorMatrix, _frobenius_norm, is_one_cell_shift
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,12 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
 
     Each term is a diagonal position factor times a momentum-power circulant
     from the requested derivative scheme; momentum matrices are cached per
-    power so repeated n cost one build.
+    power so repeated n cost one build.  The matrix is real when every
+    momentum power is even, and complex otherwise.
     """
     g = grid.total_points
-    acc = np.zeros((g, g), dtype=complex)
+    even = all(n % 2 == 0 for _, n, _, _ in series.terms)
+    acc = np.zeros((g, g), dtype=float if even else complex)
     momentum_cache: dict[int, np.ndarray] = {}
     for m, n, c, d in series.terms:
         cos_prof, sin_prof = _harmonic_profiles(grid, m)
@@ -162,7 +164,7 @@ def _periodicity_defect(op: OperatorMatrix) -> float:
     # T A T^dagger is A rolled by P in both indices, bit for bit.
     p = op.grid.points_per_cell
     moved = np.roll(op.entries, (-p, -p), axis=(0, 1))
-    return float(np.linalg.norm(op.entries - moved) / max(np.linalg.norm(op.entries), 1e-300))
+    return _frobenius_norm(op.entries - moved) / max(_frobenius_norm(op.entries), 1e-300)
 
 
 def apply_kernel(op: OperatorMatrix, chi: WaveFunction) -> WaveFunction:

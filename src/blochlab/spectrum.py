@@ -12,7 +12,7 @@ on purpose:
   basis of one sector, never touching the other sectors.
 * :func:`classify_by_translation` diagonalizes the dense Hamiltonian with no
   sector knowledge and reads each eigenvector's sector off the translation
-  operator afterwards.
+  operator afterwards, with numpy's Hermitian eigensolver alone.
 
 Agreement between the two is a meaningful check, so neither calls the other.
 """
@@ -284,11 +284,14 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
                             band_count: int) -> BandStructure:
     """Diagonalize H directly and sort eigenvectors into sectors using T.
 
-    No sector structure is assumed up front: the dense H is diagonalized,
-    eigenvectors are clustered by energy, each degenerate cluster is rotated
-    so the restricted translation matrix becomes diagonal (a unitary Schur
-    decomposition, since that restriction is unitary when [H, T] = 0), and
-    the sector label l is read from the eigenvalue exp(+i 2 pi l / N).
+    No sector structure is assumed up front: the dense H is diagonalized
+    (by LAPACK's real symmetric solver when H is real), eigenvectors are
+    clustered by energy, and each degenerate cluster is rotated onto the
+    eigenvectors of the restricted translation R, which is unitary when
+    [H, T] = 0.  They come from a Hermitian eigensolve of the Hermitian part
+    of exp(-i pi/(2N)) R, whose eigenvalues separate the sectors, so the
+    rotation is unitary even when one sector holds two states of a cluster.
+    The sector label l is read from z^dagger R z = exp(+i 2 pi l / N).
     ``translation`` must be exactly the one-cell shift (checked in O(G^2));
     it is applied as an index shift.
     """
@@ -311,22 +314,19 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
             f"band_count must lie in [1, {grid.points_per_cell}], got {band_count}"
         )
 
-    import scipy.linalg  # only this classifier needs scipy (Schur)
-
     energies, vectors = np.linalg.eigh(h)
     n_cells = grid.n_cells
+    # The Hermitian part of e^{-i pi/(2N)} R has R's eigenvectors and eigenvalues
+    # cos(2 pi l / N - pi/(2N)), distinct across l: no two 2 pi l / N sum to pi/N mod 2 pi.
+    tilt = np.exp(-0.5j * np.pi / n_cells)
     per_sector: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(n_cells)]
     for start, stop in _clusters(energies):
         block = vectors[:, start:stop]
         restricted = block.conj().T @ np.roll(block, -p, axis=0)
-        if stop - start == 1:
-            rotated, t_eigs = block, restricted[0]
-        else:
-            # Unitary matrices are normal, so the complex Schur form is
-            # diagonal and Z holds an orthonormal eigenbasis.
-            schur_t, z = scipy.linalg.schur(restricted, output="complex")
-            rotated = block @ z
-            t_eigs = np.diag(schur_t)
+        tilted = tilt * restricted
+        _, z = np.linalg.eigh(0.5 * (tilted + tilted.conj().T))
+        rotated = block @ z
+        t_eigs = np.einsum("ij,ij->j", z.conj(), restricted @ z)
         for i in range(stop - start):
             lam = t_eigs[i]
             if abs(abs(lam) - 1.0) > 1e-8:

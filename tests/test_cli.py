@@ -322,12 +322,22 @@ for argv in (["solve"], ["wannier", "--band", "0", "--site", "0"],
              ["winding", "--band", "0"], ["propagate"]):
     assert main(argv + ["--config", config]) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
+
+from blochlab import build_hamiltonian, build_translation, classify_by_translation
+from blochlab.config import load_config
+from blochlab.lattice import commutator_norm
+run = load_config(config)
+h = build_hamiltonian(run.grid(), run.potential(), mass=run.mass, hbar=run.hbar)
+t = build_translation(run.grid())
+assert commutator_norm(h, t) == 0.0
+classify_by_translation(h, t, run.bands)
+assert not scipy_modules(), ("classify_by_translation", scipy_modules())
 """
 
 
 def test_import_and_every_command_load_no_scipy(tmp_path):
-    # scipy is needed only by classify_by_translation, which imports it on
-    # its first call; the package and the CLI must not pay for it.
+    # blochlab runs on numpy alone, the translation classifier included;
+    # scipy serves only the tests' oracles.
     config = write_config(tmp_path / "run.json", observables=[
         {"name": "site0", "kind": "wannier_projector", "band": 0, "site": 0},
         {"name": "ring1", "kind": "series", "terms": [[1, 1, 1.0, 0.5]], "scheme": "fd6"},
@@ -337,3 +347,32 @@ def test_import_and_every_command_load_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(config)],
                             capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
+
+
+_NORMS = """
+import numpy as np
+from blochlab import OperatorMatrix, RingGrid, build_translation, cell_periodicity_defect
+from blochlab.lattice import commutator_norm
+
+grid = RingGrid(8, 1.0, 32)
+g = grid.total_points
+rng = np.random.default_rng(7)
+t = build_translation(grid)
+for entries in (rng.normal(size=(g, g)), rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))):
+    op = OperatorMatrix(grid, entries)
+    print(repr(commutator_norm(op, t)), repr(cell_periodicity_defect(op, t)))
+"""
+
+
+def test_norms_do_not_depend_on_the_blas_thread_count():
+    # The scan summary's periodicity defect must be the same bytes on any
+    # machine, so the Frobenius sums may not follow BLAS's thread split.
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**CHILD_ENV, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        result = subprocess.run([sys.executable, "-c", _NORMS],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]

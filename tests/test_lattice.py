@@ -12,8 +12,10 @@ from blochlab import (
     build_translation,
     cell_periodicity_defect,
     classify_by_translation,
+    momentum_power_matrix,
 )
-from blochlab.lattice import commutator_norm, is_one_cell_shift
+from blochlab.derivatives import SCHEMES
+from blochlab.lattice import _frobenius_norm, commutator_norm, is_one_cell_shift
 
 
 def test_potential_sampling_tiles_exactly():
@@ -122,6 +124,39 @@ def test_translation_is_unitary_permutation(ref_translation):
     assert np.array_equal(power, eye)
 
 
+def test_operator_dtype_follows_the_input_dtype(ref_grid):
+    g = ref_grid.total_points
+    for dtype in (int, np.float32, np.float64):
+        assert OperatorMatrix(ref_grid, np.eye(g, dtype=dtype)).entries.dtype == np.float64
+    # Complex input stays complex even when every imaginary part is zero.
+    for dtype in (np.complex64, np.complex128):
+        assert OperatorMatrix(ref_grid, np.eye(g, dtype=dtype)).entries.dtype == np.complex128
+    assert OperatorMatrix(ref_grid, np.eye(g)).symmetrized().entries.dtype == np.float64
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("n_cells,points", [(4, 8), (3, 9)], ids=["even_g", "odd_g"])
+def test_hamiltonian_of_a_real_potential_is_real(scheme, n_cells, points):
+    grid = RingGrid(n_cells, 1.3, points)
+    potential = PotentialSpec(0.3, ((1, 2.0, 0.7), (3, 0.0, -1.1)))
+    h = build_hamiltonian(grid, potential, mass=0.9, hbar=1.1, scheme=scheme)
+    # The same sum in complex arithmetic; the kinetic matrix itself is
+    # checked against its complex build in test_derivatives.
+    kinetic = momentum_power_matrix(grid, 2, scheme).astype(complex)
+    oracle = (1.1**2 / (2.0 * 0.9)) * kinetic + np.diag(potential.sample(grid).astype(complex))
+    assert h.entries.dtype == np.float64
+    assert np.array_equal(h.entries, oracle)
+    assert not np.any(oracle.imag)
+
+
+def test_translation_is_real(ref_grid, ref_translation):
+    g, rows = ref_grid.total_points, np.arange(ref_grid.total_points)
+    oracle = np.zeros((g, g), dtype=complex)
+    oracle[rows, (rows + ref_grid.points_per_cell) % g] = 1.0
+    assert ref_translation.entries.dtype == np.float64
+    assert np.array_equal(ref_translation.entries, oracle)
+
+
 def test_translation_action_matches_roll(ref_grid, ref_translation, rng):
     samples = rng.normal(size=256) + 1j * rng.normal(size=256)
     moved = ref_translation.entries @ samples
@@ -138,11 +173,11 @@ def test_shift_products_match_the_dense_oracle(n_cells, points, seed):
     a = OperatorMatrix(grid, rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g)))
     translation = build_translation(grid)
     t = translation.entries
-    dense_commutator = float(np.linalg.norm(a.entries @ t - t @ a.entries))
+    dense_commutator = _frobenius_norm(a.entries @ t - t @ a.entries)
     assert commutator_norm(a, translation) == dense_commutator
     assert commutator_norm(translation, a) == dense_commutator
     moved = t @ a.entries @ t.conj().T
-    dense_defect = float(np.linalg.norm(a.entries - moved) / np.linalg.norm(a.entries))
+    dense_defect = _frobenius_norm(a.entries - moved) / _frobenius_norm(a.entries)
     assert cell_periodicity_defect(a, translation) == dense_defect
 
 

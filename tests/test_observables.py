@@ -14,6 +14,7 @@ from blochlab import (
     momentum_power_matrix,
 )
 from blochlab.lattice import OperatorMatrix
+from blochlab.observables import _harmonic_profiles
 
 
 def test_series_validation():
@@ -33,6 +34,33 @@ def test_materialize_identity_and_kinetic(ref_grid):
     # m = 0, n = 2 is exactly the squared momentum.
     kin = materialize(LocalObservableSeries(((0, 2, 1.0, 0.0),)), ref_grid)
     assert np.max(np.abs(kin.entries - momentum_power_matrix(ref_grid, 2))) < 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_series_of_even_powers_is_real(ref_grid, scheme):
+    series = LocalObservableSeries(((0, 0, 0.7, 0.0), (3, 2, 1.0, 0.5), (8, 4, 0.2, -0.3),
+                                    (5, 0, 0.1, 0.9), (3, 2, -0.4, 0.1)))
+    op = materialize(series, ref_grid, scheme=scheme)
+    # The same sum in complex arithmetic.
+    g = ref_grid.total_points
+    acc = np.zeros((g, g), dtype=complex)
+    for m, n, c, d in series.terms:
+        cos_prof, sin_prof = _harmonic_profiles(ref_grid, m)
+        profile = c * cos_prof + d * sin_prof
+        if n == 0:
+            acc[np.diag_indices(g)] += profile
+        else:
+            acc += profile[:, None] * momentum_power_matrix(ref_grid, n, scheme).astype(complex)
+    oracle = 0.5 * (acc + acc.conj().T)
+    assert op.entries.dtype == np.float64
+    assert np.array_equal(op.entries, oracle)
+    assert not np.any(oracle.imag)
+
+
+def test_odd_powers_and_projectors_stay_complex(ref_grid, site0_projector):
+    for terms in (((1, 1, 1.0, 0.0),), ((0, 2, 1.0, 0.0), (1, 3, 0.5, 0.2))):
+        assert materialize(LocalObservableSeries(terms), ref_grid).entries.dtype == np.complex128
+    assert site0_projector.entries.dtype == np.complex128
 
 
 def test_materialize_cell_harmonic_is_tiled_diagonal(ref_grid):

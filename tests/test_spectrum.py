@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochlab import (
+    BandStructure,
     BlochState,
     OperatorMatrix,
     PotentialSpec,
@@ -18,10 +19,12 @@ from blochlab import (
     classify_by_translation,
     fix_gauge,
     inner_product,
+    momentum_power_matrix,
     solve_bands,
     solve_sector,
 )
 from blochlab import spectrum
+from blochlab.derivatives import SCHEMES
 from blochlab.spectrum import _CLUSTER_RTOL, _cell_part, _clusters
 
 
@@ -280,29 +283,33 @@ def test_solver_cell_parts_are_exactly_periodic(grid, potential):
     assert bands.cell_periodicity_defect() == 0.0
 
 
-def dense_classifier_oracle(hamiltonian, translation, band_count):
-    """Sector energies, shape (band_count, N), from the dense block^dagger T block.
+def schur_classifier_oracle(hamiltonian, translation, band_count):
+    """classify_by_translation by a complex eigh of H and a Schur form per cluster.
 
-    The classifier's own algorithm with the translation applied as a dense
-    matrix product, kept here only to check the index-shift path against.
+    T is applied as a dense matrix product, and each cluster's restricted
+    translation is rotated by its complex Schur form, which is diagonal for
+    a unitary (normal) restriction.  Kept here only to check the classifier
+    against: its index shift and its numpy-only cluster rotation.
     """
     grid = hamiltonian.grid
-    energies, vectors = np.linalg.eigh(hamiltonian.entries)
-    tol = 1e-9 * max(float(energies[-1] - energies[0]), 1.0)
+    energies, vectors = np.linalg.eigh(hamiltonian.entries.astype(complex))
     per_sector = [[] for _ in range(grid.n_cells)]
-    start = 0
-    while start < energies.size:
-        stop = start + 1
-        while stop < energies.size and energies[stop] - energies[stop - 1] <= tol:
-            stop += 1
+    for start, stop in _clusters(energies):
         block = vectors[:, start:stop]
-        schur_t, _ = scipy.linalg.schur(block.conj().T @ translation.entries @ block,
+        schur_t, z = scipy.linalg.schur(block.conj().T @ translation.entries @ block,
                                         output="complex")
+        rotated = block @ z / np.sqrt(grid.spacing)
         for i, lam in enumerate(np.diag(schur_t)):
             l = int(np.rint(np.angle(lam) * grid.n_cells / (2.0 * np.pi))) % grid.n_cells
-            per_sector[l].append(float(energies[start + i]))
-        start = stop
-    return np.array([sorted(bucket)[:band_count] for bucket in per_sector]).T
+            psi = WaveFunction(grid, rotated[:, i])
+            per_sector[l].append((float(energies[start + i]), psi))
+    rows = [[] for _ in range(band_count)]
+    for l, bucket in enumerate(per_sector):
+        bucket.sort(key=lambda item: item[0])
+        for n in range(band_count):
+            energy, psi = bucket[n]
+            rows[n].append(fix_gauge(BlochState(n, l, energy, psi, _cell_part(psi, l))))
+    return BandStructure(grid, rows)
 
 
 @pytest.mark.parametrize("amplitude", [2.0, 1e-6])
@@ -313,8 +320,72 @@ def test_classifier_matches_the_dense_translation_oracle(ref_grid, ref_translati
         psi = state.wavefunction.samples
         lam = ref_grid.spacing * (psi.conj() @ ref_translation.entries @ psi)
         assert abs(lam - np.exp(2j * np.pi * state.sector / 8)) < 1e-10
-    oracle = dense_classifier_oracle(h, ref_translation, 4)
-    assert np.max(np.abs(classified.energies() - oracle)) < 1e-10
+    oracle = schur_classifier_oracle(h, ref_translation, 4)
+    assert np.max(np.abs(classified.energies() - oracle.energies())) < 1e-10
+
+
+def assert_classifier_matches_the_schur_oracle(hamiltonian, band_count, solved=None):
+    """Same (band, sector) slots and energies as the oracle (and as ``solved``),
+    orthonormal states, and each state's translation eigenvalue exp(+i k_l a).
+    A real H is diagonalized as a real matrix: the energies are eigh's of
+    its real entries bit for bit."""
+    grid = hamiltonian.grid
+    translation = build_translation(grid)
+    classified = classify_by_translation(hamiltonian, translation, band_count)
+    entries = hamiltonian.entries
+    entries = entries if np.any(entries.imag) else entries.real
+    assert set(classified.energies().ravel()) <= set(np.linalg.eigh(entries)[0])
+    oracle = schur_classifier_oracle(hamiltonian, translation, band_count)
+    scale = float(np.max(np.abs(oracle.energies())))
+    for reference in (oracle, solved or oracle):
+        assert np.max(np.abs(classified.energies() - reference.energies())) <= 1e-12 * scale
+    assert classified.orthonormality_defect() <= 1e-12
+    for state, expected in zip(classified.all_states(), oracle.all_states(), strict=True):
+        assert (state.band, state.sector) == (expected.band, expected.sector)
+        psi = state.wavefunction.samples
+        lam = grid.spacing * np.vdot(psi, np.roll(psi, -grid.points_per_cell))
+        assert abs(lam - np.exp(1j * state.wavevector * grid.cell_length)) <= 1e-10
+    return classified
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(8, 17), st.sampled_from(sorted(SCHEMES)),
+       st.sampled_from([0.0, 1e-7, 1e-3, 3.0]), st.data())
+def test_classifier_matches_the_schur_oracle(n_cells, points, scheme, amplitude, data):
+    grid = RingGrid(n_cells, 1.0, points)
+    potential = PotentialSpec(0.0, ((1, amplitude, 0.4 * amplitude),
+                                    (3, -0.7 * amplitude, 0.2 * amplitude)))
+    band_count = data.draw(st.integers(1, points))
+    hamiltonian = build_hamiltonian(grid, potential, scheme=scheme)
+    # The sector solver is spectral, its Toeplitz block leaves out the
+    # couplings that a sampled potential aliases across the m window, and for
+    # odd P that window holds |q| > G/2, which the grid aliases.  So only the
+    # spectral free particle on even P must match it to roundoff.
+    exact = scheme == "spectral" and amplitude == 0.0 and points % 2 == 0
+    solved = solve_bands(grid, potential, band_count) if exact else None
+    assert_classifier_matches_the_schur_oracle(hamiltonian, band_count, solved)
+
+
+def test_classifier_splits_free_pairs_of_one_sector():
+    # V = 0: the sector-0 waves with q = +-N m (and the sector-N/2 pairs)
+    # are degenerate, so one cluster holds two states of one sector.
+    grid = RingGrid(8, 1.0, 16)
+    solved = solve_bands(grid, PotentialSpec(), 16)
+    classified = assert_classifier_matches_the_schur_oracle(
+        build_hamiltonian(grid, PotentialSpec()), 16, solved)
+    energies = classified.energies()
+    assert energies[1, 0] == pytest.approx(energies[2, 0], abs=1e-12)
+    assert energies[0, 4] == pytest.approx(energies[1, 4], abs=1e-12)
+
+
+def test_classifier_takes_a_complex_hamiltonian():
+    # A drift term 0.3 (-i d/dx) is Hermitian, commutes with T and is not real.
+    grid = RingGrid(6, 1.0, 12)
+    potential = PotentialSpec(0.0, ((1, 1.5, 0.3),))
+    entries = build_hamiltonian(grid, potential).entries + 0.3 * momentum_power_matrix(grid, 1)
+    hamiltonian = OperatorMatrix(grid, entries)
+    assert hamiltonian.entries.dtype == np.complex128
+    assert_classifier_matches_the_schur_oracle(hamiltonian, 12)
 
 
 def scipy_toeplitz_sector_block(grid, potential, sector):
