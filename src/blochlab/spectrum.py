@@ -318,6 +318,7 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
     n_cells = grid.n_cells
     # The Hermitian part of e^{-i pi/(2N)} R has R's eigenvectors and eigenvalues
     # cos(2 pi l / N - pi/(2N)), distinct across l: no two 2 pi l / N sum to pi/N mod 2 pi.
+    # Sectors l and N - l lie only 2 sin(2 pi l / N) sin(pi/(2N)) ~ 2 pi^2 l / N^2 apart.
     tilt = np.exp(-0.5j * np.pi / n_cells)
     per_sector: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(n_cells)]
     for start, stop in _clusters(energies):

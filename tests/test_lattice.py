@@ -115,9 +115,11 @@ def test_hamiltonian_mass_validation(ref_grid, ref_potential):
         build_hamiltonian(ref_grid, ref_potential, hbar=0.0)
 
 
-def test_translation_is_unitary_permutation(ref_translation):
+def test_translation_is_unitary_permutation(ref_grid, ref_translation):
     t = ref_translation.entries
     eye = np.eye(t.shape[0])
+    assert t.dtype == np.float64
+    assert np.array_equal(t, np.roll(eye.astype(complex), ref_grid.points_per_cell, axis=1))
     assert np.array_equal(t @ t.conj().T, eye)
     # N applications go all the way around.
     power = np.linalg.matrix_power(t, 8)
@@ -149,14 +151,6 @@ def test_hamiltonian_of_a_real_potential_is_real(scheme, n_cells, points):
     assert not np.any(oracle.imag)
 
 
-def test_translation_is_real(ref_grid, ref_translation):
-    g, rows = ref_grid.total_points, np.arange(ref_grid.total_points)
-    oracle = np.zeros((g, g), dtype=complex)
-    oracle[rows, (rows + ref_grid.points_per_cell) % g] = 1.0
-    assert ref_translation.entries.dtype == np.float64
-    assert np.array_equal(ref_translation.entries, oracle)
-
-
 def test_translation_action_matches_roll(ref_grid, ref_translation, rng):
     samples = rng.normal(size=256) + 1j * rng.normal(size=256)
     moved = ref_translation.entries @ samples
@@ -179,6 +173,20 @@ def test_shift_products_match_the_dense_oracle(n_cells, points, seed):
     moved = t @ a.entries @ t.conj().T
     dense_defect = _frobenius_norm(a.entries - moved) / _frobenius_norm(a.entries)
     assert cell_periodicity_defect(a, translation) == dense_defect
+    # The norm itself against numpy's, independently of the helper.
+    assert dense_commutator == pytest.approx(np.linalg.norm(a.entries @ t - t @ a.entries), rel=1e-13)
+    assert dense_defect == pytest.approx(
+        np.linalg.norm(a.entries - moved) / np.linalg.norm(a.entries), rel=1e-13)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_frobenius_norm_matches_numpy(dtype, rng):
+    for shape in [(1, 1), (7, 5), (64, 64)]:
+        a = rng.normal(size=shape).astype(dtype)
+        if dtype is np.complex128:
+            a += 1j * rng.normal(size=shape)
+        assert _frobenius_norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-13)
+    assert _frobenius_norm(np.zeros((3, 3), dtype=dtype)) == 0.0
 
 
 def test_one_cell_shift_test_accepts_only_the_shift(ref_grid, ref_translation):

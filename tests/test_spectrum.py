@@ -378,6 +378,15 @@ def test_classifier_splits_free_pairs_of_one_sector():
     assert energies[0, 4] == pytest.approx(energies[1, 4], abs=1e-12)
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 1e-3])
+def test_classifier_matches_the_schur_oracle_at_many_cells(amplitude):
+    # At N = 128 the tilted sectors l and N - l lie only ~2 pi^2 l / N^2 apart,
+    # so this is where the rotation's roundoff grows most.
+    grid = RingGrid(128, 1.0, 8)
+    potential = PotentialSpec(0.0, ((1, amplitude, 0.4 * amplitude),))
+    assert_classifier_matches_the_schur_oracle(build_hamiltonian(grid, potential), 8)
+
+
 def test_classifier_takes_a_complex_hamiltonian():
     # A drift term 0.3 (-i d/dx) is Hermitian, commutes with T and is not real.
     grid = RingGrid(6, 1.0, 12)
