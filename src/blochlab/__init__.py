@@ -30,7 +30,6 @@ from .spectrum import (
     solve_sector,
 )
 from .wannier import (
-    WannierState,
     build_wannier,
     cell_probability,
     wannier_projector,
@@ -80,7 +79,6 @@ __all__ = [
     "fix_gauge",
     "solve_bands",
     "solve_sector",
-    "WannierState",
     "build_wannier",
     "cell_probability",
     "wannier_projector",

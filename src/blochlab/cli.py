@@ -132,7 +132,7 @@ def cmd_wannier(config: RunConfig, out: Path, band: int, site: int) -> int:
         )
     bands = _solve(config)
     wannier = build_wannier(bands, band, site)
-    samples = wannier.wavefunction.samples
+    samples = wannier.samples
     write_csv(out / "wannier.csv", {
         "index": np.arange(samples.size),
         "x": bands.grid.points,
@@ -146,7 +146,7 @@ def cmd_wannier(config: RunConfig, out: Path, band: int, site: int) -> int:
             "config": config.resolved(),
             "band": band,
             "site": site,
-            "norm": wannier.wavefunction.norm(),
+            "norm": wannier.norm(),
             "cell_probability": [float(p) for p in cell_probability(wannier)],
         },
     )
@@ -157,9 +157,9 @@ def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
     obs = config.observable(observable)
     bands = _solve(config)
     op = _resolve_operator(config, obs, bands)
-    scan = selection_scan(op, bands, label=obs.name)
+    scan = selection_scan(op, bands)
     # Build every output before the first write, so a failure leaves no file.
-    report = locality_report(op.symmetrized())
+    report = locality_report(op)
     summary = {
         "config": config.resolved(),
         "observable": obs.name,

@@ -107,8 +107,11 @@ def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> n
     # Hermiticity of a circulant reads col[d] == conj(col[G-d]).  The ifft
     # meets it only to roundoff and the Fornberg weights are not bitwise
     # mirrored, so the column is symmetrized exactly.
-    col = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
-    # C[i, j] = col[(i - j) mod G]: row G-1-i of the length-G windows over
-    # the doubled reversed column, copied out of the strided view.
-    rev = col[::-1]
+    return _circulant(0.5 * (col + np.conj(np.roll(col[::-1], 1))))
+
+
+def _circulant(col: np.ndarray) -> np.ndarray:
+    """C[i, j] = col[(i - j) mod G]: row G-1-i of the length-G windows over
+    the doubled reversed column, copied out of the strided view."""
+    g, rev = col.size, col[::-1]
     return sliding_window_view(np.concatenate((rev, rev)), g)[g - 1::-1].copy()

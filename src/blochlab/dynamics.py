@@ -167,6 +167,8 @@ def first_order_error_exponent(experiment: PropagationExperiment,
     eps = np.asarray(epsilons, dtype=float)
     if eps.size < 2:
         raise ValueError("need at least two epsilon values to fit an exponent")
+    if np.any(eps <= 0) or not np.all(np.isfinite(eps)):
+        raise ValueError("epsilon sweep must be positive and finite")
     errs = np.array(
         [abs(exact_amplitude(experiment, e) - first_order_amplitude(experiment, e)) for e in eps]
     )

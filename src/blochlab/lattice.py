@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class OperatorMatrix:
 
     grid: RingGrid
     entries: np.ndarray
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
@@ -95,9 +94,9 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def symmetrized(self) -> "OperatorMatrix":
-        """(A + A^dagger) / 2, with the same label."""
+        """(A + A^dagger) / 2."""
         sym = 0.5 * (self.entries + self.entries.conj().T)
-        return OperatorMatrix(self.grid, sym, label=self.label)
+        return OperatorMatrix(self.grid, sym)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -118,7 +117,7 @@ def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.
     _require_positive("hbar", hbar)
     kinetic = (hbar**2 / (2.0 * mass)) * momentum_power_matrix(grid, 2, scheme)
     entries = kinetic + np.diag(potential.sample(grid))
-    return OperatorMatrix(grid, entries, label="hamiltonian")
+    return OperatorMatrix(grid, entries)
 
 
 def build_translation(grid: RingGrid) -> OperatorMatrix:
@@ -132,7 +131,7 @@ def build_translation(grid: RingGrid) -> OperatorMatrix:
     entries = np.zeros((g, g))
     rows = np.arange(g)
     entries[rows, (rows + grid.points_per_cell) % g] = 1.0
-    return OperatorMatrix(grid, entries, label="translation")
+    return OperatorMatrix(grid, entries)
 
 
 def is_one_cell_shift(op: OperatorMatrix) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivatives import momentum_power_matrix
+from .derivatives import _circulant, momentum_power_matrix
 from .grid import RingGrid, WaveFunction, _require_same_grid
 from .lattice import OperatorMatrix, _frobenius_norm, is_one_cell_shift
 
@@ -89,15 +89,14 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
         if n not in momentum_cache:
             momentum_cache[n] = momentum_power_matrix(grid, n, scheme)
         acc += profile[:, None] * momentum_cache[n]
-    op = OperatorMatrix(grid, acc, label="series")
     if series.symmetrize:
-        op = op.symmetrized()
-    return op
+        acc = 0.5 * (acc + acc.conj().T)
+    return OperatorMatrix(grid, acc)
 
 
 @dataclass
 class LocalityReport:
-    """How the Frobenius mass of a Hermitian kernel spreads off the diagonal.
+    """How the Frobenius mass of a kernel's Hermitian part spreads off the diagonal.
 
     ``cumulative`` holds, for each sample distance w = 0..G//2, the fraction
     of squared Frobenius mass with ring distance(i, j) <= w.  Physical
@@ -106,13 +105,13 @@ class LocalityReport:
 
     grid: RingGrid
     cumulative: np.ndarray = field(repr=False)
-    total_mass: float
 
     def bandwidth_mass(self, width: float) -> float:
         """Mass fraction within physical ring distance <= width."""
+        if not (np.isfinite(width) and width >= 0.0):
+            raise ValueError(f"width must be finite and >= 0, got {width!r}")
         w = int(np.floor(width / self.grid.spacing + 1e-12))
-        w = min(max(w, 0), self.grid.total_points // 2)
-        return float(self.cumulative[w])
+        return float(self.cumulative[min(w, self.grid.total_points // 2)])
 
     def locality_width(self, threshold: float = 0.99) -> float:
         """Smallest physical width holding at least ``threshold`` of the mass."""
@@ -124,27 +123,24 @@ class LocalityReport:
 
 
 def locality_report(op: OperatorMatrix) -> LocalityReport:
-    """Cumulative band-mass profile of a Hermitian operator.
+    """Cumulative band-mass profile of the Hermitian part S = (A + A^dagger)/2.
 
     Entries are binned by the ring distance between their row and column
-    samples; the report stores the cumulative fraction of |A_ij|^2 per
-    distance.  Hermiticity is required so the profile reads as 'how nonlocal
-    is this observable' rather than mixing in an arbitrary non-normal part.
+    samples; the report stores the cumulative fraction of |S_ij|^2 per
+    distance, so the profile reads as 'how nonlocal is this observable'
+    rather than mixing in an arbitrary non-normal part.  S is A bit for bit
+    when A is Hermitian.
     """
-    scale = max(float(np.max(np.abs(op.entries))), 1e-300)
-    if op.hermitian_defect() > 1e-8 * scale:
-        raise ValueError("locality report requires a Hermitian operator")
     g = op.grid.total_points
-    idx = np.arange(g)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(diff, g - diff)
-    weights = np.abs(op.entries) ** 2
+    k = np.arange(g)
+    dist = _circulant(np.minimum(k, g - k))
+    weights = np.abs(op.symmetrized().entries) ** 2
     mass = np.bincount(dist.ravel(), weights=weights.ravel(), minlength=g // 2 + 1)
     total = float(mass.sum())
     if total == 0.0:
         raise ValueError("cannot report locality of the zero operator")
     cumulative = np.cumsum(mass[: g // 2 + 1]) / total
-    return LocalityReport(op.grid, cumulative, total_mass=total)
+    return LocalityReport(op.grid, cumulative)
 
 
 def cell_periodicity_defect(op: OperatorMatrix, translation: OperatorMatrix) -> float:

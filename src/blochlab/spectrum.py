@@ -133,9 +133,12 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
 
     Works entirely in the reduced basis of the P plane waves
     exp(i kappa x)/sqrt(L) with kappa = (2 pi / L)(l + N m), m running over
-    the symmetric window [-P/2, P/2).  The kinetic part is diagonal there
-    and a cell-periodic potential couples only these waves to each other, so
-    the sector block is exact on the grid.
+    the symmetric window [-P/2, P/2).  The block is the kinetic diagonal with
+    the unfolded kappa^2 plus the Toeplitz block of V_hat(d), |d| < P.  It
+    matches the grid H's sector block only up to two kinds of terms: a
+    sampled potential also couples m and m +- P through aliasing, and for
+    odd P the window holds wavenumbers |q| > G/2 that the spectral kinetic
+    matrix folds back.
 
     Each state is built from one cell.  On the samples x_j = j h,
     kappa_m x_j = k_l x_j + 2 pi m j / P, so psi = exp(i k_l x) u where u is
@@ -203,6 +206,9 @@ class BandStructure:
         return self.grid.n_cells
 
     def state(self, band: int, sector: int) -> BlochState:
+        """State of ``band`` in [0, band_count); ``sector`` is taken mod N."""
+        if not 0 <= band < self.band_count:
+            raise ValueError(f"band must lie in [0, {self.band_count}), got {band}")
         return self.states[band][sector % self.grid.n_cells]
 
     def all_states(self):

@@ -47,7 +47,6 @@ class SelectionScan:
 
     table: np.ndarray
     periodicity_defect: float
-    operator_label: str = ""
 
     @property
     def band_count(self) -> int:
@@ -85,8 +84,7 @@ class SelectionScan:
         return profile
 
 
-def selection_scan(op: OperatorMatrix, bands: BandStructure,
-                   label: str | None = None) -> SelectionScan:
+def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:
     """Measure every matrix element of ``op`` over the computed states.
 
     If the kernel is cell-periodic (relative defect <= 1e-10) the exact
@@ -100,13 +98,8 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure,
     flat = bands.grid.spacing * (psis.conj().T @ transformed)
     b, n = bands.band_count, bands.n_cells
     table = flat.reshape(b, n, b, n)
-
     defect = _periodicity_defect(op)
-    scan = SelectionScan(
-        table=table,
-        periodicity_defect=defect,
-        operator_label=label if label is not None else op.label,
-    )
+    scan = SelectionScan(table, defect)
     if defect <= _PERIODIC_TOL and scan.off_sector_max() > _LEAK_TOL:
         raise RuntimeError(
             "cell-periodic kernel shows off-sector matrix elements "

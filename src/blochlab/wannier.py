@@ -13,8 +13,6 @@ that single formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import WaveFunction
@@ -22,29 +20,13 @@ from .lattice import OperatorMatrix
 from .spectrum import BandStructure
 
 
-@dataclass
-class WannierState:
-    """Site-M combination of the band-n Bloch states.
+def build_wannier(bands: BandStructure, band: int, site: int) -> WaveFunction:
+    """W_{n M} = (1/sqrt(N)) sum_l exp(-i k_l M a) psi_{n l}.
 
     The state depends on the gauge of the underlying band: rotating any
     psi_{n k_l} by a phase reshapes W.  Moduli of matrix elements of the
-    projector |W><W| between Bloch states do not, which is part of what the
-    tests pin down.
+    projector |W><W| between Bloch states do not.
     """
-
-    band: int
-    site: int
-    wavefunction: WaveFunction
-
-    @property
-    def grid(self):
-        return self.wavefunction.grid
-
-
-def build_wannier(bands: BandStructure, band: int, site: int) -> WannierState:
-    """W_{n M} = (1/sqrt(N)) sum_l exp(-i k_l M a) psi_{n l}."""
-    if not 0 <= band < bands.band_count:
-        raise ValueError(f"band must lie in [0, {bands.band_count}), got {band}")
     n_cells = bands.n_cells
     if not 0 <= site < n_cells:
         raise ValueError(f"site must lie in [0, {n_cells}), got {site}")
@@ -54,23 +36,23 @@ def build_wannier(bands: BandStructure, band: int, site: int) -> WannierState:
     for l in range(n_cells):
         state = bands.state(band, l)
         acc += np.exp(-1j * state.wavevector * shift) * state.wavefunction.samples
-    return WannierState(band, site, WaveFunction(grid, acc / np.sqrt(n_cells)))
+    return WaveFunction(grid, acc / np.sqrt(n_cells))
 
 
-def wannier_projector(state: WannierState) -> OperatorMatrix:
+def wannier_projector(state: WaveFunction) -> OperatorMatrix:
     """Rank-1 projector onto the site state, as a quadrature kernel.
 
     Entries are h * W(x_i) conj(W(x_j)), so the matrix is idempotent under
     plain matrix multiplication and has trace 1 for a normalized W.
     """
-    w = state.wavefunction.samples
+    w = state.samples
     grid = state.grid
     entries = grid.spacing * np.outer(w, w.conj())
-    return OperatorMatrix(grid, entries, label=f"wannier_projector(n={state.band}, M={state.site})")
+    return OperatorMatrix(grid, entries)
 
 
-def cell_probability(state: WannierState) -> np.ndarray:
+def cell_probability(state: WaveFunction) -> np.ndarray:
     """Probability h * sum_{j in cell} |W_j|^2 carried by each of the N cells."""
     grid = state.grid
-    density = grid.spacing * np.abs(state.wavefunction.samples) ** 2
+    density = grid.spacing * np.abs(state.samples) ** 2
     return density.reshape(grid.n_cells, grid.points_per_cell).sum(axis=1)

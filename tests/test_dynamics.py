@@ -216,6 +216,19 @@ def test_slope_fit_validation(banded_hamiltonian, site0_projector, distant_pair)
         linear_response_slope(same, np.array([1e-4, 2e-4]))
 
 
+def test_error_exponent_sweep_validation(banded_hamiltonian, site0_projector, distant_pair,
+                                         capfd):
+    y, z = distant_pair
+    experiment = PropagationExperiment(
+        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
+    )
+    for sweep in ([1e-4, -1e-4], [1e-4, 0.0], [1e-4, np.nan], [1e-4, np.inf]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            first_order_error_exponent(experiment, np.array(sweep))
+    # A negative epsilon must not reach np.log and LAPACK, which writes to stderr.
+    assert capfd.readouterr().err == ""
+
+
 def test_exact_amplitude_rejects_nonfinite_time(banded_hamiltonian):
     experiment = PropagationExperiment(banded_hamiltonian, source=0, target=1)
     with pytest.raises(ValueError):

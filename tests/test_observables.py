@@ -7,11 +7,14 @@ from blochlab import (
     RingGrid,
     WaveFunction,
     apply_kernel,
+    build_translation,
     build_wannier,
     cell_periodicity_defect,
     locality_report,
     materialize,
     momentum_power_matrix,
+    solve_bands,
+    wannier_projector,
 )
 from blochlab.lattice import OperatorMatrix
 from blochlab.observables import _harmonic_profiles
@@ -128,12 +131,45 @@ def test_locality_of_site_projector(ref_grid, site0_projector):
     assert report.locality_width(0.99) == pytest.approx(3.84375, abs=1e-12)
 
 
-def test_locality_report_requires_hermitian(ref_grid):
-    with pytest.raises(ValueError, match="Hermitian"):
-        locality_report(materialize(LocalObservableSeries(((1, 1, 1.0, 0.0),), symmetrize=False),
-                                    ref_grid))
-    with pytest.raises(ValueError):
+def locality_oracle(op):
+    """Cumulative mass of |(A + A^dagger)/2|^2 binned over broadcast ring distances."""
+    g = op.grid.total_points
+    idx = np.arange(g)
+    diff = np.abs(idx[:, None] - idx[None, :])
+    dist = np.minimum(diff, g - diff)
+    weights = np.abs(0.5 * (op.entries + op.entries.conj().T)) ** 2
+    mass = np.bincount(dist.ravel(), weights=weights.ravel(), minlength=g // 2 + 1)
+    return np.cumsum(mass[: g // 2 + 1]) / float(mass.sum())
+
+
+@pytest.mark.parametrize("kind", ["fd4_kinetic", "site_projector", "bare_odd_series", "shift"])
+@pytest.mark.parametrize("shape", [(8, 32), (3, 9)], ids=["even_g", "odd_g"])
+def test_locality_report_matches_the_broadcast_oracle(ref_potential, shape, kind):
+    grid = RingGrid(shape[0], 1.0, shape[1])
+    if kind == "fd4_kinetic":
+        op = materialize(LocalObservableSeries(((0, 2, 0.5, 0.0),)), grid, scheme="fd4")
+    elif kind == "site_projector":
+        op = wannier_projector(build_wannier(solve_bands(grid, ref_potential, 2), 0, 0))
+    elif kind == "bare_odd_series":
+        terms = ((1, 1, 1.0, 0.0), (2, 3, 0.3, -0.2), (0, 0, 0.5, 0.0))
+        op = materialize(LocalObservableSeries(terms, symmetrize=False), grid)
+        assert op.hermitian_defect() > 1e-3
+    else:
+        op = build_translation(grid)
+    assert np.array_equal(locality_report(op).cumulative, locality_oracle(op))
+
+
+def test_locality_report_rejects_the_zero_operator(ref_grid):
+    with pytest.raises(ValueError, match="zero operator"):
         locality_report(OperatorMatrix(ref_grid, np.zeros((256, 256))))
+
+
+def test_bandwidth_mass_width_validation(site0_projector):
+    report = locality_report(site0_projector)
+    assert report.bandwidth_mass(0.0) == report.cumulative[0]
+    for width in (-1.0, -1e-300, np.nan, np.inf):
+        with pytest.raises(ValueError, match="width"):
+            report.bandwidth_mass(width)
 
 
 def test_locality_width_threshold_validation(ref_grid, site0_projector):
@@ -186,7 +222,7 @@ def test_apply_site_projector_to_bloch_state(ref_bands, site0_projector, ref_gri
     for l in (0, 3, 6):
         state = ref_bands.state(0, l)
         out = apply_kernel(site0_projector, state.wavefunction)
-        w = build_wannier(ref_bands, 0, 0).wavefunction.samples
+        w = build_wannier(ref_bands, 0, 0).samples
         assert np.max(np.abs(out.samples - w / np.sqrt(8))) < 1e-8
 
 

@@ -212,6 +212,13 @@ def test_state_indexing_wraps_sectors(ref_bands):
     assert ref_bands.state(2, -1) is ref_bands.state(2, 7)
 
 
+def test_state_rejects_a_band_outside_the_table(ref_bands):
+    # Python indexing would wrap band -1 to the last band.
+    for band in (-1, 4):
+        with pytest.raises(ValueError, match="band must lie in"):
+            ref_bands.state(band, 0)
+
+
 def test_cell_part_definition(ref_bands, ref_grid):
     state = ref_bands.state(1, 5)
     phase = np.exp(1j * state.wavevector * ref_grid.points)

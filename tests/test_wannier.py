@@ -15,7 +15,7 @@ from blochlab import (
 def test_wannier_is_normalized(ref_bands):
     for site in range(8):
         w = build_wannier(ref_bands, 0, site)
-        assert w.wavefunction.norm() == pytest.approx(1.0, abs=1e-12)
+        assert w.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wannier_bloch_coefficients(ref_bands, ref_grid):
@@ -24,7 +24,7 @@ def test_wannier_bloch_coefficients(ref_bands, ref_grid):
     w = build_wannier(ref_bands, 0, site)
     for l in range(8):
         state = ref_bands.state(0, l)
-        coeff = inner_product(state.wavefunction, w.wavefunction)
+        coeff = inner_product(state.wavefunction, w)
         expected = np.exp(-1j * state.wavevector * site * ref_grid.cell_length) / np.sqrt(8)
         assert abs(coeff - expected) < 1e-12
 
@@ -33,7 +33,7 @@ def test_wannier_orthonormal_across_sites_and_bands(ref_bands):
     states = [build_wannier(ref_bands, n, m) for n in range(2) for m in range(8)]
     for i, a in enumerate(states):
         for j, b in enumerate(states):
-            ip = inner_product(a.wavefunction, b.wavefunction)
+            ip = inner_product(a, b)
             assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
 
 
@@ -41,9 +41,9 @@ def test_wannier_translation_covariance(ref_bands):
     # Shifting the state one cell forward relabels the site M -> M - 1.
     for site in range(8):
         w = build_wannier(ref_bands, 0, site)
-        moved = translate_by_cells(w.wavefunction, 1)
+        moved = translate_by_cells(w, 1)
         target = build_wannier(ref_bands, 0, (site - 1) % 8)
-        assert np.max(np.abs(moved.samples - target.wavefunction.samples)) < 1e-10
+        assert np.max(np.abs(moved.samples - target.samples)) < 1e-10
 
 
 def test_wannier_band_resolution(ref_bands):
@@ -51,7 +51,7 @@ def test_wannier_band_resolution(ref_bands):
     site_sum = np.zeros((256, 256), dtype=complex)
     sector_sum = np.zeros((256, 256), dtype=complex)
     for m in range(8):
-        w = build_wannier(ref_bands, 1, m).wavefunction.samples
+        w = build_wannier(ref_bands, 1, m).samples
         site_sum += np.outer(w, w.conj())
     for l in range(8):
         psi = ref_bands.state(1, l).wavefunction.samples
@@ -72,7 +72,7 @@ def test_free_particle_wannier_matches_window_sum(free_bands, ref_grid):
         for q in window:
             expected += np.exp(2j * np.pi * q * (x - site * 1.0) / length)
         expected /= np.sqrt(n_cells * length)
-        assert np.max(np.abs(w.wavefunction.samples - expected)) < 1e-8
+        assert np.max(np.abs(w.samples - expected)) < 1e-8
 
 
 def test_projector_shape_and_algebra(site0_projector):
