@@ -90,15 +90,19 @@ def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> n
     number of samples, and is Hermitian for every n and scheme.  It is real
     (float64) for even n and complex for odd n.
     """
+    return _circulant(_momentum_column(grid, n, scheme)).copy()
+
+
+def _momentum_column(grid: RingGrid, n: int, scheme: str) -> np.ndarray:
+    """First column of :func:`momentum_power_matrix`, after checking n and scheme."""
     if not isinstance(n, (int, np.integer)) or not 0 <= n <= 8:
         raise ValueError(f"derivative power must be an integer in [0, 8], got {n!r}")
     if scheme not in SCHEMES:
         raise ValueError(
             f"unknown derivative scheme {scheme!r}; expected one of {tuple(SCHEMES)}"
         )
-    g = grid.total_points
     if n == 0:
-        return np.eye(g)
+        return np.eye(1, grid.total_points)[0]
     accuracy = SCHEMES[scheme]
     if accuracy is None:
         col = _spectral_column(grid, n)
@@ -107,11 +111,11 @@ def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> n
     # Hermiticity of a circulant reads col[d] == conj(col[G-d]).  The ifft
     # meets it only to roundoff and the Fornberg weights are not bitwise
     # mirrored, so the column is symmetrized exactly.
-    return _circulant(0.5 * (col + np.conj(np.roll(col[::-1], 1))))
+    return 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
 
 
 def _circulant(col: np.ndarray) -> np.ndarray:
-    """C[i, j] = col[(i - j) mod G]: row G-1-i of the length-G windows over
-    the doubled reversed column, copied out of the strided view."""
+    """Read-only view C[i, j] = col[(i - j) mod G]: row G-1-i of the length-G
+    windows over the doubled reversed column.  Rows slice without a copy."""
     g, rev = col.size, col[::-1]
-    return sliding_window_view(np.concatenate((rev, rev)), g)[g - 1::-1].copy()
+    return sliding_window_view(np.concatenate((rev, rev)), g)[g - 1::-1]

@@ -93,11 +93,6 @@ class OperatorMatrix:
         """Largest absolute entry of A - A^dagger."""
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
-    def symmetrized(self) -> "OperatorMatrix":
-        """(A + A^dagger) / 2."""
-        sym = 0.5 * (self.entries + self.entries.conj().T)
-        return OperatorMatrix(self.grid, sym)
-
 
 def _require_positive(name: str, value: float) -> None:
     """Reject a mass or hbar that is not positive and finite."""

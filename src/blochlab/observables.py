@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivatives import _circulant, momentum_power_matrix
+from .derivatives import _circulant, _momentum_column
 from .grid import RingGrid, WaveFunction, _require_same_grid
 from .lattice import OperatorMatrix, _frobenius_norm, is_one_cell_shift
+
+# Rows per block: the scan's temporaries stay O(_BLOCK * G), not O(G^2).
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -72,26 +75,42 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
     """Dense matrix of the series on the grid.
 
     Each term is a diagonal position factor times a momentum-power circulant
-    from the requested derivative scheme; momentum matrices are cached per
-    power so repeated n cost one build.  The matrix is real when every
-    momentum power is even, and complex otherwise.
+    from the requested derivative scheme.  The result is filled a block of
+    rows at a time from strided views over each term's circulant column, and
+    symmetrized in place, so nothing but the result is G x G.  The matrix is
+    real when every momentum power is even, and complex otherwise.
     """
     g = grid.total_points
     even = all(n % 2 == 0 for _, n, _, _ in series.terms)
     acc = np.zeros((g, g), dtype=float if even else complex)
-    momentum_cache: dict[int, np.ndarray] = {}
+    terms = []
     for m, n, c, d in series.terms:
         cos_prof, sin_prof = _harmonic_profiles(grid, m)
-        profile = c * cos_prof + d * sin_prof
-        if n == 0:
-            acc[np.diag_indices(g)] += profile
-            continue
-        if n not in momentum_cache:
-            momentum_cache[n] = momentum_power_matrix(grid, n, scheme)
-        acc += profile[:, None] * momentum_cache[n]
+        kernel = _circulant(_momentum_column(grid, n, scheme)) if n else None
+        terms.append((c * cos_prof + d * sin_prof, kernel))
+    for start in range(0, g, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        diag = np.arange(start, min(start + _BLOCK, g))
+        for profile, kernel in terms:
+            if kernel is None:
+                acc[diag, diag] += profile[diag]
+            else:
+                acc[rows] += profile[rows, None] * kernel[rows]
     if series.symmetrize:
-        acc = 0.5 * (acc + acc.conj().T)
+        # Tiles (I, J) and (J, I) are both read before either is written, and
+        # each by the formula itself: a conjugated tile can flip a zero's sign.
+        for i in range(0, g, _BLOCK):
+            for j in range(i, g, _BLOCK):
+                rows, cols = slice(i, i + _BLOCK), slice(j, j + _BLOCK)
+                upper = _hermitian_part(acc, rows, cols)
+                acc[cols, rows] = _hermitian_part(acc, cols, rows)
+                acc[rows, cols] = upper
     return OperatorMatrix(grid, acc)
+
+
+def _hermitian_part(a: np.ndarray, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+    """Block [rows, cols] of (A + A^dagger)/2, as 0.5 * (x + conj(y)) element by element."""
+    return 0.5 * (a[rows, cols] + a[cols, rows].conj().T)
 
 
 @dataclass
@@ -134,12 +153,16 @@ def locality_report(op: OperatorMatrix) -> LocalityReport:
     g = op.grid.total_points
     k = np.arange(g)
     dist = _circulant(np.minimum(k, g - k))
-    weights = np.abs(op.symmetrized().entries) ** 2
-    mass = np.bincount(dist.ravel(), weights=weights.ravel(), minlength=g // 2 + 1)
+    mass = np.zeros(g // 2 + 1)
+    # add.at sums in the same row-major order as one bincount over the matrix.
+    for start in range(0, g, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        weights = np.abs(_hermitian_part(op.entries, rows)) ** 2
+        np.add.at(mass, dist[rows].ravel(), weights.ravel())
     total = float(mass.sum())
     if total == 0.0:
         raise ValueError("cannot report locality of the zero operator")
-    cumulative = np.cumsum(mass[: g // 2 + 1]) / total
+    cumulative = np.cumsum(mass) / total
     return LocalityReport(op.grid, cumulative)
 
 
@@ -157,10 +180,16 @@ def cell_periodicity_defect(op: OperatorMatrix, translation: OperatorMatrix) -> 
 
 
 def _periodicity_defect(op: OperatorMatrix) -> float:
-    # T A T^dagger is A rolled by P in both indices, bit for bit.
-    p = op.grid.points_per_cell
-    moved = np.roll(op.entries, (-p, -p), axis=(0, 1))
-    return _frobenius_norm(op.entries - moved) / max(_frobenius_norm(op.entries), 1e-300)
+    # T A T^dagger is A rolled by P in both indices, bit for bit; the
+    # difference is written quadrant by quadrant into one buffer.
+    a, p = op.entries, op.grid.points_per_cell
+    q = op.grid.total_points - p
+    halves = ((slice(None, q), slice(p, None)), (slice(q, None), slice(None, p)))
+    diff = np.empty_like(a)
+    for rows, moved_rows in halves:
+        for cols, moved_cols in halves:
+            np.subtract(a[rows, cols], a[moved_rows, moved_cols], out=diff[rows, cols])
+    return _frobenius_norm(diff) / max(_frobenius_norm(a), 1e-300)
 
 
 def apply_kernel(op: OperatorMatrix, chi: WaveFunction) -> WaveFunction:

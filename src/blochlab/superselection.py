@@ -93,12 +93,13 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:
     rather than returning numbers that contradict a theorem.
     """
     _require_same_grid(op, bands)
+    # The defect's G x G buffer is freed before the state products exist.
+    defect = _periodicity_defect(op)
     psis = bands.state_matrix()
     transformed = op.entries @ psis
     flat = bands.grid.spacing * (psis.conj().T @ transformed)
     b, n = bands.band_count, bands.n_cells
     table = flat.reshape(b, n, b, n)
-    defect = _periodicity_defect(op)
     scan = SelectionScan(table, defect)
     if defect <= _PERIODIC_TOL and scan.off_sector_max() > _LEAK_TOL:
         raise RuntimeError(

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blochlab import (
     GridMismatchError,
@@ -16,8 +20,9 @@ from blochlab import (
     solve_bands,
     wannier_projector,
 )
-from blochlab.lattice import OperatorMatrix
-from blochlab.observables import _harmonic_profiles
+from blochlab.derivatives import SCHEMES
+from blochlab.lattice import OperatorMatrix, _frobenius_norm
+from blochlab.observables import _harmonic_profiles, _periodicity_defect
 
 
 def test_series_validation():
@@ -58,6 +63,55 @@ def test_series_of_even_powers_is_real(ref_grid, scheme):
     assert op.entries.dtype == np.float64
     assert np.array_equal(op.entries, oracle)
     assert not np.any(oracle.imag)
+
+
+def cached_materialize_oracle(series, grid, scheme):
+    """The whole-matrix build: one cached momentum matrix per power, a G x G
+    product per term, and the Hermitian part of the whole sum."""
+    g = grid.total_points
+    even = all(n % 2 == 0 for _, n, _, _ in series.terms)
+    acc = np.zeros((g, g), dtype=float if even else complex)
+    cache = {}
+    for m, n, c, d in series.terms:
+        cos_prof, sin_prof = _harmonic_profiles(grid, m)
+        profile = c * cos_prof + d * sin_prof
+        if n == 0:
+            acc[np.diag_indices(g)] += profile
+            continue
+        if n not in cache:
+            cache[n] = momentum_power_matrix(grid, n, scheme)
+        acc += profile[:, None] * cache[n]
+    return 0.5 * (acc + acc.conj().T) if series.symmetrize else acc
+
+
+_AMPLITUDES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-3.0, 3.0, allow_nan=False))
+_TERMS = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 8), _AMPLITUDES, _AMPLITUDES),
+                  min_size=1, max_size=4)
+
+
+@given(n_cells=st.integers(2, 9), points=st.integers(8, 300), terms=_TERMS,
+       even_only=st.booleans(), scheme=st.sampled_from(list(SCHEMES)),
+       symmetrize=st.booleans())
+# Off-band fd entries are signed zeros, which a wrongly paired tile flips.
+@example(3, 131, [(1, 1, 1.0, -0.0), (0, 0, -0.0, 0.5), (2, 2, 0.5, 0.3)], False, "fd4", True)
+@example(9, 300, [(4, 2, -1.0, 0.0), (0, 0, 0.0, -0.0)], True, "spectral", True)
+@example(2, 40, [(3, 3, 0.7, -0.2)], False, "fd8", False)
+@settings(max_examples=50, deadline=None)
+def test_materialize_matches_the_cached_matrix_oracle(n_cells, points, terms, even_only,
+                                                      scheme, symmetrize):
+    # Grids below, above and off a multiple of the row block; G is capped so
+    # the oracle's several G x G arrays stay small.
+    grid = RingGrid(min(n_cells, 1200 // points), 1.0, points)
+    if even_only:
+        terms = [(m, n - n % 2, c, d) for m, n, c, d in terms]
+    series = LocalObservableSeries(tuple(terms), symmetrize=symmetrize)
+    op = materialize(series, grid, scheme=scheme)
+    oracle = cached_materialize_oracle(series, grid, scheme)
+    assert op.entries.dtype == oracle.dtype
+    assert op.entries.dtype == np.float64 or not even_only
+    # tobytes, unlike array_equal, tells +0.0 from -0.0.
+    assert op.entries.tobytes() == oracle.tobytes()
 
 
 def test_odd_powers_and_projectors_stay_complex(ref_grid, site0_projector):
@@ -142,21 +196,68 @@ def locality_oracle(op):
     return np.cumsum(mass[: g // 2 + 1]) / float(mass.sum())
 
 
-@pytest.mark.parametrize("kind", ["fd4_kinetic", "site_projector", "bare_odd_series", "shift"])
-@pytest.mark.parametrize("shape", [(8, 32), (3, 9)], ids=["even_g", "odd_g"])
-def test_locality_report_matches_the_broadcast_oracle(ref_potential, shape, kind):
+# Real symmetric, complex Hermitian, non-Hermitian complex, and real
+# non-symmetric kernels, on grids of one row block and of several, the
+# last of them partial (3 x 131).
+_ORACLE_KINDS = pytest.mark.parametrize(
+    "kind", ["fd4_kinetic", "site_projector", "bare_odd_series", "shift"])
+_ORACLE_SHAPES = pytest.mark.parametrize(
+    "shape", [(8, 32), (3, 9), (3, 131), (16, 64)],
+    ids=["even_g", "odd_g", "odd_g_blocks", "even_g_blocks"])
+
+
+def oracle_kernel(kind, shape, potential):
     grid = RingGrid(shape[0], 1.0, shape[1])
     if kind == "fd4_kinetic":
-        op = materialize(LocalObservableSeries(((0, 2, 0.5, 0.0),)), grid, scheme="fd4")
-    elif kind == "site_projector":
-        op = wannier_projector(build_wannier(solve_bands(grid, ref_potential, 2), 0, 0))
-    elif kind == "bare_odd_series":
+        return materialize(LocalObservableSeries(((0, 2, 0.5, 0.0),)), grid, scheme="fd4")
+    if kind == "site_projector":
+        return wannier_projector(build_wannier(solve_bands(grid, potential, 2), 0, 0))
+    if kind == "bare_odd_series":
         terms = ((1, 1, 1.0, 0.0), (2, 3, 0.3, -0.2), (0, 0, 0.5, 0.0))
         op = materialize(LocalObservableSeries(terms, symmetrize=False), grid)
         assert op.hermitian_defect() > 1e-3
-    else:
-        op = build_translation(grid)
-    assert np.array_equal(locality_report(op).cumulative, locality_oracle(op))
+        return op
+    return build_translation(grid)
+
+
+@_ORACLE_KINDS
+@_ORACLE_SHAPES
+def test_locality_report_matches_the_broadcast_oracle(ref_potential, shape, kind):
+    op = oracle_kernel(kind, shape, ref_potential)
+    assert locality_report(op).cumulative.tobytes() == locality_oracle(op).tobytes()
+
+
+@_ORACLE_KINDS
+@_ORACLE_SHAPES
+def test_periodicity_defect_matches_the_roll_formula(ref_potential, shape, kind):
+    op = oracle_kernel(kind, shape, ref_potential)
+    p = op.grid.points_per_cell
+    moved = np.roll(op.entries, (-p, -p), axis=(0, 1))
+    defect = _periodicity_defect(op)
+    assert defect == _frobenius_norm(op.entries - moved) / _frobenius_norm(op.entries)
+    assert defect == pytest.approx(
+        np.linalg.norm(op.entries - moved) / np.linalg.norm(op.entries), rel=1e-13)
+
+
+def test_scan_operator_memory_bounds():
+    # 128 x 16 (G = 2048) with the two-term fd4 series of powers 1 and 2: a
+    # 64 MiB complex result.  Beyond blocks of rows, materialize may hold
+    # only its result, the report nothing G x G, and the defect one buffer.
+    grid = RingGrid(128, 1.0, 16)
+    series = LocalObservableSeries(((1, 1, 1.0, 0.3), (3, 2, 0.5, -0.2)))
+    tracemalloc.start()
+    try:
+        op = materialize(series, grid, scheme="fd4")
+        size = op.entries.nbytes
+        assert size == 64 * 2**20
+        assert tracemalloc.get_traced_memory()[1] <= 1.25 * size
+        for call, bound in ((locality_report, 0.25), (_periodicity_defect, 1.25)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call(op)
+            assert tracemalloc.get_traced_memory()[1] - base <= bound * size, call.__name__
+    finally:
+        tracemalloc.stop()
 
 
 def test_locality_report_rejects_the_zero_operator(ref_grid):
