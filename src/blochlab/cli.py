@@ -215,14 +215,16 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
         grid, config.potential(), mass=config.mass, hbar=config.hbar,
         scheme=dyn.kinetic_scheme,
     )
-    perturbation = None
     if perturb_name is not None:
+        # R is fresh and held nowhere else: summing the real H into it has the bits of
+        # H + R, and once H is dropped H_m is the one G x G array the experiment keeps.
         perturbation = _resolve_operator(config, config.observable(perturb_name))
+        perturbation.entries += hamiltonian.entries
+        hamiltonian = perturbation
     experiment = PropagationExperiment(
         hamiltonian=hamiltonian,
         source=grid.index_of_cell(dyn.source_cell),
         target=grid.index_of_cell(dyn.target_cell),
-        perturbation=perturbation,
         hbar=config.hbar,
     )
     amplitudes = np.array([exact_amplitude(experiment, eps) for eps in dyn.epsilons])

@@ -19,15 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import _require_same_grid
-from .lattice import OperatorMatrix, _require_positive
+from .lattice import OperatorMatrix, _hermitian_check, _require_positive
 
 
 @dataclass
 class PropagationExperiment:
     """Fixed Hamiltonian, optional perturbation, and a source/target pair.
 
-    ``source`` and ``target`` are sample indices.  H_m = H + R is summed and
-    checked Hermitian once.  Column ``source`` of exp(-i eps H_m / hbar) comes
+    ``source`` and ``target`` are sample indices.  H_m = H + R is summed once and
+    checked Hermitian tile by tile: no G x G temporary beyond the sum, and none
+    without R.  Column ``source`` of exp(-i eps H_m / hbar) comes
     from a Lanczos basis grown from e_source on first use (Saad, SIAM J. Numer.
     Anal. 29, 1992; Hochbruck & Lubich, ibid. 34, 1997), cached, and extended
     only when a larger |epsilon| needs more vectors: no G x G diagonalization.
@@ -49,9 +50,8 @@ class PropagationExperiment:
         total = self.hamiltonian.entries
         if self.perturbation is not None:
             total = total + self.perturbation.entries
-        defect = float(np.max(np.abs(total - total.conj().T)))
-        scale = max(float(np.max(np.abs(total))), 1.0)
-        if defect > 1e-10 * scale:
+        defect, max_abs = _hermitian_check(total)
+        if defect > 1e-10 * max(max_abs, 1.0):
             raise ValueError(f"total generator is not Hermitian (defect {defect:.3e})")
         self._total, self._alpha, self._beta = total, [], []
         # np.zeros leaves untouched pages unmapped: only filled rows cost memory.

@@ -19,10 +19,7 @@ import numpy as np
 
 from .derivatives import _circulant, _momentum_column
 from .grid import RingGrid, WaveFunction, _require_same_grid
-from .lattice import OperatorMatrix, _frobenius_norm, is_one_cell_shift
-
-# Rows per block: the scan's temporaries stay O(_BLOCK * G), not O(G^2).
-_BLOCK = 128
+from .lattice import _BLOCK, OperatorMatrix, _frobenius_norm, _tile_pairs, is_one_cell_shift
 
 
 @dataclass(frozen=True)
@@ -99,12 +96,10 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
     if series.symmetrize:
         # Tiles (I, J) and (J, I) are both read before either is written, and
         # each by the formula itself: a conjugated tile can flip a zero's sign.
-        for i in range(0, g, _BLOCK):
-            for j in range(i, g, _BLOCK):
-                rows, cols = slice(i, i + _BLOCK), slice(j, j + _BLOCK)
-                upper = _hermitian_part(acc, rows, cols)
-                acc[cols, rows] = _hermitian_part(acc, cols, rows)
-                acc[rows, cols] = upper
+        for rows, cols in _tile_pairs(g):
+            upper = _hermitian_part(acc, rows, cols)
+            acc[cols, rows] = _hermitian_part(acc, cols, rows)
+            acc[rows, cols] = upper
     return OperatorMatrix(grid, acc)
 
 

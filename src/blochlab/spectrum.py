@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import RingGrid, WaveFunction, _require_same_grid, translate_by_cells
-from .lattice import OperatorMatrix, PotentialSpec, _require_positive, is_one_cell_shift
+from .lattice import (OperatorMatrix, PotentialSpec, _hermitian_check, _require_positive,
+                      is_one_cell_shift)
 
 # Relative spectral-gap threshold below which eigh ordering inside a
 # degenerate cluster is not trustworthy and a deterministic rule takes over.
@@ -307,8 +308,9 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
         raise ValueError("translation operator is not the unitary one-cell shift")
     h = hamiltonian.entries
     p = grid.points_per_cell
-    scale = max(float(np.max(np.abs(h))), 1.0)
-    if hamiltonian.hermitian_defect() > 1e-10 * scale:
+    defect, max_abs = _hermitian_check(h)
+    scale = max(max_abs, 1.0)
+    if defect > 1e-10 * scale:
         raise ValueError("hamiltonian is not Hermitian")
     comm = float(np.max(np.abs(np.roll(h, p, axis=1) - np.roll(h, -p, axis=0))))
     if comm > 1e-9 * scale:

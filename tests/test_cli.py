@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 import blochlab
-from blochlab import LocalObservableSeries, materialize, selection_scan, solve_bands
-from blochlab.cli import main, write_json
+from blochlab import (
+    LocalObservableSeries,
+    PropagationExperiment,
+    build_hamiltonian,
+    materialize,
+    selection_scan,
+    solve_bands,
+)
+from blochlab.cli import _resolve_operator, main, write_json
 from blochlab.config import load_config
 
 
@@ -155,6 +162,27 @@ def test_propagate_solves_bands_only_for_a_projector(tmp_path, monkeypatch):
     for observable in ("ring1", "h"):
         assert main(["propagate", "--config", str(config), "--observable", observable]) == 0
     assert main(["propagate", "--config", str(config), "--observable", "site0"]) == 3
+
+
+def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypatch):
+    # H is summed into the projector's buffer: the experiment gets H_m with
+    # the bits of H + R and no separate perturbation to add and copy.
+    config = write_config(tmp_path / "run.json")
+    seen = []
+
+    class Recorder(PropagationExperiment):
+        def __post_init__(self):
+            seen.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr("blochlab.cli.PropagationExperiment", Recorder)
+    assert main(["propagate", "--config", str(config)]) == 0
+    (experiment,) = seen
+    assert experiment.perturbation is None
+    run = load_config(config)
+    h = build_hamiltonian(run.grid(), run.potential(), scheme="fd4")
+    r = _resolve_operator(run, run.observable("site0"))
+    assert experiment.total_matrix().tobytes() == (h.entries + r.entries).tobytes()
 
 
 def test_csv_modulus_and_density_are_scalar_abs_of_the_written_parts(tmp_path):
@@ -375,4 +403,26 @@ def test_norms_do_not_depend_on_the_blas_thread_count():
                                 capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_propagate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # G = 2048 with a projector perturbation: the Lanczos products and the
+    # P = 64 sector solves must give the same bytes at 1 and 2 BLAS threads.
+    config = write_config(tmp_path / "run.json",
+                          lattice={"n_cells": 32, "cell_length": 1.0, "points_per_cell": 64},
+                          dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 20,
+                                    "target_cell": 4, "kinetic_scheme": "fd4",
+                                    "perturbation": "site0"})
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**CHILD_ENV, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        out = tmp_path / f"threads{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "blochlab", "propagate", "--config", str(config),
+             "--out", str(out)], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("propagation.csv", "propagation_summary.json")])
     assert outputs[0] == outputs[1]

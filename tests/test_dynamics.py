@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from blochlab.dynamics import (
     cell_transport_profile,
     first_order_error_exponent,
 )
+from blochlab.lattice import _hermitian_check
 
 
 def eigh_propagator(experiment):
@@ -353,3 +356,79 @@ def test_lanczos_property(n_cells, points, harmonics, scheme, hbar, epsilon, per
     profile = transport_profile(experiment, epsilon)
     assert np.max(np.abs(profile - np.abs(column / h) ** 2)) * h**2 <= 1e-12
     assert h**2 * profile.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_experiment_holds_no_g_by_g_temporary(ref_potential):
+    # 32 x 64 (G = 2048): R is a 64 MiB complex projector.  The Lanczos
+    # basis's np.zeros counts in full here, though only filled rows become
+    # resident; beyond it the experiment may hold only the sum H + R, and
+    # nothing when it is handed H_m itself.
+    grid = RingGrid(32, 1.0, 64)
+    hamiltonian = build_hamiltonian(grid, ref_potential, scheme="fd4")
+    r = wannier_projector(build_wannier(solve_bands(grid, ref_potential, 1), 0, 0))
+    source, target = grid.index_of_cell(20), grid.index_of_cell(4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        experiment = PropagationExperiment(hamiltonian, source, target, perturbation=r)
+        assert tracemalloc.get_traced_memory()[1] - base <= 2.1 * r.entries.nbytes
+        del experiment
+        r.entries += hamiltonian.entries
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        experiment = PropagationExperiment(r, source, target)
+        assert tracemalloc.get_traced_memory()[1] - base <= 1.1 * r.entries.nbytes
+        assert experiment.total_matrix() is r.entries
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(3, 131), (16, 64)])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_tiled_hermitian_check_matches_the_whole_matrix_formulas(shape, dtype, hermitian, rng):
+    g = shape[0] * shape[1]
+    a = rng.normal(size=(g, g))
+    if dtype is complex:
+        a = a + 1j * rng.normal(size=(g, g))
+    a[-1, 0] = 40.0  # the largest entry, in the last row's first tile
+    if hermitian:
+        a = a + a.conj().T
+    defect, max_abs = _hermitian_check(a)
+    assert defect == float(np.max(np.abs(a - a.conj().T)))
+    assert max_abs == float(np.max(np.abs(a)))
+    assert (defect == 0.0) == hermitian
+
+
+def test_non_hermitian_generator_keeps_its_message(ref_potential, rng):
+    grid = RingGrid(3, 1.0, 131)
+    g = grid.total_points
+    skew = rng.normal(size=(g, g)) * 1e-3 + 1j * np.triu(np.ones((g, g)))
+    hamiltonian = build_hamiltonian(grid, ref_potential)
+    total = hamiltonian.entries + skew
+    defect = float(np.max(np.abs(total - total.conj().T)))
+    with pytest.raises(ValueError) as raised:
+        PropagationExperiment(hamiltonian, 0, 1, perturbation=OperatorMatrix(grid, skew))
+    assert str(raised.value) == f"total generator is not Hermitian (defect {defect:.3e})"
+    with pytest.raises(ValueError) as raised:
+        PropagationExperiment(OperatorMatrix(grid, total), 0, 1)
+    assert str(raised.value) == f"total generator is not Hermitian (defect {defect:.3e})"
+
+
+def test_in_place_sum_has_the_bits_of_h_plus_r():
+    # The propagate command sums the real H into R's buffer.  Signed zeros
+    # included, R += H must have the bits of H + R for a real or complex R.
+    # Tiled to 128 x 128, past numpy's casting buffer of 8192 elements.
+    def tiled(*values):
+        return np.tile(np.array(values), (128, 16))
+
+    h = tiled(-0.0, -0.0, 0.0, 0.0, 1.5, -2.0, -0.0, 3.0)
+    re = tiled(-0.0, 0.0, -0.0, 0.0, -1.5, 0.5, 2.0, -0.0)
+    im = tiled(-0.0, 0.0, 0.0, -0.0, -0.0, 1.0, -0.0, 0.0)
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    assert np.signbit(z.imag).any() and np.signbit(z.real[re == 0.0]).any()
+    for r in (re, z):
+        expected = h + r
+        r += h
+        assert r.tobytes() == expected.tobytes()

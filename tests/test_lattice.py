@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,10 +65,13 @@ def test_operator_matrix_validation():
     grid = RingGrid(4, 1.0, 8)
     with pytest.raises(ValueError):
         OperatorMatrix(grid, np.zeros((3, 3)))
-    bad = np.zeros((32, 32))
-    bad[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        OperatorMatrix(grid, bad)
+    for dtype, value in ((float, np.inf), (float, -np.inf), (float, np.nan),
+                         (complex, 1j * np.inf), (complex, complex(0.0, np.nan)),
+                         (complex, -np.inf)):
+        bad = np.zeros((32, 32), dtype=dtype)
+        bad[5, 3] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            OperatorMatrix(grid, bad)
 
 
 def test_operator_symmetrized():
@@ -113,6 +118,33 @@ def test_hamiltonian_mass_validation(ref_grid, ref_potential):
         build_hamiltonian(ref_grid, ref_potential, mass=-1.0)
     with pytest.raises(ValueError):
         build_hamiltonian(ref_grid, ref_potential, hbar=0.0)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("shape", [(8, 32), (5, 13)])
+def test_hamiltonian_has_the_bits_of_kinetic_plus_diagonal(scheme, shape):
+    # The fd kinetic matrices hold -0.0 off the band; the dense sum with a
+    # diagonal makes them +0.0, and the in-place build must too.
+    grid = RingGrid(shape[0], 1.0, shape[1])
+    potential = PotentialSpec(-0.0, ((1, 2.0, 0.5), (2, -0.3, 0.0)))
+    kinetic = (1.3**2 / (2.0 * 0.7)) * momentum_power_matrix(grid, 2, scheme)
+    expected = kinetic + np.diag(potential.sample(grid))
+    h = build_hamiltonian(grid, potential, mass=0.7, hbar=1.3, scheme=scheme)
+    assert h.entries.tobytes() == expected.tobytes()
+    if scheme != "spectral":
+        assert np.any(np.signbit(kinetic[kinetic == 0.0]))
+
+
+def test_hamiltonian_holds_one_g_by_g_array():
+    grid = RingGrid(32, 1.0, 64)
+    potential = PotentialSpec(0.0, ((1, 2.0, 0.0),))
+    for scheme in ("spectral", "fd4"):
+        tracemalloc.start()
+        try:
+            h = build_hamiltonian(grid, potential, scheme=scheme)
+            assert tracemalloc.get_traced_memory()[1] <= 1.1 * h.entries.nbytes, scheme
+        finally:
+            tracemalloc.stop()
 
 
 def test_translation_is_unitary_permutation(ref_grid, ref_translation):
