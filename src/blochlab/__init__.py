@@ -43,14 +43,11 @@ from .observables import (
     materialize,
 )
 from .superselection import (
-    ProbeReport,
     SelectionScan,
     WindingResult,
     matrix_element,
-    sector_weights,
     selection_scan,
     winding_number,
-    winding_preservation_probe,
 )
 from .dynamics import (
     PropagationExperiment,
@@ -88,14 +85,11 @@ __all__ = [
     "cell_periodicity_defect",
     "locality_report",
     "materialize",
-    "ProbeReport",
     "SelectionScan",
     "WindingResult",
     "matrix_element",
-    "sector_weights",
     "selection_scan",
     "winding_number",
-    "winding_preservation_probe",
     "PropagationExperiment",
     "exact_amplitude",
     "first_order_amplitude",

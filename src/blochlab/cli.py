@@ -160,6 +160,7 @@ def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
     scan = selection_scan(op, bands)
     # Build every output before the first write, so a failure leaves no file.
     report = locality_report(op)
+    del op  # the G x G operator goes before the output text is built
     summary = {
         "config": config.resolved(),
         "observable": obs.name,

@@ -147,21 +147,46 @@ def is_one_cell_shift(op: OperatorMatrix) -> bool:
 def commutator_norm(a: OperatorMatrix, b: OperatorMatrix) -> float:
     """Frobenius norm of [A, B], where A or B must be the one-cell shift T.
 
-    T acts as an index shift, so the value equals the dense product's bit for bit.
+    T acts as an index shift, so no product is formed, and the norm is summed a
+    slab of rows at a time.
     """
     _require_same_grid(a, b)
     other = a if is_one_cell_shift(b) else b if is_one_cell_shift(a) else None
     if other is None:
         raise ValueError("commutator_norm needs the one-cell shift as one operand")
-    p = a.grid.points_per_cell
-    return _frobenius_norm(np.roll(other.entries, p, axis=1) - np.roll(other.entries, -p, axis=0))
+    return _commutator_norm(other.entries, a.grid.points_per_cell)
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
-    """sqrt(sum |a_ij|^2) by einsum's own loop over views of a's real and imaginary
-    parts: no copy, and unlike a BLAS dot its sum does not follow the thread count."""
+    """sqrt(sum |a_ij|^2), the sum as in :func:`_squared_norm`."""
+    return float(np.sqrt(_squared_norm(a)))
+
+
+def _squared_norm(a: np.ndarray) -> float:
+    """sum |a_ij|^2 by einsum's own loop over views of a's real and imaginary parts:
+    no copy, and unlike a BLAS dot its sum does not follow the thread count."""
     parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    return float(np.sqrt(sum(np.einsum("ij,ij->", part, part) for part in parts)))
+    return float(sum(np.einsum("ij,ij->", part, part) for part in parts))
+
+
+def _commutator_slabs(a: np.ndarray, p: int):
+    """The _BLOCK-row slabs, in row order, of [A, T] = A T - T A for the shift T by p
+    samples: entry (i, j) is A[i, j - p] - A[i + p, j], indices mod G.  Each slab is
+    one new array, so nothing is G x G.  [A, T] is A - T A T^dagger with its columns
+    moved by p, so the two share every value."""
+    g, q = len(a), len(a) - p
+    for start in range(0, g, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        slab = a.take(np.arange(start, min(start + _BLOCK, g)) + p, axis=0, mode="wrap")
+        np.subtract(a[rows, :q], slab[:, p:], out=slab[:, p:])
+        np.subtract(a[rows, q:], slab[:, :p], out=slab[:, :p])
+        yield slab
+
+
+def _commutator_norm(a: np.ndarray, p: int) -> float:
+    """Frobenius norm of [A, T], adding the slabs' squared sums in row order: the
+    order is fixed by _BLOCK, whatever the thread count."""
+    return float(np.sqrt(sum(_squared_norm(slab) for slab in _commutator_slabs(a, p))))
 
 
 def _tile_pairs(g: int):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import RingGrid, WaveFunction, _require_same_grid, translate_by_cells
 from .lattice import (OperatorMatrix, PotentialSpec, _hermitian_check, _require_positive,
-                      is_one_cell_shift)
+                      _commutator_slabs, is_one_cell_shift)
 
 # Relative spectral-gap threshold below which eigh ordering inside a
 # degenerate cluster is not trustworthy and a deterministic rule takes over.
@@ -312,7 +312,7 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
     scale = max(max_abs, 1.0)
     if defect > 1e-10 * scale:
         raise ValueError("hamiltonian is not Hermitian")
-    comm = float(np.max(np.abs(np.roll(h, p, axis=1) - np.roll(h, -p, axis=0))))
+    comm = max(float(np.max(np.abs(slab))) for slab in _commutator_slabs(h, p))
     if comm > 1e-9 * scale:
         raise ValueError(
             f"hamiltonian does not commute with translation (defect {comm:.3e})"

@@ -1,4 +1,4 @@
-"""Selection-rule scans, winding numbers, and sector-weight probes.
+"""Selection-rule scans and winding numbers.
 
 For operators commuting with the one-cell shift, matrix elements between
 different crystal-momentum sectors vanish identically: the sectors are
@@ -14,13 +14,13 @@ the ring, and a kernel that leaves windings intact cannot connect sectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import WaveFunction, _require_same_grid, inner_product, translate_by_cells
+from .grid import WaveFunction, _require_same_grid, inner_product
 from .lattice import OperatorMatrix
-from .observables import LocalObservableSeries, _periodicity_defect, apply_kernel, materialize
+from .observables import _periodicity_defect, apply_kernel
 from .spectrum import BandStructure, BlochState
 
 # A kernel this close to cell-periodic must show no off-sector leakage
@@ -93,11 +93,12 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:
     rather than returning numbers that contradict a theorem.
     """
     _require_same_grid(op, bands)
-    # The defect's G x G buffer is freed before the state products exist.
     defect = _periodicity_defect(op)
-    psis = bands.state_matrix()
-    transformed = op.entries @ psis
-    flat = bands.grid.spacing * (psis.conj().T @ transformed)
+    a, psis = op.entries, bands.state_matrix()
+    # A real operator takes the real and imaginary parts apart: no complex copy of A.
+    transformed = a @ psis if np.iscomplexobj(a) else a @ psis.real + 1j * (a @ psis.imag)
+    np.conj(psis, out=psis)  # the scan's own copy, conjugated in place
+    flat = bands.grid.spacing * (psis.T @ transformed)
     b, n = bands.band_count, bands.n_cells
     table = flat.reshape(b, n, b, n)
     scan = SelectionScan(table, defect)
@@ -154,64 +155,3 @@ def winding_number(psi: WaveFunction, zero_threshold: float | None = None) -> Wi
     if max_mod == 0.0 or min_mod <= zero_threshold or max_step >= 0.9 * np.pi:
         return WindingResult(None, min_mod, max_step, residual)
     return WindingResult(nearest, min_mod, max_step, residual)
-
-
-def sector_weights(psi: WaveFunction) -> np.ndarray:
-    """Squared norm of the projection of psi onto each sector l = 0..N-1.
-
-    Uses the exact projector P_l = (1/N) sum_c exp(-i 2 pi l c / N) T^c,
-    built from whole-cell shifts only, so the weights always sum to |psi|^2
-    (the projectors resolve the identity on the grid).
-    """
-    grid = psi.grid
-    n = grid.n_cells
-    shifted = np.stack([translate_by_cells(psi, c).samples for c in range(n)])
-    components = np.fft.fft(shifted, axis=0) / n
-    return grid.spacing * np.sum(np.abs(components) ** 2, axis=1)
-
-
-@dataclass
-class ProbeReport:
-    """What one kernel application does to one Bloch state.
-
-    Records the winding diagnostics of the output curve, its norm, and its
-    sector weights, next to the input sector and winding for comparison.
-    """
-
-    band: int
-    sector: int
-    input_winding: WindingResult
-    output_winding: WindingResult
-    output_norm: float
-    output_weights: np.ndarray = field(repr=False)
-
-    def dominant_sectors(self, fraction: float = 1e-6) -> list[int]:
-        """Sectors carrying at least ``fraction`` of the output norm squared."""
-        total = float(self.output_weights.sum())
-        if total == 0.0:
-            return []
-        return [int(l) for l in np.nonzero(self.output_weights >= fraction * total)[0]]
-
-
-def winding_preservation_probe(series: LocalObservableSeries, bands: BandStructure,
-                               band: int, sector: int,
-                               scheme: str = "spectral") -> ProbeReport:
-    """Apply a harmonic-series kernel to one Bloch state and inspect the output.
-
-    The point of the probe: a series of ring harmonics multiplies the Bloch
-    wave by smooth functions of x and differentiates it, so the output is
-    exp(i k_l x) times another smooth ring function.  When that function is
-    nodeless the winding survives, and the sector weights show exactly which
-    harmonics moved norm between sectors.
-    """
-    state = bands.state(band, sector)
-    op = materialize(series, bands.grid, scheme=scheme)
-    out = apply_kernel(op, state.wavefunction)
-    return ProbeReport(
-        band=band,
-        sector=sector,
-        input_winding=winding_number(state.wavefunction),
-        output_winding=winding_number(out),
-        output_norm=out.norm(),
-        output_weights=sector_weights(out),
-    )

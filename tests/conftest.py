@@ -10,6 +10,7 @@ from blochlab import (
     solve_bands,
     wannier_projector,
 )
+from blochlab.lattice import _BLOCK, _squared_norm
 
 # Reference configuration shared by most tests: 8 cells of unit length,
 # 32 samples per cell, V = 2 cos(2 pi x / a), four bands.
@@ -48,6 +49,16 @@ def free_bands(ref_grid):
 @pytest.fixture(scope="session")
 def site0_projector(ref_bands):
     return wannier_projector(build_wannier(ref_bands, 0, 0))
+
+
+@pytest.fixture(scope="session")
+def slab_order_norm():
+    """Oracle for the [A, T] norms: the Frobenius norm of a dense matrix with
+    the squared sums of its _BLOCK-row slabs added in row order, as the library adds them."""
+    def norm(diff):
+        slabs = (diff[i:i + _BLOCK] for i in range(0, len(diff), _BLOCK))
+        return float(np.sqrt(sum(_squared_norm(slab) for slab in slabs)))
+    return norm
 
 
 @pytest.fixture()

@@ -406,6 +406,20 @@ def test_norms_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+def outputs_at_one_and_two_threads(tmp_path, args, names):
+    """The bytes of the named output files of one CLI run at each BLAS thread count."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**CHILD_ENV, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        out = tmp_path / f"threads{threads}"
+        result = subprocess.run([sys.executable, "-m", "blochlab", *args, "--out", str(out)],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append([(out / name).read_bytes() for name in names])
+    return outputs
+
+
 def test_propagate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # G = 2048 with a projector perturbation: the Lanczos products and the
     # P = 64 sector solves must give the same bytes at 1 and 2 BLAS threads.
@@ -414,15 +428,24 @@ def test_propagate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                           dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 20,
                                     "target_cell": 4, "kinetic_scheme": "fd4",
                                     "perturbation": "site0"})
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**CHILD_ENV, **dict.fromkeys(
-            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
-        out = tmp_path / f"threads{threads}"
-        result = subprocess.run(
-            [sys.executable, "-m", "blochlab", "propagate", "--config", str(config),
-             "--out", str(out)], capture_output=True, text=True, env=env)
-        assert result.returncode == 0, result.stderr
-        outputs.append([(out / name).read_bytes()
-                        for name in ("propagation.csv", "propagation_summary.json")])
+    outputs = outputs_at_one_and_two_threads(
+        tmp_path, ["propagate", "--config", str(config)],
+        ("propagation.csv", "propagation_summary.json"))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("observable", ["h", "ring13"])
+def test_scan_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, observable):
+    # G = 1024 at P = 64: the real H is multiplied by the states' real and
+    # imaginary parts apart, the odd-power series as one complex product.
+    config = write_config(tmp_path / "run.json",
+                          lattice={"n_cells": 16, "cell_length": 1.0, "points_per_cell": 64},
+                          observables=[{"name": "site0", "kind": "wannier_projector",
+                                        "band": 0, "site": 0},
+                                       {"name": "h", "kind": "hamiltonian"},
+                                       {"name": "ring13", "kind": "series",
+                                        "terms": [[1, 1, 1.0, 0.3], [3, 2, 0.5, -0.2]]}])
+    outputs = outputs_at_one_and_two_threads(
+        tmp_path, ["scan", "--config", str(config), "--observable", observable],
+        ("scan.csv", "locality.csv", "scan_summary.json"))
     assert outputs[0] == outputs[1]

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochlab import (
@@ -17,7 +17,7 @@ from blochlab import (
     momentum_power_matrix,
 )
 from blochlab.derivatives import SCHEMES
-from blochlab.lattice import _frobenius_norm, commutator_norm, is_one_cell_shift
+from blochlab.lattice import _commutator_slabs, _frobenius_norm, commutator_norm, is_one_cell_shift
 
 
 def test_potential_sampling_tiles_exactly():
@@ -191,20 +191,27 @@ def test_translation_action_matches_roll(ref_grid, ref_translation, rng):
 
 
 @given(n_cells=st.integers(2, 6), points=st.integers(8, 13), seed=st.integers(0, 2**32 - 1))
+@example(3, 131, 0)  # G = 393: three full row slabs and a short one
 @settings(max_examples=40, deadline=None)
-def test_shift_products_match_the_dense_oracle(n_cells, points, seed):
-    # The index shifts must reproduce the dense permutation products exactly.
+def test_shift_products_match_the_dense_oracle(slab_order_norm, n_cells, points, seed):
+    # The index shifts must reproduce the dense permutation products exactly,
+    # with the norms summed in the library's slab order.
     grid = RingGrid(n_cells, 1.0, points)
-    g = grid.total_points
+    g, p = grid.total_points, grid.points_per_cell
     rng = np.random.default_rng(seed)
     a = OperatorMatrix(grid, rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g)))
     translation = build_translation(grid)
     t = translation.entries
-    dense_commutator = _frobenius_norm(a.entries @ t - t @ a.entries)
+    slabs = np.vstack(list(_commutator_slabs(a.entries, p)))
+    rolled = np.roll(a.entries, p, axis=1) - np.roll(a.entries, -p, axis=0)
+    assert slabs.tobytes() == rolled.tobytes()
+    dense_commutator = slab_order_norm(a.entries @ t - t @ a.entries)
     assert commutator_norm(a, translation) == dense_commutator
     assert commutator_norm(translation, a) == dense_commutator
     moved = t @ a.entries @ t.conj().T
-    dense_defect = _frobenius_norm(a.entries - moved) / _frobenius_norm(a.entries)
+    # [A, T] is A - T A T^dagger with its columns moved by P.
+    commutator = np.roll(a.entries - moved, p, axis=1)
+    dense_defect = slab_order_norm(commutator) / _frobenius_norm(a.entries)
     assert cell_periodicity_defect(a, translation) == dense_defect
     # The norm itself against numpy's, independently of the helper.
     assert dense_commutator == pytest.approx(np.linalg.norm(a.entries @ t - t @ a.entries), rel=1e-13)

@@ -1,21 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blochlab import (
     BandStructure,
     LocalObservableSeries,
+    OperatorMatrix,
     PotentialSpec,
     RingGrid,
     WaveFunction,
+    build_hamiltonian,
     build_translation,
     cell_periodicity_defect,
     materialize,
     matrix_element,
-    sector_weights,
     selection_scan,
     solve_bands,
     winding_number,
-    winding_preservation_probe,
 )
 from blochlab.spectrum import BlochState
 
@@ -196,50 +198,6 @@ def test_band0_windings_track_sector_with_zone_edge_exception(ref_grid):
     assert edge.min_modulus < 1e-12
 
 
-def test_sector_weights_of_bloch_states(ref_bands):
-    for n in (0, 2):
-        for l in range(8):
-            weights = sector_weights(ref_bands.state(n, l).wavefunction)
-            assert weights[l] == pytest.approx(1.0, abs=1e-10)
-            assert np.sum(np.delete(weights, l)) < 1e-10
-
-
-def test_sector_weights_sum_to_squared_norm(ref_grid, rng):
-    psi = WaveFunction(ref_grid, rng.normal(size=256) + 1j * rng.normal(size=256))
-    weights = sector_weights(psi)
-    assert weights.sum() == pytest.approx(psi.norm() ** 2, abs=1e-10)
-
-
-def test_probe_with_cell_periodic_series_stays_in_sector(ref_bands):
-    report = winding_preservation_probe(
-        LocalObservableSeries(((0, 2, 1.0, 0.0),)), ref_bands, 0, 2
-    )
-    assert report.sector == 2
-    assert report.dominant_sectors() == [2]
-    assert report.output_weights[2] == pytest.approx(report.output_norm**2, abs=1e-10)
-
-
-def test_probe_with_ring_harmonic_splits_into_neighbours(free_bands):
-    # cos(2 pi x / L) on a free plane wave: exactly half the output norm in
-    # each adjacent sector.
-    report = winding_preservation_probe(
-        LocalObservableSeries(((1, 0, 1.0, 0.0),)), free_bands, 0, 2
-    )
-    weights = report.output_weights
-    assert report.output_norm**2 == pytest.approx(0.5, abs=1e-10)
-    assert weights[1] == pytest.approx(0.25, abs=1e-10)
-    assert weights[3] == pytest.approx(0.25, abs=1e-10)
-    assert np.sum(np.delete(weights, [1, 3])) < 1e-10
-
-
-def test_probe_preserves_winding_of_nodeless_output(free_bands):
-    # A gentle cell-periodic multiplier keeps the free winding intact.
-    series = LocalObservableSeries(((0, 0, 1.0, 0.0), (8, 0, 0.2, 0.0)))
-    report = winding_preservation_probe(series, free_bands, 0, 3)
-    assert report.input_winding.value == 3
-    assert report.output_winding.value == 3
-
-
 def test_scan_defect_is_the_public_periodicity_defect(ref_grid, ref_bands, ref_hamiltonian,
                                                       site0_projector):
     ring = materialize(LocalObservableSeries(((1, 1, 1.0, 0.3),)), ref_grid)
@@ -247,3 +205,30 @@ def test_scan_defect_is_the_public_periodicity_defect(ref_grid, ref_bands, ref_h
     for op in (ref_hamiltonian, site0_projector, ring):
         scan = selection_scan(op, ref_bands)
         assert scan.periodicity_defect == cell_periodicity_defect(op, translation)
+
+
+@pytest.mark.parametrize("shape", [(8, 32), (9, 29)], ids=["even_g", "odd_g"])
+def test_real_operator_scan_matches_the_complex_product(ref_potential, shape, rng):
+    # A float64 operator multiplies the states' real and imaginary parts apart;
+    # the table stays within roundoff of the product with A cast to complex.
+    grid = RingGrid(shape[0], 1.0, shape[1])
+    g = grid.total_points
+    bands = solve_bands(grid, ref_potential, 3)
+    a = rng.normal(size=(g, g))
+    split = selection_scan(OperatorMatrix(grid, a), bands).table
+    whole = selection_scan(OperatorMatrix(grid, a.astype(complex)), bands).table
+    assert np.max(np.abs(split - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+def test_selection_scan_memory_bound(ref_potential):
+    # 32 x 64 (G = 2048), the real 32 MiB H and 128 states: beyond its inputs
+    # the scan holds neither a complex copy of H nor a G x G defect buffer.
+    grid = RingGrid(32, 1.0, 64)
+    h = build_hamiltonian(grid, ref_potential)
+    bands = solve_bands(grid, ref_potential, 4)
+    tracemalloc.start()
+    try:
+        selection_scan(h, bands)
+        assert tracemalloc.get_traced_memory()[1] <= 0.5 * h.entries.nbytes
+    finally:
+        tracemalloc.stop()
