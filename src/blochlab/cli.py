@@ -10,9 +10,10 @@ Five subcommands, all driven by a JSON run file (see :mod:`blochlab.config`):
 
 Each command writes CSV data files plus a summary JSON that embeds the fully
 resolved configuration, so a result directory is self-describing.  Outputs
-are byte-for-byte deterministic for a given config: no timestamps, floats
-written with repr.  Exit codes: 0 success, 2 configuration problems,
-3 numerical failures.
+are byte-for-byte deterministic for a given config at a fixed BLAS thread
+count: no timestamps, floats written with repr.  Across thread counts they
+match only where a test guards it (every command at P <= 64).  Exit codes:
+0 success, 2 configuration problems, 3 numerical failures.
 """
 
 from __future__ import annotations

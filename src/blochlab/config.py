@@ -326,7 +326,9 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file {str(path)!r} does not exist")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {str(path)!r} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {str(path)!r} is not valid JSON: {exc}") from exc
     return parse_config(data)

@@ -18,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _require_same_grid
-from .lattice import OperatorMatrix, _hermitian_check, _require_positive
+from .lattice import OperatorMatrix, _require_hermitian, _require_positive
 
 
 @dataclass
 class PropagationExperiment:
-    """Fixed Hamiltonian, optional perturbation, and a source/target pair.
+    """Fixed generator H_m and a source/target pair.
 
-    ``source`` and ``target`` are sample indices.  H_m = H + R is summed once and
-    checked Hermitian tile by tile: no G x G temporary beyond the sum, and none
-    without R.  Column ``source`` of exp(-i eps H_m / hbar) comes
+    ``hamiltonian`` is H_m itself (a caller with a perturbation R passes H + R);
+    it is checked Hermitian tile by tile, with no G x G temporary.  ``source`` and
+    ``target`` are sample indices.  Column ``source`` of exp(-i eps H_m / hbar) comes
     from a Lanczos basis grown from e_source on first use (Saad, SIAM J. Numer.
     Anal. 29, 1992; Hochbruck & Lubich, ibid. 34, 1997), cached, and extended
     only when a larger |epsilon| needs more vectors: no G x G diagonalization.
@@ -37,36 +36,25 @@ class PropagationExperiment:
     hamiltonian: OperatorMatrix
     source: int
     target: int
-    perturbation: OperatorMatrix | None = None
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.perturbation is not None:
-            _require_same_grid(self.hamiltonian, self.perturbation)
         g = self.hamiltonian.grid.total_points
         if not (0 <= self.source < g and 0 <= self.target < g):
             raise ValueError(f"source and target must be sample indices in [0, {g})")
         _require_positive("hbar", self.hbar)
-        total = self.hamiltonian.entries
-        if self.perturbation is not None:
-            total = total + self.perturbation.entries
-        defect, max_abs = _hermitian_check(total)
-        if defect > 1e-10 * max(max_abs, 1.0):
-            raise ValueError(f"total generator is not Hermitian (defect {defect:.3e})")
-        self._total, self._alpha, self._beta = total, [], []
+        _require_hermitian(self.hamiltonian.entries, "total generator")
+        self._alpha, self._beta = [], []
         # np.zeros leaves untouched pages unmapped: only filled rows cost memory.
-        self._basis = np.zeros((g, g), dtype=total.dtype)
+        self._basis = np.zeros((g, g), dtype=self.hamiltonian.entries.dtype)
         self._basis[0, self.source] = 1.0
-
-    def total_matrix(self) -> np.ndarray:
-        return self._total
 
     def ring_distance(self) -> float:
         return self.hamiltonian.grid.ring_distance(self.source, self.target)
 
     def kernel_entry(self) -> complex:
         """Matrix entry H_m[target, source] that first-order theory probes."""
-        return complex(self._total[self.target, self.source])
+        return complex(self.hamiltonian.entries[self.target, self.source])
 
     def _extend(self, m: int) -> None:
         """Grow the basis to m vectors, or until its span is invariant
@@ -74,7 +62,7 @@ class PropagationExperiment:
         while len(self._alpha) < m and not (self._beta and self._beta[-1] == 0.0):
             j = len(self._alpha)
             basis = self._basis[: j + 1]
-            w = self._total @ basis[j]
+            w = self.hamiltonian.entries @ basis[j]
             self._alpha.append(float(np.vdot(basis[j], w).real))
             for _ in range(2):  # full reorthogonalization; twice is enough
                 w -= basis.T @ (basis.conj() @ w)
@@ -93,6 +81,8 @@ class PropagationExperiment:
         so a fixed absolute threshold would never be met on a fine grid.
         m grows roughly like |eps| ||H_m|| / hbar.  eps = 0 gives e_1 exactly.
         """
+        if not np.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite, got {epsilon!r}")
         tau = epsilon / self.hbar
         m, c = 0, np.ones(1)
         while tau != 0.0:
@@ -109,8 +99,6 @@ class PropagationExperiment:
 
 def exact_amplitude(experiment: PropagationExperiment, epsilon: float) -> complex:
     """<target| exp(-i eps H_m / hbar) |source> from the cached Lanczos basis."""
-    if not np.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     c, basis = experiment._krylov(epsilon)
     return complex(c @ basis[:, experiment.target] / experiment.hamiltonian.grid.spacing)
 

@@ -94,15 +94,20 @@ class OperatorMatrix:
             raise ValueError("operator entries must be finite")
         self.entries = entries
 
-    def hermitian_defect(self) -> float:
-        """Largest absolute entry of A - A^dagger."""
-        return _hermitian_check(self.entries)[0]
-
 
 def _require_positive(name: str, value: float) -> None:
     """Reject a mass or hbar that is not positive and finite."""
     if not np.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_hermitian(a: np.ndarray, what: str) -> float:
+    """Raise unless max |A - A^dagger| <= 1e-10 max(max |A|, 1), NaN failing; return the scale."""
+    defect, max_abs = _hermitian_check(a)
+    scale = max(max_abs, 1.0)
+    if not defect <= 1e-10 * scale:
+        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
+    return scale
 
 
 def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.0,

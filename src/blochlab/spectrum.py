@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import RingGrid, WaveFunction, _require_same_grid, translate_by_cells
-from .lattice import (OperatorMatrix, PotentialSpec, _hermitian_check, _require_positive,
+from .lattice import (OperatorMatrix, PotentialSpec, _require_hermitian, _require_positive,
                       _commutator_slabs, is_one_cell_shift)
 
 # Relative spectral-gap threshold below which eigh ordering inside a
@@ -308,12 +308,9 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
         raise ValueError("translation operator is not the unitary one-cell shift")
     h = hamiltonian.entries
     p = grid.points_per_cell
-    defect, max_abs = _hermitian_check(h)
-    scale = max(max_abs, 1.0)
-    if defect > 1e-10 * scale:
-        raise ValueError("hamiltonian is not Hermitian")
+    scale = _require_hermitian(h, "hamiltonian")
     comm = max(float(np.max(np.abs(slab))) for slab in _commutator_slabs(h, p))
-    if comm > 1e-9 * scale:
+    if not comm <= 1e-9 * scale:
         raise ValueError(
             f"hamiltonian does not commute with translation (defect {comm:.3e})"
         )

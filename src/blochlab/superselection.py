@@ -61,10 +61,7 @@ class SelectionScan:
 
     def off_sector_max(self) -> float:
         """Largest |element| between different sectors l' != l."""
-        mods = self.moduli()
-        l_bra = np.arange(self.n_cells)[None, :, None, None]
-        l_ket = np.arange(self.n_cells)[None, None, None, :]
-        return float(np.max(np.where(l_bra != l_ket, mods, 0.0)))
+        return float(np.max(self.sector_difference_profile()[1:]))
 
     def hermitian_symmetry_defect(self) -> float:
         """Largest |table[a, b] - conj(table[b, a])| over state pairs."""
@@ -73,15 +70,9 @@ class SelectionScan:
 
     def sector_difference_profile(self) -> np.ndarray:
         """Largest modulus as a function of (l_ket - l_bra) mod N."""
-        mods = self.moduli()
-        n = self.n_cells
-        profile = np.zeros(n)
-        l_bra = np.arange(n)[None, :, None, None]
-        l_ket = np.arange(n)[None, None, None, :]
-        delta = (l_ket - l_bra) % n
-        for d in range(n):
-            profile[d] = float(np.max(np.where(delta == d, mods, 0.0)))
-        return profile
+        pairs = np.max(self.moduli(), axis=(0, 2))  # [l_bra, l_ket]
+        l_bra = np.arange(self.n_cells)[:, None]
+        return np.max(pairs[l_bra, (l_bra + l_bra.T) % self.n_cells], axis=0)
 
 
 def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:

@@ -10,6 +10,7 @@ import pytest
 
 from blochlab import (
     LocalObservableSeries,
+    OperatorMatrix,
     PotentialSpec,
     PropagationExperiment,
     build_hamiltonian,
@@ -92,8 +93,6 @@ def test_criterion_4_projector_nonlocality_vs_banded_kinetic(
 ):
     defect = cell_periodicity_defect(site0_projector, ref_translation)
     mass = locality_report(site0_projector).bandwidth_mass(ref_grid.cell_length)
-    from blochlab.lattice import OperatorMatrix
-
     kinetic = OperatorMatrix(ref_grid, 0.5 * momentum_power_matrix(ref_grid, 2, "fd4"))
     kin_width = locality_report(kinetic).locality_width(0.99)
     kin_defect = cell_periodicity_defect(kinetic, ref_translation)
@@ -174,11 +173,11 @@ def test_criterion_7_linear_response_of_the_thought_experiment(
     ref_grid, ref_potential, site0_projector
 ):
     banded = build_hamiltonian(ref_grid, ref_potential, scheme="fd4")
+    total = banded.entries + site0_projector.entries
     experiment = PropagationExperiment(
-        banded,
+        OperatorMatrix(ref_grid, total),
         source=ref_grid.index_of_cell(6),
         target=ref_grid.index_of_cell(2),
-        perturbation=site0_projector,
     )
     eps = np.geomspace(1e-4, 1e-3, 9)
     slope, _ = linear_response_slope(experiment, eps)
@@ -188,7 +187,6 @@ def test_criterion_7_linear_response_of_the_thought_experiment(
 
     # Unitarity of every propagator row, checked on the full matrix
     # exponential: h^2 sum_z |U_yz / h|^2 = sum_z |U_yz|^2 row by row.
-    total = banded.entries + site0_projector.entries
     energies, vectors = np.linalg.eigh(total)
     u = (vectors * np.exp(-1j * 5e-4 * energies)) @ vectors.conj().T
     row_sums = np.sum(np.abs(u) ** 2, axis=1)

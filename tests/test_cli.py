@@ -166,7 +166,7 @@ def test_propagate_solves_bands_only_for_a_projector(tmp_path, monkeypatch):
 
 def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypatch):
     # H is summed into the projector's buffer: the experiment gets H_m with
-    # the bits of H + R and no separate perturbation to add and copy.
+    # the bits of H + R.
     config = write_config(tmp_path / "run.json")
     seen = []
 
@@ -178,11 +178,10 @@ def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypat
     monkeypatch.setattr("blochlab.cli.PropagationExperiment", Recorder)
     assert main(["propagate", "--config", str(config)]) == 0
     (experiment,) = seen
-    assert experiment.perturbation is None
     run = load_config(config)
     h = build_hamiltonian(run.grid(), run.potential(), scheme="fd4")
     r = _resolve_operator(run, run.observable("site0"))
-    assert experiment.total_matrix().tobytes() == (h.entries + r.entries).tobytes()
+    assert experiment.hamiltonian.entries.tobytes() == (h.entries + r.entries).tobytes()
 
 
 def test_csv_modulus_and_density_are_scalar_abs_of_the_written_parts(tmp_path):
@@ -234,6 +233,17 @@ def test_bad_config_paths_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", str(garbled)]) == 2
 
 
+def test_unreadable_config_files_exit_2(tmp_path, capsys):
+    # A run file that is not UTF-8, or a directory, is a configuration problem:
+    # neither a numerical failure (exit 3) nor a traceback.
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"output_dir": "caf\xe9"}')
+    for path in (latin1, tmp_path):
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config file {str(path)!r} cannot be read")
+
+
 def test_unknown_observable_exits_2(tmp_path, capsys):
     config = write_config(tmp_path / "run.json")
     assert main(["scan", "--config", str(config), "--observable", "ghost"]) == 2
@@ -264,6 +274,21 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("blochlab.cli.solve_bands", explode)
     assert main(["solve", "--config", str(config)]) == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_overflowing_generator_fails_the_hermitian_gate(tmp_path, capsys):
+    # 1e308 on the diagonals of H and of an unsymmetrized R: the in-place sum
+    # H + R overflows to inf there, inf - inf makes the Hermitian defect NaN,
+    # and the gate must reject it before LAPACK sees the matrix.
+    config = write_config(
+        tmp_path / "run.json", potential={"constant": 1e308},
+        observables=[{"name": "huge", "kind": "series", "symmetrize": False,
+                      "terms": [[0, 0, 1e308, 0.0]]}],
+        dynamics={"epsilons": [1e-4, 2e-4], "source_cell": 6, "target_cell": 2,
+                  "perturbation": "huge"})
+    assert main(["propagate", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: total generator is not Hermitian (defect nan)\n"
 
 
 def test_failed_scan_leaves_no_output(tmp_path, capsys):
@@ -434,18 +459,37 @@ def test_propagate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def write_16x64_config(path):
+    """A G = 1024 run file at P = 64, the largest cell the thread-count guards cover."""
+    return write_config(path,
+                        lattice={"n_cells": 16, "cell_length": 1.0, "points_per_cell": 64},
+                        observables=[{"name": "site0", "kind": "wannier_projector",
+                                      "band": 0, "site": 0},
+                                     {"name": "h", "kind": "hamiltonian"},
+                                     {"name": "ring13", "kind": "series",
+                                      "terms": [[1, 1, 1.0, 0.3], [3, 2, 0.5, -0.2]]}])
+
+
 @pytest.mark.parametrize("observable", ["h", "ring13"])
 def test_scan_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, observable):
     # G = 1024 at P = 64: the real H is multiplied by the states' real and
     # imaginary parts apart, the odd-power series as one complex product.
-    config = write_config(tmp_path / "run.json",
-                          lattice={"n_cells": 16, "cell_length": 1.0, "points_per_cell": 64},
-                          observables=[{"name": "site0", "kind": "wannier_projector",
-                                        "band": 0, "site": 0},
-                                       {"name": "h", "kind": "hamiltonian"},
-                                       {"name": "ring13", "kind": "series",
-                                        "terms": [[1, 1, 1.0, 0.3], [3, 2, 0.5, -0.2]]}])
+    config = write_16x64_config(tmp_path / "run.json")
     outputs = outputs_at_one_and_two_threads(
         tmp_path, ["scan", "--config", str(config), "--observable", observable],
         ("scan.csv", "locality.csv", "scan_summary.json"))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("args, names", [
+    (["solve"], ("bands.csv", "solve_summary.json")),
+    (["wannier"], ("wannier.csv", "wannier_summary.json")),
+    (["winding"], ("winding.csv", "winding_summary.json")),
+], ids=["solve", "wannier", "winding"])
+def test_band_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, args, names):
+    # The P = 64 sector solves, the Wannier synthesis and the windings read
+    # the same bytes at 1 and 2 BLAS threads.
+    config = write_16x64_config(tmp_path / "run.json")
+    outputs = outputs_at_one_and_two_threads(
+        tmp_path, [*args, "--config", str(config)], names)
     assert outputs[0] == outputs[1]

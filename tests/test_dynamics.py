@@ -28,7 +28,7 @@ from blochlab.lattice import _hermitian_check
 
 def eigh_propagator(experiment):
     """Oracle: U(eps) = exp(-i eps H_m / hbar) from one dense diagonalization."""
-    energies, vectors = np.linalg.eigh(experiment.total_matrix())
+    energies, vectors = np.linalg.eigh(experiment.hamiltonian.entries)
 
     def propagator(eps, columns=slice(None)):
         phases = np.exp(-1j * eps * energies / experiment.hbar)
@@ -45,7 +45,7 @@ def series_first_order_error(experiment, epsilons):
     errors near 1e-13, enough to move a fitted exponent by 1e-4; this series
     resolves them.
     """
-    a = experiment.total_matrix().astype(np.clongdouble) / experiment.hbar
+    a = experiment.hamiltonian.entries.astype(np.clongdouble) / experiment.hbar
     term = np.zeros(len(a), dtype=np.clongdouble)
     term[experiment.source] = 1.0
     eps = np.asarray(epsilons, dtype=np.longdouble)
@@ -66,16 +66,20 @@ def banded_hamiltonian(ref_grid, ref_potential):
 
 
 @pytest.fixture(scope="module")
+def h_m(ref_grid, banded_hamiltonian, site0_projector):
+    """H_m = H + R with the site-0 projector as R: the generator of acceptance criterion 7."""
+    return OperatorMatrix(ref_grid, banded_hamiltonian.entries + site0_projector.entries)
+
+
+@pytest.fixture(scope="module")
 def distant_pair(ref_grid):
     return ref_grid.index_of_cell(2), ref_grid.index_of_cell(6)
 
 
-def test_zero_time_is_a_discrete_delta(ref_grid, banded_hamiltonian, site0_projector,
-                                       distant_pair):
+def test_zero_time_is_a_discrete_delta(ref_grid, banded_hamiltonian, h_m, distant_pair):
     y, z = distant_pair
     h = ref_grid.spacing
-    apart = PropagationExperiment(banded_hamiltonian, source=z, target=y,
-                                  perturbation=site0_projector)
+    apart = PropagationExperiment(h_m, source=z, target=y)
     assert exact_amplitude(apart, 0.0) == 0.0
     delta = np.zeros(ref_grid.total_points)
     delta[z] = 1.0 / h**2
@@ -84,13 +88,10 @@ def test_zero_time_is_a_discrete_delta(ref_grid, banded_hamiltonian, site0_proje
     assert exact_amplitude(same, 0.0) == 1.0 / h
 
 
-def test_first_order_formula_is_literal(ref_grid, banded_hamiltonian, site0_projector,
-                                        distant_pair):
+def test_first_order_formula_is_literal(ref_grid, banded_hamiltonian, h_m, distant_pair):
     y, z = distant_pair
     h = ref_grid.spacing
-    experiment = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
+    experiment = PropagationExperiment(h_m, source=z, target=y)
     eps = 3e-4
     expected = -1j * eps * experiment.kernel_entry() / h
     assert first_order_amplitude(experiment, eps) == pytest.approx(expected, abs=1e-15)
@@ -107,21 +108,16 @@ def test_banded_kernel_vanishes_between_distant_cells(banded_hamiltonian, distan
     assert experiment.ring_distance() == pytest.approx(4.0)
 
 
-def test_projector_restores_the_kernel_entry(banded_hamiltonian, site0_projector, distant_pair):
+def test_projector_restores_the_kernel_entry(h_m, distant_pair):
     y, z = distant_pair
-    experiment = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
+    experiment = PropagationExperiment(h_m, source=z, target=y)
     # Frozen: h |W(y)| |W(z)| for the reference site-0 state.
     assert abs(experiment.kernel_entry()) == pytest.approx(0.0012034308882, rel=1e-8)
 
 
-def test_linear_response_slope_matches_kernel(ref_grid, banded_hamiltonian, site0_projector,
-                                              distant_pair):
+def test_linear_response_slope_matches_kernel(ref_grid, h_m, distant_pair):
     y, z = distant_pair
-    experiment = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
+    experiment = PropagationExperiment(h_m, source=z, target=y)
     eps = np.geomspace(1e-4, 1e-3, 9)
     slope, _ = linear_response_slope(experiment, eps)
     predicted = abs(experiment.kernel_entry()) / ref_grid.spacing
@@ -129,34 +125,28 @@ def test_linear_response_slope_matches_kernel(ref_grid, banded_hamiltonian, site
     assert slope == pytest.approx(0.0385097, abs=1e-6)
 
 
-def test_first_order_error_is_second_order(banded_hamiltonian, site0_projector, distant_pair):
+def test_first_order_error_is_second_order(h_m, distant_pair):
     y, z = distant_pair
-    experiment = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
+    experiment = PropagationExperiment(h_m, source=z, target=y)
     exponent = first_order_error_exponent(experiment, np.geomspace(1e-4, 1e-3, 9))
     assert exponent == pytest.approx(2.0, abs=0.05)
 
 
-def test_propagator_unitarity_rows(ref_grid, banded_hamiltonian, site0_projector):
+def test_propagator_unitarity_rows(ref_grid, h_m):
     h = ref_grid.spacing
     for source in (0, 80, 133):
-        experiment = PropagationExperiment(
-            banded_hamiltonian, source=source, target=0, perturbation=site0_projector
-        )
+        experiment = PropagationExperiment(h_m, source=source, target=0)
         profile = transport_profile(experiment, 5e-4)
         assert h**2 * profile.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.sqrt(profile.max()) <= 1.0 / h + 1e-9
 
 
 def test_transport_profile_with_and_without_long_range_part(
-    banded_hamiltonian, site0_projector, ref_grid, distant_pair
+    banded_hamiltonian, h_m, ref_grid, distant_pair
 ):
     y, z = distant_pair
     eps = 1e-4
-    with_projector = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
+    with_projector = PropagationExperiment(h_m, source=z, target=y)
     cells = cell_transport_profile(with_projector, eps)
     assert cells.sum() == pytest.approx(1.0, abs=1e-10)
     # The projector reaches every cell at first order in eps.
@@ -169,11 +159,9 @@ def test_transport_profile_with_and_without_long_range_part(
     assert cells[0] / max(bare_cells[0], 1e-300) > 1e6
 
 
-def test_propagator_composes(ref_grid, banded_hamiltonian, site0_projector, distant_pair):
+def test_propagator_composes(ref_grid, h_m, distant_pair):
     y, z = distant_pair
-    experiment = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
+    experiment = PropagationExperiment(h_m, source=z, target=y)
     propagator = eigh_propagator(experiment)
     u = propagator(2e-4) @ propagator(3e-4)
     direct = propagator(5e-4)
@@ -182,14 +170,10 @@ def test_propagator_composes(ref_grid, banded_hamiltonian, site0_projector, dist
                                                                                 abs=1e-12)
 
 
-def test_hbar_rescales_time(banded_hamiltonian, distant_pair, site0_projector):
+def test_hbar_rescales_time(h_m, distant_pair):
     y, z = distant_pair
-    one = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
-    two = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector, hbar=2.0
-    )
+    one = PropagationExperiment(h_m, source=z, target=y)
+    two = PropagationExperiment(h_m, source=z, target=y, hbar=2.0)
     assert exact_amplitude(two, 8e-4) == pytest.approx(exact_amplitude(one, 4e-4), abs=1e-12)
 
 
@@ -200,16 +184,14 @@ def test_experiment_validation(ref_grid, banded_hamiltonian):
         PropagationExperiment(banded_hamiltonian, source=0, target=256)
     with pytest.raises(ValueError):
         PropagationExperiment(banded_hamiltonian, source=0, target=0, hbar=0.0)
-    skew = OperatorMatrix(ref_grid, 1j * np.triu(np.ones((256, 256))))
+    skew = banded_hamiltonian.entries + 1j * np.triu(np.ones((256, 256)))
     with pytest.raises(ValueError, match="Hermitian"):
-        PropagationExperiment(banded_hamiltonian, source=0, target=0, perturbation=skew)
+        PropagationExperiment(OperatorMatrix(ref_grid, skew), source=0, target=0)
 
 
-def test_slope_fit_validation(banded_hamiltonian, site0_projector, distant_pair):
+def test_slope_fit_validation(banded_hamiltonian, h_m, distant_pair):
     y, z = distant_pair
-    experiment = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
+    experiment = PropagationExperiment(h_m, source=z, target=y)
     with pytest.raises(ValueError):
         linear_response_slope(experiment, np.array([1e-4]))
     with pytest.raises(ValueError):
@@ -219,12 +201,9 @@ def test_slope_fit_validation(banded_hamiltonian, site0_projector, distant_pair)
         linear_response_slope(same, np.array([1e-4, 2e-4]))
 
 
-def test_error_exponent_sweep_validation(banded_hamiltonian, site0_projector, distant_pair,
-                                         capfd):
+def test_error_exponent_sweep_validation(h_m, distant_pair, capfd):
     y, z = distant_pair
-    experiment = PropagationExperiment(
-        banded_hamiltonian, source=z, target=y, perturbation=site0_projector
-    )
+    experiment = PropagationExperiment(h_m, source=z, target=y)
     for sweep in ([1e-4, -1e-4], [1e-4, 0.0], [1e-4, np.nan], [1e-4, np.inf]):
         with pytest.raises(ValueError, match="positive and finite"):
             first_order_error_exponent(experiment, np.array(sweep))
@@ -238,22 +217,32 @@ def test_exact_amplitude_rejects_nonfinite_time(banded_hamiltonian):
         exact_amplitude(experiment, np.nan)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("profile", [transport_profile, cell_transport_profile])
+def test_profiles_reject_nonfinite_time(profile, epsilon):
+    # A non-finite epsilon must raise, not grow the Lanczos basis forever.
+    grid = RingGrid(2, 1.0, 8)
+    experiment = PropagationExperiment(build_hamiltonian(grid, PotentialSpec()), 0, 9)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        profile(experiment, epsilon)
+
+
 @pytest.fixture(scope="module")
 def g1024_experiment(ref_potential):
     grid = RingGrid(16, 1.0, 64)
     projector = wannier_projector(build_wannier(solve_bands(grid, ref_potential, 1), 0, 0))
+    hamiltonian = build_hamiltonian(grid, ref_potential, scheme="fd4")
     return PropagationExperiment(
-        build_hamiltonian(grid, ref_potential, scheme="fd4"),
-        source=grid.index_of_cell(12), target=grid.index_of_cell(4), perturbation=projector,
+        OperatorMatrix(grid, hamiltonian.entries + projector.entries),
+        source=grid.index_of_cell(12), target=grid.index_of_cell(4),
     )
 
 
 @pytest.fixture(scope="module")
-def reference_experiment(banded_hamiltonian, site0_projector, distant_pair):
+def reference_experiment(h_m, distant_pair):
     # The set-up of acceptance criterion 7.
     y, z = distant_pair
-    return PropagationExperiment(banded_hamiltonian, source=z, target=y,
-                                 perturbation=site0_projector)
+    return PropagationExperiment(h_m, source=z, target=y)
 
 
 @pytest.mark.parametrize("name", ["reference_experiment", "g1024_experiment"])
@@ -281,13 +270,10 @@ def test_lanczos_agrees_with_the_eigh_oracle(name, request):
                                                                         abs=1e-4)
 
 
-def test_negative_time_is_the_adjoint(ref_grid, banded_hamiltonian, site0_projector,
-                                      distant_pair):
+def test_negative_time_is_the_adjoint(ref_grid, h_m, distant_pair):
     y, z = distant_pair
-    forward = PropagationExperiment(banded_hamiltonian, source=z, target=y,
-                                    perturbation=site0_projector)
-    backward = PropagationExperiment(banded_hamiltonian, source=y, target=z,
-                                     perturbation=site0_projector)
+    forward = PropagationExperiment(h_m, source=z, target=y)
+    backward = PropagationExperiment(h_m, source=y, target=z)
     for eps in (1e-4, 7e-4):
         back = exact_amplitude(backward, -eps)
         assert back * ref_grid.spacing == pytest.approx(
@@ -312,10 +298,8 @@ def test_basis_reaching_the_whole_space_matches_the_oracle(ref_potential, rng):
     grid = RingGrid(3, 1.0, 8)
     g = grid.total_points
     noise = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
-    experiment = PropagationExperiment(
-        build_hamiltonian(grid, ref_potential), source=5, target=19,
-        perturbation=OperatorMatrix(grid, noise + noise.conj().T),
-    )
+    h_m = build_hamiltonian(grid, ref_potential).entries + (noise + noise.conj().T)
+    experiment = PropagationExperiment(OperatorMatrix(grid, h_m), source=5, target=19)
     amp = exact_amplitude(experiment, 10.0)
     assert len(experiment._alpha) == g
     oracle = eigh_propagator(experiment)(10.0, 5)[19] / grid.spacing
@@ -341,15 +325,13 @@ def test_lanczos_property(n_cells, points, harmonics, scheme, hbar, epsilon, per
     g = grid.total_points
     source = data.draw(st.integers(0, g - 1), label="source")
     target = data.draw(st.integers(0, g - 1), label="target")
-    perturbation = None
+    hamiltonian = build_hamiltonian(grid, PotentialSpec(0.0, tuple(harmonics)), hbar=hbar,
+                                    scheme=scheme)
     if perturbed:
         noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         r = noise.normal(size=(g, g)) + 1j * noise.normal(size=(g, g))
-        perturbation = OperatorMatrix(grid, r + r.conj().T)
-    experiment = PropagationExperiment(
-        build_hamiltonian(grid, PotentialSpec(0.0, tuple(harmonics)), hbar=hbar, scheme=scheme),
-        source=source, target=target, perturbation=perturbation, hbar=hbar,
-    )
+        hamiltonian = OperatorMatrix(grid, hamiltonian.entries + (r + r.conj().T))
+    experiment = PropagationExperiment(hamiltonian, source=source, target=target, hbar=hbar)
     h = grid.spacing
     column = eigh_propagator(experiment)(epsilon, source)
     assert abs(exact_amplitude(experiment, epsilon) - column[target] / h) * h <= 1e-12
@@ -359,26 +341,20 @@ def test_lanczos_property(n_cells, points, harmonics, scheme, hbar, epsilon, per
 
 
 def test_experiment_holds_no_g_by_g_temporary(ref_potential):
-    # 32 x 64 (G = 2048): R is a 64 MiB complex projector.  The Lanczos
-    # basis's np.zeros counts in full here, though only filled rows become
-    # resident; beyond it the experiment may hold only the sum H + R, and
-    # nothing when it is handed H_m itself.
+    # 32 x 64 (G = 2048): H_m = H + R, with R a 64 MiB complex projector.  The
+    # Lanczos basis's np.zeros counts in full here, though only filled rows
+    # become resident; beyond it the experiment holds nothing G x G.
     grid = RingGrid(32, 1.0, 64)
     hamiltonian = build_hamiltonian(grid, ref_potential, scheme="fd4")
     r = wannier_projector(build_wannier(solve_bands(grid, ref_potential, 1), 0, 0))
+    r.entries += hamiltonian.entries
     source, target = grid.index_of_cell(20), grid.index_of_cell(4)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        experiment = PropagationExperiment(hamiltonian, source, target, perturbation=r)
-        assert tracemalloc.get_traced_memory()[1] - base <= 2.1 * r.entries.nbytes
-        del experiment
-        r.entries += hamiltonian.entries
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
         experiment = PropagationExperiment(r, source, target)
         assert tracemalloc.get_traced_memory()[1] - base <= 1.1 * r.entries.nbytes
-        assert experiment.total_matrix() is r.entries
+        assert experiment.hamiltonian.entries is r.entries
     finally:
         tracemalloc.stop()
 
@@ -407,9 +383,6 @@ def test_non_hermitian_generator_keeps_its_message(ref_potential, rng):
     hamiltonian = build_hamiltonian(grid, ref_potential)
     total = hamiltonian.entries + skew
     defect = float(np.max(np.abs(total - total.conj().T)))
-    with pytest.raises(ValueError) as raised:
-        PropagationExperiment(hamiltonian, 0, 1, perturbation=OperatorMatrix(grid, skew))
-    assert str(raised.value) == f"total generator is not Hermitian (defect {defect:.3e})"
     with pytest.raises(ValueError) as raised:
         PropagationExperiment(OperatorMatrix(grid, total), 0, 1)
     assert str(raised.value) == f"total generator is not Hermitian (defect {defect:.3e})"

@@ -5,7 +5,6 @@ from blochlab import (
     GridMismatchError,
     LocalObservableSeries,
     PotentialSpec,
-    PropagationExperiment,
     RingGrid,
     WaveFunction,
     apply_kernel,
@@ -132,13 +131,11 @@ def _grid_checks():
         "apply_kernel": lambda: apply_kernel(h_small, psi_large),
         "classify_by_translation": lambda: classify_by_translation(h_small, t_large, 1),
         "selection_scan": lambda: selection_scan(series, solve_bands(small, potential, 1)),
-        "PropagationExperiment": lambda: PropagationExperiment(h_small, 0, 1, perturbation=series),
     }
 
 
 @pytest.mark.parametrize("site", ["inner_product", "commutator_norm", "cell_periodicity_defect",
-                                  "apply_kernel", "classify_by_translation", "selection_scan",
-                                  "PropagationExperiment"])
+                                  "apply_kernel", "classify_by_translation", "selection_scan"])
 def test_every_grid_check_raises_grid_mismatch(site):
     with pytest.raises(GridMismatchError, match="grids differ"):
         _grid_checks()[site]()

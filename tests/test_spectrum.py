@@ -192,9 +192,22 @@ def test_classifier_rejects_noncommuting_operator(ref_grid, ref_translation):
 
 def test_classifier_rejects_nonhermitian(ref_grid, ref_translation):
     rng = np.random.default_rng(3)
-    raw = rng.normal(size=(256, 256))
-    with pytest.raises(ValueError, match="Hermitian"):
-        classify_by_translation(OperatorMatrix(ref_grid, raw + 2j), ref_translation, 2)
+    raw = rng.normal(size=(256, 256)) + 2j
+    defect = float(np.max(np.abs(raw - raw.conj().T)))
+    with pytest.raises(ValueError) as raised:
+        classify_by_translation(OperatorMatrix(ref_grid, raw), ref_translation, 2)
+    assert str(raised.value) == f"hamiltonian is not Hermitian (defect {defect:.3e})"
+
+
+def test_a_nan_entry_fails_the_hermitian_gate(ref_grid, ref_potential, ref_translation):
+    # OperatorMatrix checks its entries once; a NaN written into them later gives
+    # a NaN defect, which no "defect > tol" comparison would reject.
+    h = build_hamiltonian(ref_grid, ref_potential)
+    h.entries[5, 3] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        classify_by_translation(h, ref_translation, 2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        PropagationExperiment(h, 0, 1)
 
 
 def test_full_band_set_resolves_identity(ref_grid, ref_potential):

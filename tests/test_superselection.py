@@ -20,6 +20,7 @@ from blochlab import (
     winding_number,
 )
 from blochlab.spectrum import BlochState
+from blochlab.superselection import SelectionScan
 
 
 def ring_wave(grid, winding, envelope=None):
@@ -27,6 +28,21 @@ def ring_wave(grid, winding, envelope=None):
     if envelope is not None:
         phase = envelope * phase
     return WaveFunction(grid, phase)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("b", [1, 3])
+def test_sector_reductions_match_the_broadcast_formulas(n, b, rng):
+    table = rng.normal(size=(b, n, b, n)) + 1j * rng.normal(size=(b, n, b, n))
+    table[rng.random(table.shape) < 0.3] = 0.0  # zeros, as a selection rule leaves them
+    scan = SelectionScan(table, 0.0)
+    # Oracle: masks over the whole four-index table of moduli, one per difference.
+    mods = np.abs(table)
+    l_bra = np.arange(n)[None, :, None, None]
+    l_ket = np.arange(n)[None, None, None, :]
+    profile = np.array([np.max(np.where((l_ket - l_bra) % n == d, mods, 0.0)) for d in range(n)])
+    assert scan.sector_difference_profile().tobytes() == profile.tobytes()
+    assert scan.off_sector_max() == float(np.max(np.where(l_bra != l_ket, mods, 0.0)))
 
 
 def test_matrix_element_reproduces_energies(ref_bands, ref_hamiltonian):
