@@ -35,7 +35,7 @@ from .dynamics import (
     first_order_error_exponent,
     linear_response_slope,
 )
-from .lattice import OperatorMatrix, build_hamiltonian, build_translation
+from .lattice import OperatorMatrix, _add_hamiltonian, build_hamiltonian, build_translation
 from .observables import LocalObservableSeries, locality_report, materialize
 from .spectrum import BandStructure, solve_bands
 from .superselection import selection_scan, winding_number
@@ -213,16 +213,15 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
     dyn = config.dynamics
     grid = config.grid()
     perturb_name = observable if observable is not None else dyn.perturbation
-    hamiltonian = build_hamiltonian(
-        grid, config.potential(), mass=config.mass, hbar=config.hbar,
-        scheme=dyn.kinetic_scheme,
-    )
-    if perturb_name is not None:
-        # R is fresh and held nowhere else: summing the real H into it has the bits of
-        # H + R, and once H is dropped H_m is the one G x G array the experiment keeps.
-        perturbation = _resolve_operator(config, config.observable(perturb_name))
-        perturbation.entries += hamiltonian.entries
-        hamiltonian = perturbation
+    if perturb_name is None:
+        hamiltonian = build_hamiltonian(grid, config.potential(), mass=config.mass,
+                                        hbar=config.hbar, scheme=dyn.kinetic_scheme)
+    else:
+        # R is fresh and held nowhere else: H is added into it a slab of rows at a
+        # time, so H_m has the bits of H + R and is the one G x G array ever held.
+        hamiltonian = _resolve_operator(config, config.observable(perturb_name))
+        _add_hamiltonian(hamiltonian.entries, grid, config.potential(), config.mass,
+                         config.hbar, dyn.kinetic_scheme)
     experiment = PropagationExperiment(
         hamiltonian=hamiltonian,
         source=grid.index_of_cell(dyn.source_cell),

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import momentum_power_matrix
+from .derivatives import _circulant, _momentum_column
 from .grid import RingGrid, _require_same_grid
 
 # Tile edge: blockwise passes keep their temporaries O(_BLOCK * G), not O(G^2).
@@ -103,7 +103,8 @@ def _require_positive(name: str, value: float) -> None:
 
 def _require_hermitian(a: np.ndarray, what: str) -> float:
     """Raise unless max |A - A^dagger| <= 1e-10 max(max |A|, 1), NaN failing; return the scale."""
-    defect, max_abs = _hermitian_check(a)
+    with np.errstate(invalid="ignore"):  # an inf entry makes the defect NaN, which fails
+        defect, max_abs = _hermitian_check(a)
     scale = max(max_abs, 1.0)
     if not defect <= 1e-10 * scale:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
@@ -116,16 +117,39 @@ def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.
 
     The kinetic part is a circulant (invariant under any sample shift) and
     the potential diagonal is an exact tiling of one cell, so H commutes
-    with the one-cell translation bit for bit.
+    with the one-cell translation bit for bit.  H is added into zeros by
+    :func:`_add_hamiltonian`, so it is the one G x G array built.
+    """
+    entries = np.zeros((grid.total_points,) * 2)
+    _add_hamiltonian(entries, grid, potential, mass, hbar, scheme)
+    return OperatorMatrix(grid, entries)
+
+
+def _add_hamiltonian(entries: np.ndarray, grid: RingGrid, potential: PotentialSpec,
+                     mass: float, hbar: float, scheme: str) -> None:
+    """entries += H in place, one _BLOCK-row slab of H at a time, so H is never G x G.
+
+    A slab is the kinetic circulant's rows times s = hbar^2/2m, plus 0.0 (the fd
+    stencils' off-band -0.0 become +0.0), with s k_ii + V_i on its diagonal: the
+    bits of H's rows, so the sum has the bits of entries + H.  An overflow is left
+    as inf, for the caller's finiteness or Hermitian check to reject.
     """
     _require_positive("mass", mass)
     _require_positive("hbar", hbar)
-    entries = momentum_power_matrix(grid, 2, scheme)
-    entries *= hbar**2 / (2.0 * mass)
-    diagonal = entries.diagonal() + potential.sample(grid)
-    entries += 0.0  # off-band -0.0 of the fd stencils to +0.0: the bits of kinetic + diag(V)
-    np.fill_diagonal(entries, diagonal)
-    return OperatorMatrix(grid, entries)
+    kinetic = _circulant(_momentum_column(grid, 2, scheme))
+    scale = hbar**2 / (2.0 * mass)
+    g = grid.total_points
+    buffer = np.empty((min(_BLOCK, g), g))  # reused, so one slab is alive beside entries
+    with np.errstate(over="ignore"):
+        diagonal = scale * kinetic[0, 0] + potential.sample(grid)
+        for start in range(0, g, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            slab = buffer[: len(diagonal[rows])]
+            np.multiply(kinetic[rows], scale, out=slab)
+            slab += 0.0
+            i = np.arange(len(slab))
+            slab[i, start + i] = diagonal[rows]
+            entries[rows] += slab
 
 
 def build_translation(grid: RingGrid) -> OperatorMatrix:

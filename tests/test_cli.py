@@ -165,9 +165,12 @@ def test_propagate_solves_bands_only_for_a_projector(tmp_path, monkeypatch):
 
 
 def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypatch):
-    # H is summed into the projector's buffer: the experiment gets H_m with
-    # the bits of H + R.
+    # H is added into the perturbation's buffer: the experiment gets H_m with the
+    # bits of H + R, a real R keeps H_m real, and with no perturbation H_m is H.
     config = write_config(tmp_path / "run.json")
+    bare = write_config(tmp_path / "bare.json",
+                        dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 6,
+                                  "target_cell": 2, "kinetic_scheme": "fd4"})
     seen = []
 
     class Recorder(PropagationExperiment):
@@ -177,11 +180,17 @@ def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypat
 
     monkeypatch.setattr("blochlab.cli.PropagationExperiment", Recorder)
     assert main(["propagate", "--config", str(config)]) == 0
-    (experiment,) = seen
+    assert main(["propagate", "--config", str(config), "--observable", "h"]) == 0
+    assert main(["propagate", "--config", str(bare)]) == 0
+    site, real, plain = (experiment.hamiltonian.entries for experiment in seen)
     run = load_config(config)
-    h = build_hamiltonian(run.grid(), run.potential(), scheme="fd4")
-    r = _resolve_operator(run, run.observable("site0"))
-    assert experiment.hamiltonian.entries.tobytes() == (h.entries + r.entries).tobytes()
+    h = build_hamiltonian(run.grid(), run.potential(), scheme="fd4").entries
+    r = _resolve_operator(run, run.observable("site0")).entries
+    assert site.tobytes() == (h + r).tobytes()
+    r = _resolve_operator(run, run.observable("h")).entries
+    assert r.dtype == real.dtype == np.float64
+    assert real.tobytes() == (h + r).tobytes()
+    assert plain.tobytes() == h.tobytes()
 
 
 def test_csv_modulus_and_density_are_scalar_abs_of_the_written_parts(tmp_path):
@@ -456,6 +465,17 @@ def test_propagate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     outputs = outputs_at_one_and_two_threads(
         tmp_path, ["propagate", "--config", str(config)],
         ("propagation.csv", "propagation_summary.json"))
+    assert outputs[0] == outputs[1]
+
+
+def test_bands_at_p256_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At P = 256 the sector eigenvectors follow the thread count, so
+    # solve_summary.json's residuals may differ; the energies in bands.csv may not.
+    config = write_config(tmp_path / "run.json",
+                          lattice={"n_cells": 8, "cell_length": 1.0, "points_per_cell": 256},
+                          potential={"constant": 0.4, "harmonics": [[1, 2.0, -0.7], [3, 0.01, 0.2]]})
+    outputs = outputs_at_one_and_two_threads(
+        tmp_path, ["solve", "--config", str(config)], ("bands.csv",))
     assert outputs[0] == outputs[1]
 
 

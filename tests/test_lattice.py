@@ -17,7 +17,13 @@ from blochlab import (
     momentum_power_matrix,
 )
 from blochlab.derivatives import SCHEMES
-from blochlab.lattice import _commutator_slabs, _frobenius_norm, commutator_norm, is_one_cell_shift
+from blochlab.lattice import (
+    _add_hamiltonian,
+    _commutator_slabs,
+    _frobenius_norm,
+    commutator_norm,
+    is_one_cell_shift,
+)
 
 
 def test_potential_sampling_tiles_exactly():
@@ -146,6 +152,48 @@ def test_hamiltonian_holds_one_g_by_g_array():
             assert tracemalloc.get_traced_memory()[1] <= 1.1 * h.entries.nbytes, scheme
         finally:
             tracemalloc.stop()
+
+
+def _signed_zeros_and_normals(rng, shape):
+    """Normal samples with about a third of them +0.0 and a third -0.0."""
+    pick = rng.integers(0, 3, size=shape)
+    return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, rng.normal(size=shape)))
+
+
+@given(scheme=st.sampled_from(sorted(SCHEMES)), n_cells=st.integers(2, 7),
+       points=st.integers(8, 15), complex_r=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example("fd2", 3, 131, False, 0)  # G = 393: three full row slabs and a short one
+@example("fd4", 3, 131, True, 1)
+@settings(max_examples=60, deadline=None)
+def test_add_hamiltonian_has_the_bits_of_r_plus_h(scheme, n_cells, points, complex_r, seed):
+    # Oracle: R + H with H built whole.  R holds +0.0 and -0.0 in every part, so
+    # the fd stencils' off-band -0.0 must be +0.0 in H, and V must be on H's
+    # diagonal before H meets R.
+    grid = RingGrid(n_cells, 1.0, points)
+    g = grid.total_points
+    rng = np.random.default_rng(seed)
+    potential = PotentialSpec(rng.normal(), ((1, rng.normal(), rng.normal()),))
+    mass, hbar = rng.uniform(0.5, 2.0, size=2)
+    r = _signed_zeros_and_normals(rng, (g, g))
+    if complex_r:
+        r = r + 1j * _signed_zeros_and_normals(rng, (g, g))
+    kinetic = hbar**2 / (2.0 * mass) * momentum_power_matrix(grid, 2, scheme)
+    expected = r + (kinetic + np.diag(potential.sample(grid)))
+    _add_hamiltonian(r, grid, potential, mass, hbar, scheme)
+    assert r.dtype == expected.dtype
+    assert r.tobytes() == expected.tobytes()
+
+
+def test_add_hamiltonian_holds_no_g_by_g_temporary():
+    # One _BLOCK-row slab of H at a time: a few MiB beside a 64 MiB complex R.
+    grid = RingGrid(32, 1.0, 64)
+    r = np.zeros((grid.total_points,) * 2, dtype=complex)
+    tracemalloc.start()
+    try:
+        _add_hamiltonian(r, grid, PotentialSpec(0.0, ((1, 2.0, 0.0),)), 1.0, 1.0, "fd4")
+        assert tracemalloc.get_traced_memory()[1] <= 0.1 * r.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_translation_is_unitary_permutation(ref_grid, ref_translation):
