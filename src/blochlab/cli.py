@@ -35,10 +35,11 @@ from .dynamics import (
     first_order_error_exponent,
     linear_response_slope,
 )
+from .grid import WaveFunction
 from .lattice import OperatorMatrix, _add_hamiltonian, build_hamiltonian, build_translation
 from .observables import LocalObservableSeries, locality_report, materialize
 from .spectrum import BandStructure, solve_bands
-from .superselection import selection_scan, winding_number
+from .superselection import _scan, winding_number
 from .wannier import build_wannier, cell_probability, wannier_projector
 
 EXIT_OK = 0
@@ -82,16 +83,17 @@ def _solve(config: RunConfig) -> BandStructure:
 
 
 def _resolve_operator(config: RunConfig, obs: ObservableConfig,
-                      bands: BandStructure | None = None) -> OperatorMatrix:
-    """The observable's matrix; only a projector needs bands, solved if not given."""
+                      site: WaveFunction | None = None) -> OperatorMatrix:
+    """The observable's matrix; a projector's state is ``site`` or made of bands dropped first."""
     grid = config.grid()
     if obs.kind == "hamiltonian":
         return build_hamiltonian(grid, config.potential(), mass=config.mass, hbar=config.hbar)
     if obs.kind == "translation":
         return build_translation(grid)
     if obs.kind == "wannier_projector":
-        bands = bands if bands is not None else _solve(config)
-        return wannier_projector(build_wannier(bands, obs.band, obs.site))
+        if site is None:
+            site = build_wannier(_solve(config), obs.band, obs.site)
+        return wannier_projector(site)
     series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
     return materialize(series, grid, scheme=obs.scheme)
 
@@ -157,8 +159,11 @@ def cmd_wannier(config: RunConfig, out: Path, band: int, site: int) -> int:
 def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
     obs = config.observable(observable)
     bands = _solve(config)
-    op = _resolve_operator(config, obs, bands)
-    scan = selection_scan(op, bands)
+    site = build_wannier(bands, obs.band, obs.site) if obs.kind == "wannier_projector" else None
+    psis, band_count = bands.state_matrix(), bands.band_count
+    del bands  # the states go before the G x G operator is built; psis is their one copy
+    op = _resolve_operator(config, obs, site)
+    scan = _scan(op, psis, band_count)
     # Build every output before the first write, so a failure leaves no file.
     report = locality_report(op)
     del op  # the G x G operator goes before the output text is built
@@ -181,7 +186,7 @@ def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
         # Scalar abs: numpy's vectorized abs can differ in the last bit.
         "modulus": map(abs, elements.tolist()),
     })
-    distances = np.arange(report.cumulative.size) * bands.grid.spacing
+    distances = np.arange(report.cumulative.size) * config.grid().spacing
     write_csv(out / "locality.csv", {"distance": distances, "cumulative_mass": report.cumulative})
     write_json(out / "scan_summary.json", summary)
     return EXIT_OK

@@ -88,9 +88,9 @@ class OperatorMatrix:
         g = self.grid.total_points
         if entries.shape != (g, g):
             raise ValueError(f"entries must have shape ({g}, {g}), got {entries.shape}")
-        # min and max carry any NaN or inf, with no G x G mask as isfinite would make.
-        parts = (entries.real, entries.imag) if np.iscomplexobj(entries) else (entries,)
-        if not all(np.isfinite(part.min()) and np.isfinite(part.max()) for part in parts):
+        # min and max carry any NaN or inf with no G x G mask; complex is viewed as floats.
+        values = entries[..., None].view(float) if np.iscomplexobj(entries) else entries
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("operator entries must be finite")
         self.entries = entries
 
@@ -99,6 +99,17 @@ def _require_positive(name: str, value: float) -> None:
     """Reject a mass or hbar that is not positive and finite."""
     if not np.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _kinetic_scale(mass: float, hbar: float) -> float:
+    """hbar^2 / 2m for a positive, finite mass and hbar; ValueError if it overflows."""
+    _require_positive("mass", mass)
+    _require_positive("hbar", hbar)
+    with np.errstate(over="ignore"):  # inf where a Python float's ** would raise
+        scale = float(np.float64(hbar) ** 2 / (2.0 * mass))
+    if not np.isfinite(scale):
+        raise ValueError(f"hbar^2/2m overflows (hbar {hbar!r}, mass {mass!r})")
+    return scale
 
 
 def _require_hermitian(a: np.ndarray, what: str) -> float:
@@ -134,10 +145,8 @@ def _add_hamiltonian(entries: np.ndarray, grid: RingGrid, potential: PotentialSp
     bits of H's rows, so the sum has the bits of entries + H.  An overflow is left
     as inf, for the caller's finiteness or Hermitian check to reject.
     """
-    _require_positive("mass", mass)
-    _require_positive("hbar", hbar)
+    scale = _kinetic_scale(mass, hbar)
     kinetic = _circulant(_momentum_column(grid, 2, scheme))
-    scale = hbar**2 / (2.0 * mass)
     g = grid.total_points
     buffer = np.empty((min(_BLOCK, g), g))  # reused, so one slab is alive beside entries
     with np.errstate(over="ignore"):
@@ -200,13 +209,15 @@ def _squared_norm(a: np.ndarray) -> float:
 
 def _commutator_slabs(a: np.ndarray, p: int):
     """The _BLOCK-row slabs, in row order, of [A, T] = A T - T A for the shift T by p
-    samples: entry (i, j) is A[i, j - p] - A[i + p, j], indices mod G.  Each slab is
-    one new array, so nothing is G x G.  [A, T] is A - T A T^dagger with its columns
-    moved by p, so the two share every value."""
+    samples: entry (i, j) is A[i, j - p] - A[i + p, j], indices mod G.  The slabs share
+    one buffer, so each is overwritten by the next and nothing is G x G.  [A, T] is
+    A - T A T^dagger with its columns moved by p, so the two share every value."""
     g, q = len(a), len(a) - p
+    buffer = np.empty((min(_BLOCK, g), g), dtype=a.dtype)
     for start in range(0, g, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        slab = a.take(np.arange(start, min(start + _BLOCK, g)) + p, axis=0, mode="wrap")
+        index = np.arange(start, min(start + _BLOCK, g)) + p
+        slab = a.take(index, axis=0, mode="wrap", out=buffer[: len(index)])
         np.subtract(a[rows, :q], slab[:, p:], out=slab[:, p:])
         np.subtract(a[rows, q:], slab[:, :p], out=slab[:, :p])
         yield slab

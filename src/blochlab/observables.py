@@ -104,7 +104,7 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
     return OperatorMatrix(grid, acc)
 
 
-def _hermitian_part(a: np.ndarray, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+def _hermitian_part(a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
     """Block [rows, cols] of (A + A^dagger)/2, as 0.5 * (x + conj(y)) element by element."""
     return 0.5 * (a[rows, cols] + a[cols, rows].conj().T)
 
@@ -146,14 +146,20 @@ def locality_report(op: OperatorMatrix) -> LocalityReport:
     rather than mixing in an arbitrary non-normal part.  S is A bit for bit
     when A is Hermitian.
     """
-    g = op.grid.total_points
+    a, g = op.entries, op.grid.total_points
     k = np.arange(g)
     dist = _circulant(np.minimum(k, g - k))
     mass = np.zeros(g // 2 + 1)
+    # Reused slabs of S = (conj(A[:, rows]).T + A[rows]) / 2 (addition commutes) and |S|^2.
+    part, squares = np.empty((min(_BLOCK, g), g), dtype=a.dtype), np.empty((min(_BLOCK, g), g))
     # add.at sums in the same row-major order as one bincount over the matrix.
     for start in range(0, g, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        weights = np.abs(_hermitian_part(op.entries, rows)) ** 2
+        s, weights = part[: g - start], squares[: g - start]
+        np.conjugate(a[:, rows].T, out=s)
+        s += a[rows]
+        s *= 0.5
+        np.square(np.abs(s, out=weights), out=weights)
         np.add.at(mass, dist[rows].ravel(), weights.ravel())
     total = float(mass.sum())
     if total == 0.0:

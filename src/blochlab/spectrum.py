@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import RingGrid, WaveFunction, _require_same_grid, translate_by_cells
-from .lattice import (OperatorMatrix, PotentialSpec, _require_hermitian, _require_positive,
-                      _commutator_slabs, is_one_cell_shift)
+from .lattice import (OperatorMatrix, PotentialSpec, _commutator_slabs, _kinetic_scale,
+                      _require_hermitian, is_one_cell_shift)
 
 # Relative spectral-gap threshold below which eigh ordering inside a
 # degenerate cluster is not trustworthy and a deterministic rule takes over.
@@ -152,8 +152,7 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
         raise ValueError(
             f"band_count must lie in [1, {grid.points_per_cell}], got {band_count}"
         )
-    _require_positive("mass", mass)
-    _require_positive("hbar", hbar)
+    scale = _kinetic_scale(mass, hbar)
 
     p = grid.points_per_cell
     n_cells = grid.n_cells
@@ -162,7 +161,8 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     q = sector + n_cells * m_window          # integer wavenumber index
     kappa = 2.0 * np.pi * q / length
 
-    kinetic = np.diag((hbar**2 / (2.0 * mass)) * kappa**2).astype(complex)
+    with np.errstate(over="ignore"):  # an overflow is left as inf, which the check rejects
+        kinetic = np.diag(scale * kappa**2).astype(complex)
     # The potential couples plane waves differing by a reciprocal lattice
     # vector: <kappa_i| V |kappa_j> = V_hat((q_i - q_j)/N).  Inside one
     # sector q_i - q_j = N (i - j), so the block is Toeplitz in i - j and
@@ -170,8 +170,12 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     coeff = np.array([potential.fourier_coefficient(d) for d in range(1 - p, p)])
     i = np.arange(p)
     block = kinetic + coeff[i[:, None] - i[None, :] + p - 1]
+    if not np.all(np.isfinite(block)):
+        raise ValueError(f"sector {sector} block is not finite (hbar^2/2m = {scale!r})")
 
     energies, coeffs = np.linalg.eigh(block)
+    if not np.all(np.isfinite(energies)):
+        raise ValueError(f"sector {sector} energies are not finite")
     energies, coeffs = _tie_broken_order(energies, coeffs, q.astype(float))
 
     # m_window is in FFT-shifted order, so ifftshift puts m at index m mod P.

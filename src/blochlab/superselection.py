@@ -84,15 +84,19 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:
     rather than returning numbers that contradict a theorem.
     """
     _require_same_grid(op, bands)
+    return _scan(op, bands.state_matrix(), bands.band_count)
+
+
+def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionScan:
+    """:func:`selection_scan` on the caller's state matrix, shape (G, band_count * N) in
+    band-major order, which it conjugates in place: the one state-sized array it adds is A Psi."""
     defect = _periodicity_defect(op)
-    a, psis = op.entries, bands.state_matrix()
+    a = op.entries
     # A real operator takes the real and imaginary parts apart: no complex copy of A.
     transformed = a @ psis if np.iscomplexobj(a) else a @ psis.real + 1j * (a @ psis.imag)
-    np.conj(psis, out=psis)  # the scan's own copy, conjugated in place
-    flat = bands.grid.spacing * (psis.T @ transformed)
-    b, n = bands.band_count, bands.n_cells
-    table = flat.reshape(b, n, b, n)
-    scan = SelectionScan(table, defect)
+    np.conj(psis, out=psis)
+    flat = op.grid.spacing * (psis.T @ transformed)
+    scan = SelectionScan(flat.reshape(band_count, op.grid.n_cells, band_count, -1), defect)
     if defect <= _PERIODIC_TOL and scan.off_sector_max() > _LEAK_TOL:
         raise RuntimeError(
             "cell-periodic kernel shows off-sector matrix elements "

@@ -1,3 +1,6 @@
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,33 @@ def slab_order_norm():
         slabs = (diff[i:i + _BLOCK] for i in range(0, len(diff), _BLOCK))
         return float(np.sqrt(sum(_squared_norm(slab) for slab in slabs)))
     return norm
+
+
+class TracedPeak:
+    """Peak traced allocation, in bytes, above the memory traced at the last reset."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        tracemalloc.reset_peak()
+        self.base = tracemalloc.get_traced_memory()[0]
+
+    def __call__(self) -> int:
+        return tracemalloc.get_traced_memory()[1] - self.base
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """A context manager that traces allocations in its block and yields a TracedPeak."""
+    @contextmanager
+    def trace():
+        tracemalloc.start()
+        try:
+            yield TracedPeak()
+        finally:
+            tracemalloc.stop()
+    return trace
 
 
 @pytest.fixture()

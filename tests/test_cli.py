@@ -12,11 +12,12 @@ from blochlab import (
     LocalObservableSeries,
     PropagationExperiment,
     build_hamiltonian,
+    locality_report,
     materialize,
     selection_scan,
     solve_bands,
 )
-from blochlab.cli import _resolve_operator, main, write_json
+from blochlab.cli import _resolve_operator, main, write_csv, write_json
 from blochlab.config import load_config
 
 
@@ -191,6 +192,79 @@ def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypat
     assert r.dtype == real.dtype == np.float64
     assert real.tobytes() == (h + r).tobytes()
     assert plain.tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("observable", ["site0", "ring1", "h", "shift"])
+def test_scan_files_match_the_public_scan_and_report(tmp_path, observable):
+    # cmd_scan drops the bands and scans its own state matrix; its files must have
+    # the bytes of files written from selection_scan(op, bands) and locality_report(op).
+    config = write_config(tmp_path / "run.json")
+    data = json.loads(config.read_text())
+    data["observables"].append({"name": "shift", "kind": "translation"})
+    config.write_text(json.dumps(data))
+    assert main(["scan", "--config", str(config), "--observable", observable]) == 0
+    run = load_config(config)
+    bands = solve_bands(run.grid(), run.potential(), run.bands, mass=run.mass, hbar=run.hbar)
+    op = _resolve_operator(run, run.observable(observable))
+    scan, report = selection_scan(op, bands), locality_report(op)
+    expected = tmp_path / "expected"
+    labels = np.indices(scan.table.shape).reshape(4, -1)
+    elements = scan.table.ravel()
+    write_csv(expected / "scan.csv", {
+        **dict(zip(("band_bra", "sector_bra", "band_ket", "sector_ket"), labels)),
+        "re": elements.real, "im": elements.imag, "modulus": map(abs, elements.tolist()),
+    })
+    write_csv(expected / "locality.csv", {
+        "distance": np.arange(report.cumulative.size) * run.grid().spacing,
+        "cumulative_mass": report.cumulative,
+    })
+    write_json(expected / "scan_summary.json", {
+        "config": run.resolved(),
+        "observable": observable,
+        "periodicity_defect": scan.periodicity_defect,
+        "off_sector_max": scan.off_sector_max(),
+        "hermitian_symmetry_defect": scan.hermitian_symmetry_defect(),
+        "sector_difference_profile": [float(v) for v in scan.sector_difference_profile()],
+        "locality_width_99": report.locality_width(0.99),
+        "bandwidth_mass_one_cell": report.bandwidth_mass(run.cell_length),
+    })
+    for name in ("scan.csv", "locality.csv", "scan_summary.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_scan_holds_its_operator_and_one_copy_of_its_states(tmp_path, traced_peak):
+    # 128 x 16 (G = 2048), 2 bands: a 64 MiB complex series and 256 states.  Beyond
+    # the operator the scan holds the 8 MiB state matrix, A Psi and one row slab.
+    config = write_config(
+        tmp_path / "run.json", bands=2,
+        lattice={"n_cells": 128, "cell_length": 1.0, "points_per_cell": 16},
+        observables=[{"name": "ring13", "kind": "series", "scheme": "fd4",
+                      "terms": [[1, 1, 1.0, 0.3], [3, 2, 0.5, -0.2]]}],
+        dynamics={"epsilons": [1e-4], "source_cell": 6, "target_cell": 2,
+                  "perturbation": "ring13"})
+    with traced_peak() as peak:
+        assert main(["scan", "--config", str(config), "--observable", "ring13"]) == 0
+        assert peak() <= 1.32 * 2048**2 * 16
+
+
+@pytest.mark.parametrize("hbar", [1e154, 1e200])
+@pytest.mark.parametrize("args", [["solve"], ["scan", "--observable", "h"], ["propagate"],
+                                  ["propagate", "--observable", "h"]],
+                         ids=["solve", "scan", "propagate", "propagate-h"])
+def test_an_overflowing_hbar_is_a_numerical_failure(tmp_path, capsys, hbar, args):
+    # hbar^2/2m overflows a float at 1e200 and hbar^2/2m k^2 at 1e154: one error
+    # line, exit 3, no file and no RuntimeWarning (the test settings make one an error).
+    config = write_config(
+        tmp_path / "run.json",
+        lattice={"n_cells": 4, "cell_length": 1.0, "points_per_cell": 16, "hbar": hbar},
+        dynamics={"epsilons": [1e-4, 2e-4], "source_cell": 0, "target_cell": 2,
+                  "perturbation": "site0"})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([args[0], "--config", str(config), *args[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
 
 
 def test_csv_modulus_and_density_are_scalar_abs_of_the_written_parts(tmp_path):
@@ -490,10 +564,11 @@ def write_16x64_config(path):
                                       "terms": [[1, 1, 1.0, 0.3], [3, 2, 0.5, -0.2]]}])
 
 
-@pytest.mark.parametrize("observable", ["h", "ring13"])
+@pytest.mark.parametrize("observable", ["h", "ring13", "site0"])
 def test_scan_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, observable):
     # G = 1024 at P = 64: the real H is multiplied by the states' real and
-    # imaginary parts apart, the odd-power series as one complex product.
+    # imaginary parts apart, the odd-power series and the projector (built from
+    # the Wannier state after the bands are dropped) as one complex product.
     config = write_16x64_config(tmp_path / "run.json")
     outputs = outputs_at_one_and_two_threads(
         tmp_path, ["scan", "--config", str(config), "--observable", observable],

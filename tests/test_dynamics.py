@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,7 +338,7 @@ def test_lanczos_property(n_cells, points, harmonics, scheme, hbar, epsilon, per
     assert h**2 * profile.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_experiment_holds_no_g_by_g_temporary(ref_potential):
+def test_experiment_holds_no_g_by_g_temporary(ref_potential, traced_peak):
     # 32 x 64 (G = 2048): H_m = H + R, with R a 64 MiB complex projector.  The
     # Lanczos basis's np.zeros counts in full here, though only filled rows
     # become resident; beyond it the experiment holds nothing G x G.
@@ -349,14 +347,10 @@ def test_experiment_holds_no_g_by_g_temporary(ref_potential):
     r = wannier_projector(build_wannier(solve_bands(grid, ref_potential, 1), 0, 0))
     r.entries += hamiltonian.entries
     source, target = grid.index_of_cell(20), grid.index_of_cell(4)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_peak() as peak:
         experiment = PropagationExperiment(r, source, target)
-        assert tracemalloc.get_traced_memory()[1] - base <= 1.1 * r.entries.nbytes
+        assert peak() <= 1.1 * r.entries.nbytes
         assert experiment.hamiltonian.entries is r.entries
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("shape", [(3, 131), (16, 64)])

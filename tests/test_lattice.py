@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -73,11 +71,26 @@ def test_operator_matrix_validation():
         OperatorMatrix(grid, np.zeros((3, 3)))
     for dtype, value in ((float, np.inf), (float, -np.inf), (float, np.nan),
                          (complex, 1j * np.inf), (complex, complex(0.0, np.nan)),
-                         (complex, -np.inf)):
-        bad = np.zeros((32, 32), dtype=dtype)
-        bad[5, 3] = value
-        with pytest.raises(ValueError, match="must be finite"):
-            OperatorMatrix(grid, bad)
+                         (complex, -1j * np.inf), (complex, -np.inf),
+                         (complex, complex(np.nan, 0.0)), (complex, complex(np.inf, 0.0))):
+        # Row-major, column-major and a strided view: a NaN or an inf in the real
+        # part alone or in the imaginary part alone fails in every layout.
+        bad = np.zeros((64, 64), dtype=dtype)
+        bad[10, 6] = value
+        for layout in (bad[::2, ::2], np.asfortranarray(bad[::2, ::2]), bad[::2, ::2].copy()):
+            with pytest.raises(ValueError, match="must be finite"):
+                OperatorMatrix(grid, layout)
+
+
+def test_operator_matrix_takes_a_column_major_matrix_as_it_is(traced_peak):
+    # The finiteness check reads the (re, im) pairs through a view: no G x G copy.
+    grid = RingGrid(16, 1.0, 64)
+    g = grid.total_points
+    entries = np.asfortranarray(np.arange(g * g).reshape(g, g) * (1.0 + 0.5j))
+    with traced_peak() as peak:
+        op = OperatorMatrix(grid, entries)
+        assert peak() <= 0.001 * entries.nbytes
+    assert op.entries is entries
 
 
 def test_operator_symmetrized():
@@ -142,16 +155,13 @@ def test_hamiltonian_has_the_bits_of_kinetic_plus_diagonal(scheme, shape):
         assert np.any(np.signbit(kinetic[kinetic == 0.0]))
 
 
-def test_hamiltonian_holds_one_g_by_g_array():
+def test_hamiltonian_holds_one_g_by_g_array(traced_peak):
     grid = RingGrid(32, 1.0, 64)
     potential = PotentialSpec(0.0, ((1, 2.0, 0.0),))
     for scheme in ("spectral", "fd4"):
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             h = build_hamiltonian(grid, potential, scheme=scheme)
-            assert tracemalloc.get_traced_memory()[1] <= 1.1 * h.entries.nbytes, scheme
-        finally:
-            tracemalloc.stop()
+            assert peak() <= 1.1 * h.entries.nbytes, scheme
 
 
 def _signed_zeros_and_normals(rng, shape):
@@ -184,16 +194,13 @@ def test_add_hamiltonian_has_the_bits_of_r_plus_h(scheme, n_cells, points, compl
     assert r.tobytes() == expected.tobytes()
 
 
-def test_add_hamiltonian_holds_no_g_by_g_temporary():
+def test_add_hamiltonian_holds_no_g_by_g_temporary(traced_peak):
     # One _BLOCK-row slab of H at a time: a few MiB beside a 64 MiB complex R.
     grid = RingGrid(32, 1.0, 64)
     r = np.zeros((grid.total_points,) * 2, dtype=complex)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         _add_hamiltonian(r, grid, PotentialSpec(0.0, ((1, 2.0, 0.0),)), 1.0, 1.0, "fd4")
-        assert tracemalloc.get_traced_memory()[1] <= 0.1 * r.nbytes
-    finally:
-        tracemalloc.stop()
+        assert peak() <= 0.1 * r.nbytes
 
 
 def test_translation_is_unitary_permutation(ref_grid, ref_translation):
@@ -251,7 +258,8 @@ def test_shift_products_match_the_dense_oracle(slab_order_norm, n_cells, points,
     a = OperatorMatrix(grid, rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g)))
     translation = build_translation(grid)
     t = translation.entries
-    slabs = np.vstack(list(_commutator_slabs(a.entries, p)))
+    # Each slab is overwritten by the next one, so it is copied as it is yielded.
+    slabs = np.vstack([slab.copy() for slab in _commutator_slabs(a.entries, p)])
     rolled = np.roll(a.entries, p, axis=1) - np.roll(a.entries, -p, axis=0)
     assert slabs.tobytes() == rolled.tobytes()
     dense_commutator = slab_order_norm(a.entries @ t - t @ a.entries)

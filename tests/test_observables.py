@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -241,25 +239,22 @@ def test_periodicity_defect_matches_the_roll_formula(ref_potential, slab_order_n
         np.linalg.norm(op.entries - moved) / np.linalg.norm(op.entries), rel=1e-13)
 
 
-def test_scan_operator_memory_bounds():
+def test_scan_operator_memory_bounds(traced_peak):
     # 128 x 16 (G = 2048) with the two-term fd4 series of powers 1 and 2: a
     # 64 MiB complex result.  Beyond blocks of rows, materialize may hold
-    # only its result, and the report and the defect nothing G x G.
+    # only its result; the report holds one reused slab of S, one of its
+    # squares and one of distances, and the defect one reused slab of [A, T].
     grid = RingGrid(128, 1.0, 16)
     series = LocalObservableSeries(((1, 1, 1.0, 0.3), (3, 2, 0.5, -0.2)))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         op = materialize(series, grid, scheme="fd4")
         size = op.entries.nbytes
         assert size == 64 * 2**20
-        assert tracemalloc.get_traced_memory()[1] <= 1.25 * size
-        for call, bound in ((locality_report, 0.25), (_periodicity_defect, 0.25)):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
+        assert peak() <= 1.25 * size
+        for call, bound in ((locality_report, 0.14), (_periodicity_defect, 0.10)):
+            peak.reset()
             call(op)
-            assert tracemalloc.get_traced_memory()[1] - base <= bound * size, call.__name__
-    finally:
-        tracemalloc.stop()
+            assert peak() <= bound * size, call.__name__
 
 
 def test_locality_report_rejects_the_zero_operator(ref_grid):

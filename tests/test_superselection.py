@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -236,15 +234,12 @@ def test_real_operator_scan_matches_the_complex_product(ref_potential, shape, rn
     assert np.max(np.abs(split - whole)) <= 1e-15 * np.max(np.abs(whole))
 
 
-def test_selection_scan_memory_bound(ref_potential):
+def test_selection_scan_memory_bound(ref_potential, traced_peak):
     # 32 x 64 (G = 2048), the real 32 MiB H and 128 states: beyond its inputs
     # the scan holds neither a complex copy of H nor a G x G defect buffer.
     grid = RingGrid(32, 1.0, 64)
     h = build_hamiltonian(grid, ref_potential)
     bands = solve_bands(grid, ref_potential, 4)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         selection_scan(h, bands)
-        assert tracemalloc.get_traced_memory()[1] <= 0.5 * h.entries.nbytes
-    finally:
-        tracemalloc.stop()
+        assert peak() <= 0.5 * h.entries.nbytes
