@@ -14,7 +14,6 @@ from .grid import (
     inner_product,
     translate_by_cells,
 )
-from .derivatives import momentum_power_matrix
 from .lattice import (
     OperatorMatrix,
     PotentialSpec,
@@ -65,7 +64,6 @@ __all__ = [
     "WaveFunction",
     "inner_product",
     "translate_by_cells",
-    "momentum_power_matrix",
     "OperatorMatrix",
     "PotentialSpec",
     "build_hamiltonian",

@@ -218,15 +218,14 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
     dyn = config.dynamics
     grid = config.grid()
     perturb_name = observable if observable is not None else dyn.perturbation
+    # R (zeros with no perturbation) is fresh and held nowhere else: H is added into it
+    # a slab of rows at a time, so H_m has the bits of H + R and is the one G x G array.
     if perturb_name is None:
-        hamiltonian = build_hamiltonian(grid, config.potential(), mass=config.mass,
-                                        hbar=config.hbar, scheme=dyn.kinetic_scheme)
+        hamiltonian = OperatorMatrix(grid, np.zeros((grid.total_points,) * 2))
     else:
-        # R is fresh and held nowhere else: H is added into it a slab of rows at a
-        # time, so H_m has the bits of H + R and is the one G x G array ever held.
         hamiltonian = _resolve_operator(config, config.observable(perturb_name))
-        _add_hamiltonian(hamiltonian.entries, grid, config.potential(), config.mass,
-                         config.hbar, dyn.kinetic_scheme)
+    _add_hamiltonian(hamiltonian.entries, grid, config.potential(), config.mass,
+                     config.hbar, dyn.kinetic_scheme)
     experiment = PropagationExperiment(
         hamiltonian=hamiltonian,
         source=grid.index_of_cell(dyn.source_cell),

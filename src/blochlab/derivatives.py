@@ -75,26 +75,9 @@ def _finite_difference_column(grid: RingGrid, n: int, accuracy: int) -> np.ndarr
     return (-1) ** (n // 2) * col if n % 2 == 0 else (-1j) ** n * col
 
 
-def momentum_power_matrix(grid: RingGrid, n: int, scheme: str = "spectral") -> np.ndarray:
-    """Dense G x G matrix of (-i d/dx)^n acting on grid samples.
-
-    Parameters
-    ----------
-    grid : RingGrid
-    n : int
-        Derivative power, 0 <= n <= 8.  n = 0 gives the identity.
-    scheme : str
-        'spectral' or 'fd{p}' with accuracy order p in {2, 4, 6, 8}.
-
-    The result is circulant, hence commutes exactly with translation by any
-    number of samples, and is Hermitian for every n and scheme.  It is real
-    (float64) for even n and complex for odd n.
-    """
-    return _circulant(_momentum_column(grid, n, scheme)).copy()
-
-
 def _momentum_column(grid: RingGrid, n: int, scheme: str) -> np.ndarray:
-    """First column of :func:`momentum_power_matrix`, after checking n and scheme."""
+    """First column of the Hermitian circulant of (-i d/dx)^n, 0 <= n <= 8, after
+    checking n and scheme; real (float64) for even n and complex for odd n."""
     if not isinstance(n, (int, np.integer)) or not 0 <= n <= 8:
         raise ValueError(f"derivative power must be an integer in [0, 8], got {n!r}")
     if scheme not in SCHEMES:

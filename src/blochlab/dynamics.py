@@ -20,6 +20,9 @@ import numpy as np
 
 from .lattice import OperatorMatrix, _require_hermitian, _require_positive
 
+# Largest phase error, in radians, that one rounding of a Ritz value may cause.
+_PHASE_TOL = 1e-8
+
 
 @dataclass
 class PropagationExperiment:
@@ -80,10 +83,13 @@ class PropagationExperiment:
         space.  The estimate bottoms out near beta_m u, with beta_m ~ ||H_m|| / 4,
         so a fixed absolute threshold would never be met on a fine grid.
         m grows roughly like |eps| ||H_m|| / hbar.  eps = 0 gives e_1 exactly.
+        A ValueError is raised when one rounding of a Ritz value moves the phases
+        eps theta / hbar by more than _PHASE_TOL rad, that is u |eps/hbar| max|theta|.
         """
         if not np.isfinite(epsilon):
             raise ValueError(f"epsilon must be finite, got {epsilon!r}")
         tau = epsilon / self.hbar
+        u = np.finfo(float).eps
         m, c = 0, np.ones(1)
         while tau != 0.0:
             m += max(4, m // 8)
@@ -91,8 +97,13 @@ class PropagationExperiment:
             m = min(m, len(self._alpha))
             off = self._beta[: m - 1]
             theta, q = np.linalg.eigh(np.diag(self._alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))
+            top = np.max(np.abs(theta))
+            blur = u * abs(tau) * top
+            if not blur <= _PHASE_TOL:  # NaN (inf tau, zero H_m) fails too
+                raise ValueError(f"phases eps*theta/hbar are resolved only to {blur:.3e} rad "
+                                 f"(eps {epsilon!r}, hbar {self.hbar!r})")
             c = q @ (np.exp(-1j * tau * theta) * q[0])
-            if self._beta[m - 1] * abs(c[-1]) <= 8 * np.finfo(float).eps * np.max(np.abs(theta)):
+            if self._beta[m - 1] * abs(c[-1]) <= 8 * u * top:
                 break
         return c, self._basis[: len(c)]
 

@@ -59,16 +59,6 @@ class PotentialSpec:
         """Values on all G samples; exact tiling of the first cell."""
         return np.tile(self.sample_cell(grid), grid.n_cells)
 
-    def fourier_coefficient(self, h: int) -> complex:
-        """Coefficient of exp(+i 2 pi h x / a); conjugate-symmetric in h."""
-        if h == 0:
-            return complex(self.constant)
-        for idx, alpha, beta in self.harmonics:
-            if idx == abs(h):
-                c = 0.5 * complex(alpha, -beta)
-                return c if h > 0 else np.conj(c)
-        return 0j
-
 
 @dataclass
 class OperatorMatrix:

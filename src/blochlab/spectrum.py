@@ -133,18 +133,20 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     """Lowest ``band_count`` eigenstates of crystal momentum k_l, l = ``sector``.
 
     Works entirely in the reduced basis of the P plane waves
-    exp(i kappa x)/sqrt(L) with kappa = (2 pi / L)(l + N m), m running over
-    the symmetric window [-P/2, P/2).  The block is the kinetic diagonal with
-    the unfolded kappa^2 plus the Toeplitz block of V_hat(d), |d| < P.  It
-    matches the grid H's sector block only up to two kinds of terms: a
-    sampled potential also couples m and m +- P through aliasing, and for
-    odd P the window holds wavenumbers |q| > G/2 that the spectral kinetic
-    matrix folds back.
+    exp(i kappa x)/sqrt(L) with kappa = (2 pi / L) q, q = l + N m folded into
+    [-G/2, G/2) as the grid's wavenumbers are, m running over the symmetric
+    window [-P/2, P/2).  The block is the kinetic diagonal kappa^2 plus the
+    Toeplitz block of V_hat(d), |d| < P.  It deviates from the grid H's sector
+    block only by the wrap-around coupling: a sampled potential also couples
+    m and m +- P through aliasing, and a harmonic h >= P couples only that
+    way, so the table leaves it out.  That coupling stays out because the
+    circulant block that has it makes the energies at P = 256 follow the BLAS
+    thread count, on potentials where the Toeplitz block's do not.
 
     Each state is built from one cell.  On the samples x_j = j h,
-    kappa_m x_j = k_l x_j + 2 pi m j / P, so psi = exp(i k_l x) u where u is
-    (P / sqrt(L)) times the length-P inverse FFT of the coefficients placed
-    at m mod P, tiled over the N cells: u is cell-periodic bit for bit.
+    exp(i kappa x_j) = exp(i k_l x_j) exp(2 pi i m j / P), so psi = exp(i k_l x) u
+    where u is (P / sqrt(L)) times the length-P inverse FFT of the coefficients
+    placed at m mod P, tiled over the N cells: u is cell-periodic bit for bit.
     """
     if not 0 <= sector < grid.n_cells:
         raise ValueError(f"sector must lie in [0, {grid.n_cells}), got {sector}")
@@ -156,18 +158,22 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
 
     p = grid.points_per_cell
     n_cells = grid.n_cells
-    length = grid.ring_length
+    length, g = grid.ring_length, grid.total_points
     m_window = np.arange(-(p // 2), p - p // 2)
-    q = sector + n_cells * m_window          # integer wavenumber index
+    q = (sector + n_cells * m_window + g // 2) % g - g // 2   # folded wavenumber index
     kappa = 2.0 * np.pi * q / length
 
     with np.errstate(over="ignore"):  # an overflow is left as inf, which the check rejects
         kinetic = np.diag(scale * kappa**2).astype(complex)
     # The potential couples plane waves differing by a reciprocal lattice
-    # vector: <kappa_i| V |kappa_j> = V_hat((q_i - q_j)/N).  Inside one
-    # sector q_i - q_j = N (i - j), so the block is Toeplitz in i - j and
-    # one table of V_hat(d), d = 1-P .. P-1, fills it.
-    coeff = np.array([potential.fourier_coefficient(d) for d in range(1 - p, p)])
+    # vector: <kappa_i| V |kappa_j> = V_hat(i - j) up to aliasing, so the block
+    # is Toeplitz in i - j and one table of V_hat(d), d = 1-P .. P-1, fills it.
+    coeff = np.zeros(2 * p - 1, dtype=complex)
+    coeff[p - 1] = potential.constant
+    for h, alpha, beta in potential.harmonics:
+        if h < p:
+            c = 0.5 * complex(alpha, -beta)
+            coeff[p - 1 + h], coeff[p - 1 - h] = c, np.conj(c)
     i = np.arange(p)
     block = kinetic + coeff[i[:, None] - i[None, :] + p - 1]
     if not np.all(np.isfinite(block)):

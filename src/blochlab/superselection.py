@@ -24,9 +24,10 @@ from .observables import _periodicity_defect, apply_kernel
 from .spectrum import BandStructure, BlochState
 
 # A kernel this close to cell-periodic must show no off-sector leakage
-# beyond roundoff; the scan raises if its own output violates that.
+# beyond roundoff, relative to the table's largest modulus; the scan raises
+# if its own output violates that.
 _PERIODIC_TOL = 1e-10
-_LEAK_TOL = 1e-8
+_LEAK_RTOL = 1e-11
 
 
 def matrix_element(op: OperatorMatrix, bra: BlochState, ket: BlochState) -> complex:
@@ -79,9 +80,10 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:
     """Measure every matrix element of ``op`` over the computed states.
 
     If the kernel is cell-periodic (relative defect <= 1e-10) the exact
-    selection rule applies, and finding off-sector leakage above 1e-8 means
-    the scan itself or the states are broken, so a RuntimeError is raised
-    rather than returning numbers that contradict a theorem.
+    selection rule applies, and finding off-sector leakage above 1e-11 of the
+    table's largest modulus means the scan itself or the states are broken,
+    so a RuntimeError is raised rather than returning numbers that contradict
+    a theorem.
     """
     _require_same_grid(op, bands)
     return _scan(op, bands.state_matrix(), bands.band_count)
@@ -97,10 +99,11 @@ def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionSca
     np.conj(psis, out=psis)
     flat = op.grid.spacing * (psis.T @ transformed)
     scan = SelectionScan(flat.reshape(band_count, op.grid.n_cells, band_count, -1), defect)
-    if defect <= _PERIODIC_TOL and scan.off_sector_max() > _LEAK_TOL:
+    largest = float(np.max(scan.moduli()))
+    if defect <= _PERIODIC_TOL and scan.off_sector_max() > _LEAK_RTOL * largest:
         raise RuntimeError(
-            "cell-periodic kernel shows off-sector matrix elements "
-            f"(defect {defect:.3e}, leakage {scan.off_sector_max():.3e}); "
+            "cell-periodic kernel shows off-sector matrix elements (defect "
+            f"{defect:.3e}, leakage {scan.off_sector_max():.3e} of largest {largest:.3e}); "
             "this contradicts the translation selection rule and indicates "
             "a broken scan or band structure"
         )

@@ -13,7 +13,26 @@ from blochlab import (
     solve_bands,
     wannier_projector,
 )
+from blochlab.derivatives import _circulant, _momentum_column
 from blochlab.lattice import _BLOCK, _squared_norm
+
+
+def momentum_matrix(grid, n, scheme="spectral"):
+    """Dense G x G matrix of (-i d/dx)^n on the grid samples: the circulant of the
+    library's momentum column, which H and materialize are checked against."""
+    return _circulant(_momentum_column(grid, n, scheme)).copy()
+
+
+def fourier_coefficient(potential, h):
+    """Coefficient of exp(+i 2 pi h x / a) in ``potential``; conjugate-symmetric in h."""
+    if h == 0:
+        return complex(potential.constant)
+    for index, alpha, beta in potential.harmonics:
+        if index == abs(h):
+            c = 0.5 * complex(alpha, -beta)
+            return c if h > 0 else np.conj(c)
+    return 0j
+
 
 # Reference configuration shared by most tests: 8 cells of unit length,
 # 32 samples per cell, V = 2 cos(2 pi x / a), four bands.

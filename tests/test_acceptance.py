@@ -22,7 +22,6 @@ from blochlab import (
     locality_report,
     materialize,
     matrix_element,
-    momentum_power_matrix,
     selection_scan,
     solve_bands,
     wannier_projector,
@@ -30,6 +29,7 @@ from blochlab import (
 )
 from blochlab.dynamics import first_order_error_exponent
 from blochlab.grid import WaveFunction
+from conftest import momentum_matrix
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:
@@ -93,7 +93,7 @@ def test_criterion_4_projector_nonlocality_vs_banded_kinetic(
 ):
     defect = cell_periodicity_defect(site0_projector, ref_translation)
     mass = locality_report(site0_projector).bandwidth_mass(ref_grid.cell_length)
-    kinetic = OperatorMatrix(ref_grid, 0.5 * momentum_power_matrix(ref_grid, 2, "fd4"))
+    kinetic = OperatorMatrix(ref_grid, 0.5 * momentum_matrix(ref_grid, 2, "fd4"))
     kin_width = locality_report(kinetic).locality_width(0.99)
     kin_defect = cell_periodicity_defect(kinetic, ref_translation)
     ok = (defect > 0.01 and mass < 0.9

@@ -48,7 +48,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.output_dir == "out"
     grid = cfg.grid()
     assert grid.total_points == 256
-    assert cfg.potential().fourier_coefficient(1) == 1.0
+    assert cfg.harmonics == ((1, 2.0, 0.0),)
 
 
 def test_full_config_round_trip():

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blochlab import RingGrid, momentum_power_matrix
+from blochlab import RingGrid
 from blochlab.derivatives import (
     SCHEMES,
     _finite_difference_column,
     _spectral_column,
     fornberg_weights,
 )
+from conftest import momentum_matrix
 
 
 def test_fornberg_classic_stencils():
@@ -35,7 +36,7 @@ def test_spectral_exact_on_plane_waves():
         k = 2.0 * np.pi * winding / grid.ring_length
         psi = np.exp(1j * k * x)
         for n in (1, 2, 3, 4):
-            mat = momentum_power_matrix(grid, n, "spectral")
+            mat = momentum_matrix(grid, n, "spectral")
             # Roundoff in the matvec is set by the largest multiplier on the
             # grid, (pi/h)^n, not by the mode being differentiated.
             tol = 1e-13 * max(1.0, (np.pi / grid.spacing) ** n)
@@ -44,14 +45,14 @@ def test_spectral_exact_on_plane_waves():
 
 def test_zero_power_is_identity():
     grid = RingGrid(4, 1.0, 8)
-    assert np.array_equal(momentum_power_matrix(grid, 0, "fd4"), np.eye(32))
+    assert np.array_equal(momentum_matrix(grid, 0, "fd4"), np.eye(32))
 
 
 @pytest.mark.parametrize("scheme", ["spectral", "fd2", "fd4", "fd6", "fd8"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_hermitian_every_scheme_and_power(scheme, n):
     grid = RingGrid(4, 1.0, 16)
-    mat = momentum_power_matrix(grid, n, scheme)
+    mat = momentum_matrix(grid, n, scheme)
     # The circulant column is mirror-symmetrized exactly, so this holds
     # bit for bit, not merely to rounding.
     assert np.array_equal(mat, mat.conj().T)
@@ -61,7 +62,7 @@ def test_hermitian_every_scheme_and_power(scheme, n):
 def test_commutes_with_sample_shift(scheme):
     # Circulants are shift-invariant: rolling rows and columns changes nothing.
     grid = RingGrid(4, 1.0, 16)
-    mat = momentum_power_matrix(grid, 2, scheme)
+    mat = momentum_matrix(grid, 2, scheme)
     rolled = np.roll(np.roll(mat, grid.points_per_cell, axis=0), grid.points_per_cell, axis=1)
     assert np.array_equal(mat, rolled)
 
@@ -73,11 +74,11 @@ def test_fd_accuracy_improves_with_order():
     psi = np.exp(1j * k * x)
     errors = []
     for scheme in ("fd2", "fd4", "fd6", "fd8"):
-        mat = momentum_power_matrix(grid, 2, scheme)
+        mat = momentum_matrix(grid, 2, scheme)
         errors.append(np.max(np.abs(mat @ psi - k**2 * psi)))
     assert errors[0] > errors[1] > errors[2] > errors[3]
     # And spectral is exact.
-    exact = momentum_power_matrix(grid, 2, "spectral")
+    exact = momentum_matrix(grid, 2, "spectral")
     assert np.max(np.abs(exact @ psi - k**2 * psi)) < 1e-9
 
 
@@ -88,7 +89,7 @@ def test_fd_refinement_rate():
     for p in (32, 64):
         grid = RingGrid(8, 1.0, p)
         psi = np.exp(1j * k * grid.points)
-        mat = momentum_power_matrix(grid, 2, "fd2")
+        mat = momentum_matrix(grid, 2, "fd2")
         errs.append(np.max(np.abs(mat @ psi - k**2 * psi)))
     ratio = errs[0] / errs[1]
     assert 3.5 < ratio < 4.5
@@ -97,13 +98,13 @@ def test_fd_refinement_rate():
 def test_scheme_and_power_validation():
     grid = RingGrid(4, 1.0, 8)
     with pytest.raises(ValueError):
-        momentum_power_matrix(grid, 9, "spectral")
+        momentum_matrix(grid, 9, "spectral")
     with pytest.raises(ValueError):
-        momentum_power_matrix(grid, -1, "spectral")
+        momentum_matrix(grid, -1, "spectral")
     with pytest.raises(ValueError):
-        momentum_power_matrix(grid, 2, "fd3")
+        momentum_matrix(grid, 2, "fd3")
     with pytest.raises(ValueError):
-        momentum_power_matrix(grid, 2, "chebyshev")
+        momentum_matrix(grid, 2, "chebyshev")
 
 
 def scipy_circulant_oracle(grid, n, scheme):
@@ -123,7 +124,7 @@ def test_matrix_is_the_scipy_circulant_bit_for_bit(scheme, n_cells, points):
     # Odd n on the even grid covers the spectral scheme's zeroed Nyquist mode.
     grid = RingGrid(n_cells, 1.0, points)
     for n in range(1, 9):
-        mat = momentum_power_matrix(grid, n, scheme)
+        mat = momentum_matrix(grid, n, scheme)
         assert mat.dtype == (complex if n % 2 else np.float64)
         assert np.array_equal(mat, scipy_circulant_oracle(grid, n, scheme)), n
 
@@ -150,7 +151,7 @@ def complex_arithmetic_circulant(grid, n, scheme):
 def test_even_powers_are_real_and_equal_the_complex_build(scheme, n_cells, points):
     grid = RingGrid(n_cells, 1.0, points)
     for n in range(0, 9, 2):
-        mat = momentum_power_matrix(grid, n, scheme)
+        mat = momentum_matrix(grid, n, scheme)
         oracle = complex_arithmetic_circulant(grid, n, scheme)
         assert mat.dtype == np.float64, n
         assert np.array_equal(mat, oracle), n

@@ -12,7 +12,6 @@ from blochlab import (
     build_translation,
     cell_periodicity_defect,
     classify_by_translation,
-    momentum_power_matrix,
 )
 from blochlab.derivatives import SCHEMES
 from blochlab.lattice import (
@@ -22,6 +21,7 @@ from blochlab.lattice import (
     commutator_norm,
     is_one_cell_shift,
 )
+from conftest import fourier_coefficient, momentum_matrix
 
 
 def test_potential_sampling_tiles_exactly():
@@ -46,20 +46,21 @@ def test_potential_validation():
 
 
 def test_fourier_coefficients():
+    # The coefficient helper is the oracle of the sector solver's Toeplitz table.
     pot = PotentialSpec(0.3, ((1, 2.0, 0.0), (2, 0.0, 1.0)))
-    assert pot.fourier_coefficient(0) == pytest.approx(0.3)
+    assert fourier_coefficient(pot, 0) == pytest.approx(0.3)
     # 2 cos(g x) = exp(igx) + exp(-igx).
-    assert pot.fourier_coefficient(1) == pytest.approx(1.0)
-    assert pot.fourier_coefficient(-1) == pytest.approx(1.0)
+    assert fourier_coefficient(pot, 1) == pytest.approx(1.0)
+    assert fourier_coefficient(pot, -1) == pytest.approx(1.0)
     # sin(2gx) = (exp(2igx) - exp(-2igx)) / 2i.
-    assert pot.fourier_coefficient(2) == pytest.approx(-0.5j)
-    assert pot.fourier_coefficient(-2) == pytest.approx(0.5j)
-    assert pot.fourier_coefficient(5) == 0.0
+    assert fourier_coefficient(pot, 2) == pytest.approx(-0.5j)
+    assert fourier_coefficient(pot, -2) == pytest.approx(0.5j)
+    assert fourier_coefficient(pot, 5) == 0.0
     # Coefficients reproduce the sampled values.
     grid = RingGrid(8, 1.0, 32)
     x = grid.points
     rebuilt = sum(
-        pot.fourier_coefficient(g) * np.exp(2j * np.pi * g * x / grid.cell_length)
+        fourier_coefficient(pot, g) * np.exp(2j * np.pi * g * x / grid.cell_length)
         for g in range(-2, 3)
     )
     assert np.max(np.abs(rebuilt - pot.sample(grid))) < 1e-12
@@ -147,7 +148,7 @@ def test_hamiltonian_has_the_bits_of_kinetic_plus_diagonal(scheme, shape):
     # diagonal makes them +0.0, and the in-place build must too.
     grid = RingGrid(shape[0], 1.0, shape[1])
     potential = PotentialSpec(-0.0, ((1, 2.0, 0.5), (2, -0.3, 0.0)))
-    kinetic = (1.3**2 / (2.0 * 0.7)) * momentum_power_matrix(grid, 2, scheme)
+    kinetic = (1.3**2 / (2.0 * 0.7)) * momentum_matrix(grid, 2, scheme)
     expected = kinetic + np.diag(potential.sample(grid))
     h = build_hamiltonian(grid, potential, mass=0.7, hbar=1.3, scheme=scheme)
     assert h.entries.tobytes() == expected.tobytes()
@@ -187,7 +188,7 @@ def test_add_hamiltonian_has_the_bits_of_r_plus_h(scheme, n_cells, points, compl
     r = _signed_zeros_and_normals(rng, (g, g))
     if complex_r:
         r = r + 1j * _signed_zeros_and_normals(rng, (g, g))
-    kinetic = hbar**2 / (2.0 * mass) * momentum_power_matrix(grid, 2, scheme)
+    kinetic = hbar**2 / (2.0 * mass) * momentum_matrix(grid, 2, scheme)
     expected = r + (kinetic + np.diag(potential.sample(grid)))
     _add_hamiltonian(r, grid, potential, mass, hbar, scheme)
     assert r.dtype == expected.dtype
@@ -233,7 +234,7 @@ def test_hamiltonian_of_a_real_potential_is_real(scheme, n_cells, points):
     h = build_hamiltonian(grid, potential, mass=0.9, hbar=1.1, scheme=scheme)
     # The same sum in complex arithmetic; the kinetic matrix itself is
     # checked against its complex build in test_derivatives.
-    kinetic = momentum_power_matrix(grid, 2, scheme).astype(complex)
+    kinetic = momentum_matrix(grid, 2, scheme).astype(complex)
     oracle = (1.1**2 / (2.0 * 0.9)) * kinetic + np.diag(potential.sample(grid).astype(complex))
     assert h.entries.dtype == np.float64
     assert np.array_equal(h.entries, oracle)

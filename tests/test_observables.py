@@ -14,13 +14,13 @@ from blochlab import (
     cell_periodicity_defect,
     locality_report,
     materialize,
-    momentum_power_matrix,
     solve_bands,
     wannier_projector,
 )
 from blochlab.derivatives import SCHEMES
 from blochlab.lattice import OperatorMatrix, _frobenius_norm
 from blochlab.observables import _harmonic_profiles, _periodicity_defect
+from conftest import momentum_matrix
 
 
 def test_series_validation():
@@ -39,7 +39,7 @@ def test_materialize_identity_and_kinetic(ref_grid):
     assert np.max(np.abs(ident.entries - np.eye(256))) < 1e-14
     # m = 0, n = 2 is exactly the squared momentum.
     kin = materialize(LocalObservableSeries(((0, 2, 1.0, 0.0),)), ref_grid)
-    assert np.max(np.abs(kin.entries - momentum_power_matrix(ref_grid, 2))) < 1e-12
+    assert np.max(np.abs(kin.entries - momentum_matrix(ref_grid, 2))) < 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["spectral", "fd4"])
@@ -56,7 +56,7 @@ def test_series_of_even_powers_is_real(ref_grid, scheme):
         if n == 0:
             acc[np.diag_indices(g)] += profile
         else:
-            acc += profile[:, None] * momentum_power_matrix(ref_grid, n, scheme).astype(complex)
+            acc += profile[:, None] * momentum_matrix(ref_grid, n, scheme).astype(complex)
     oracle = 0.5 * (acc + acc.conj().T)
     assert op.entries.dtype == np.float64
     assert np.array_equal(op.entries, oracle)
@@ -77,7 +77,7 @@ def cached_materialize_oracle(series, grid, scheme):
             acc[np.diag_indices(g)] += profile
             continue
         if n not in cache:
-            cache[n] = momentum_power_matrix(grid, n, scheme)
+            cache[n] = momentum_matrix(grid, n, scheme)
         acc += profile[:, None] * cache[n]
     return 0.5 * (acc + acc.conj().T) if series.symmetrize else acc
 

@@ -19,13 +19,13 @@ from blochlab import (
     classify_by_translation,
     fix_gauge,
     inner_product,
-    momentum_power_matrix,
     solve_bands,
     solve_sector,
 )
 from blochlab import spectrum
 from blochlab.derivatives import SCHEMES
 from blochlab.spectrum import _CLUSTER_RTOL, _cell_part, _clusters
+from conftest import fourier_coefficient, momentum_matrix
 
 
 def free_sector_energies(grid, sector, count):
@@ -377,11 +377,10 @@ def test_classifier_matches_the_schur_oracle(n_cells, points, scheme, amplitude,
                                     (3, -0.7 * amplitude, 0.2 * amplitude)))
     band_count = data.draw(st.integers(1, points))
     hamiltonian = build_hamiltonian(grid, potential, scheme=scheme)
-    # The sector solver is spectral, its Toeplitz block leaves out the
-    # couplings that a sampled potential aliases across the m window, and for
-    # odd P that window holds |q| > G/2, which the grid aliases.  So only the
-    # spectral free particle on even P must match it to roundoff.
-    exact = scheme == "spectral" and amplitude == 0.0 and points % 2 == 0
+    # The sector solver is spectral and its Toeplitz block leaves out the
+    # couplings that a sampled potential aliases across the m window.  So only
+    # the spectral free particle must match it to roundoff, odd P included.
+    exact = scheme == "spectral" and amplitude == 0.0
     solved = solve_bands(grid, potential, band_count) if exact else None
     assert_classifier_matches_the_schur_oracle(hamiltonian, band_count, solved)
 
@@ -411,40 +410,56 @@ def test_classifier_takes_a_complex_hamiltonian():
     # A drift term 0.3 (-i d/dx) is Hermitian, commutes with T and is not real.
     grid = RingGrid(6, 1.0, 12)
     potential = PotentialSpec(0.0, ((1, 1.5, 0.3),))
-    entries = build_hamiltonian(grid, potential).entries + 0.3 * momentum_power_matrix(grid, 1)
+    entries = build_hamiltonian(grid, potential).entries + 0.3 * momentum_matrix(grid, 1)
     hamiltonian = OperatorMatrix(grid, entries)
     assert hamiltonian.entries.dtype == np.complex128
     assert_classifier_matches_the_schur_oracle(hamiltonian, 12)
 
 
 def scipy_toeplitz_sector_block(grid, potential, sector):
-    """Sector block with the potential part built by scipy.linalg.toeplitz."""
-    p, n_cells = grid.points_per_cell, grid.n_cells
-    q = sector + n_cells * np.arange(-(p // 2), p - p // 2)
+    """Sector block with the potential part built by scipy.linalg.toeplitz from the
+    coefficient helper, on the window's wavenumbers folded into [-G/2, G/2)."""
+    p, n_cells, g = grid.points_per_cell, grid.n_cells, grid.total_points
+    m = np.arange(-(p // 2), p - p // 2)
+    q = (sector + n_cells * m + g // 2) % g - g // 2
     kappa = 2.0 * np.pi * q / grid.ring_length
     kinetic = np.diag(0.5 * kappa**2).astype(complex)
-    first_col = np.array([potential.fourier_coefficient(d) for d in (q - q[0]) // n_cells])
-    first_row = np.array([potential.fourier_coefficient(d) for d in (q[0] - q) // n_cells])
+    first_col = np.array([fourier_coefficient(potential, d) for d in m - m[0]])
+    first_row = np.array([fourier_coefficient(potential, d) for d in m[0] - m])
     return kinetic + scipy.linalg.toeplitz(first_col, first_row), kappa
 
 
-@pytest.mark.parametrize("potential", [
-    PotentialSpec(0.0, ((1, 2.0, 0.0),)),
-    PotentialSpec(0.3, ((1, 2.0, 0.7), (3, 0.0, -1.1))),
-], ids=["reference", "sine_harmonics"])
-def test_sector_solve_matches_the_toeplitz_oracle(ref_grid, potential):
-    p = ref_grid.points_per_cell
-    for sector in range(ref_grid.n_cells):
-        block, kappa = scipy_toeplitz_sector_block(ref_grid, potential, sector)
-        states = solve_sector(ref_grid, potential, sector, p)
+@pytest.mark.parametrize("grid, potential", [
+    (RingGrid(8, 1.0, 32), PotentialSpec(0.0, ((1, 2.0, 0.0),))),
+    (RingGrid(8, 1.0, 32), PotentialSpec(0.3, ((1, 2.0, 0.7), (3, 0.0, -1.1)))),
+    # Odd P: the upper sectors' windows fold; harmonic 9 >= P is left out of the table.
+    (RingGrid(5, 1.0, 9), PotentialSpec(-0.2, ((2, 0.6, -0.4), (9, 1.5, 0.5)))),
+], ids=["reference", "sine_harmonics", "odd_folded"])
+def test_sector_solve_matches_the_toeplitz_oracle(grid, potential):
+    p = grid.points_per_cell
+    for sector in range(grid.n_cells):
+        block, kappa = scipy_toeplitz_sector_block(grid, potential, sector)
+        states = solve_sector(grid, potential, sector, p)
         assert np.array_equal([s.energy for s in states], np.linalg.eigh(block)[0])
         # Equal energies do not fix the orientation of the Toeplitz block:
         # its transpose has the same spectrum.  The plane-wave coefficients
         # of the returned states must be eigenvectors of the oracle block.
-        phases = np.exp(1j * np.outer(ref_grid.points, kappa)) / np.sqrt(ref_grid.ring_length)
+        phases = np.exp(1j * np.outer(grid.points, kappa)) / np.sqrt(grid.ring_length)
         for state in states[:4]:
-            c = ref_grid.spacing * (phases.conj().T @ state.wavefunction.samples)
+            c = grid.spacing * (phases.conj().T @ state.wavefunction.samples)
             assert np.linalg.norm(block @ c - state.energy * c) < 1e-9
+
+
+@pytest.mark.parametrize("n_cells, points", [(3, 9), (4, 11), (5, 9)])
+def test_free_particle_solver_matches_the_classifier_at_odd_p(n_cells, points):
+    # With P odd the upper sectors' windows reach |q| > G/2; the solver folds them
+    # as the grid does, so all P bands are the dense H's.
+    grid = RingGrid(n_cells, 1.0, points)
+    solved = solve_bands(grid, PotentialSpec(), points)
+    classified = classify_by_translation(build_hamiltonian(grid, PotentialSpec()),
+                                         build_translation(grid), points)
+    scale = float(np.max(np.abs(classified.energies())))
+    assert np.max(np.abs(solved.energies() - classified.energies())) <= 1e-12 * scale
 
 
 def loop_clusters(energies):
