@@ -103,13 +103,12 @@ def _kinetic_scale(mass: float, hbar: float) -> float:
 
 
 def _require_hermitian(a: np.ndarray, what: str) -> float:
-    """Raise unless max |A - A^dagger| <= 1e-10 max(max |A|, 1), NaN failing; return the scale."""
+    """Raise unless max |A - A^dagger| <= 1e-10 max |A| (no floor), NaN failing; return max |A|."""
     with np.errstate(invalid="ignore"):  # an inf entry makes the defect NaN, which fails
         defect, max_abs = _hermitian_check(a)
-    scale = max(max_abs, 1.0)
-    if not defect <= 1e-10 * scale:
+    if not defect <= 1e-10 * max_abs:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
-    return scale
+    return max_abs
 
 
 def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.0,

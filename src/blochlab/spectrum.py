@@ -105,18 +105,21 @@ def _clusters(energies: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray,
-                      wavenumbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray, wavenumbers: np.ndarray,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
     """Resolve degenerate clusters toward definite plane-wave content.
 
     Inside each cluster of (numerically) equal energies the eigvectors are
     rotated to diagonalize the restriction of the wavenumber operator, then
     ordered by |q| with positive q first.  This pins the band labels at
     crossings such as the free particle at the zone edge, where LAPACK's
-    ordering is arbitrary.
+    ordering is arbitrary.  Only clusters that start below ``count`` are rotated;
+    they still come from the whole spectrum, whose span sets their tolerance.
     """
     vectors = vectors.copy()
     for start, stop in _clusters(energies):
+        if start >= count:
+            break
         if stop - start > 1:
             block = vectors[:, start:stop]
             q_block = block.conj().T @ (wavenumbers[:, None] * block)
@@ -182,7 +185,7 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     energies, coeffs = np.linalg.eigh(block)
     if not np.all(np.isfinite(energies)):
         raise ValueError(f"sector {sector} energies are not finite")
-    energies, coeffs = _tie_broken_order(energies, coeffs, q.astype(float))
+    energies, coeffs = _tie_broken_order(energies, coeffs, q.astype(float), band_count)
 
     # m_window is in FFT-shifted order, so ifftshift puts m at index m mod P.
     cells = np.fft.ifft(np.fft.ifftshift(coeffs[:, :band_count], axes=0), axis=0)
@@ -310,7 +313,13 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
     rotation is unitary even when one sector holds two states of a cluster.
     The sector label l is read from z^dagger R z = exp(+i 2 pi l / N).
     ``translation`` must be exactly the one-cell shift (checked in O(G^2));
-    it is applied as an index shift.
+    it is applied as an index shift.  The [H, T] bound is 1e-9 max |H|.
+
+    The walk up the clusters stops once every sector holds ``band_count``
+    states.  Later clusters lie strictly higher and the per-sector sort is
+    stable, so the returned states are a full walk's bit for bit; each one
+    passed the unit-circle and N-th root checks, and only unreturned states
+    go unrotated.
     """
     grid = hamiltonian.grid
     _require_same_grid(hamiltonian, translation)
@@ -337,6 +346,8 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
     tilt = np.exp(-0.5j * np.pi / n_cells)
     per_sector: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(n_cells)]
     for start, stop in _clusters(energies):
+        if min(map(len, per_sector)) >= band_count:
+            break
         block = vectors[:, start:stop]
         restricted = block.conj().T @ np.roll(block, -p, axis=0)
         tilted = tilt * restricted

@@ -18,6 +18,7 @@ from blochlab.lattice import (
     _add_hamiltonian,
     _commutator_slabs,
     _frobenius_norm,
+    _require_hermitian,
     commutator_norm,
     is_one_cell_shift,
 )
@@ -102,6 +103,15 @@ def test_operator_symmetrized():
     assert np.max(np.abs(op.entries - op.entries.conj().T)) > 0.1
     sym = OperatorMatrix(grid, 0.5 * (op.entries + op.entries.conj().T))
     assert np.max(np.abs(sym.entries - sym.entries.conj().T)) < 1e-14
+
+
+def test_hermitian_gate_is_relative_to_the_operator(rng):
+    # At scale 1e-12 an absolute floor of 1e-10 would pass any matrix at all.
+    raw = 1e-12 * rng.normal(size=(64, 64))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _require_hermitian(raw, "operator")
+    assert _require_hermitian(raw + raw.T, "operator") == float(np.max(np.abs(raw + raw.T)))
+    assert _require_hermitian(np.zeros((64, 64)), "operator") == 0.0
 
 
 def test_hamiltonian_is_hermitian_and_commutes_with_shift(ref_hamiltonian, ref_translation):

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blochlab import (
@@ -484,3 +484,138 @@ def test_cluster_spans_match_the_scalar_walk(first, gaps):
     spans = _clusters(energies)
     assert spans == loop_clusters(energies)
     assert spans[0][0] == 0 and spans[-1][1] == energies.size
+
+
+def assert_same_bytes(got, expected):
+    """Same (band, sector) slots, and energies, psi and u equal bit for bit."""
+    for state, reference in zip(got.all_states(), expected.all_states(), strict=True):
+        assert (state.band, state.sector) == (reference.band, reference.sector)
+        assert np.float64(state.energy).tobytes() == np.float64(reference.energy).tobytes()
+        assert state.wavefunction.samples.tobytes() == reference.wavefunction.samples.tobytes()
+        assert state.cell_part.samples.tobytes() == reference.cell_part.samples.tobytes()
+
+
+def full_walk_classifier(hamiltonian, band_count):
+    """classify_by_translation's rotation and labelling run over every cluster of
+    the spectrum, with no stop once every sector is full.  Kept here only to
+    check that stop against: it must not move a returned bit."""
+    grid = hamiltonian.grid
+    p, n_cells = grid.points_per_cell, grid.n_cells
+    energies, vectors = np.linalg.eigh(hamiltonian.entries)
+    tilt = np.exp(-0.5j * np.pi / n_cells)
+    per_sector = [[] for _ in range(n_cells)]
+    for start, stop in _clusters(energies):
+        block = vectors[:, start:stop]
+        restricted = block.conj().T @ np.roll(block, -p, axis=0)
+        tilted = tilt * restricted
+        _, z = np.linalg.eigh(0.5 * (tilted + tilted.conj().T))
+        rotated = block @ z
+        t_eigs = np.einsum("ij,ij->j", z.conj(), restricted @ z)
+        for i, lam in enumerate(t_eigs):
+            l = int(np.rint(np.angle(lam) * n_cells / (2.0 * np.pi))) % n_cells
+            psi = WaveFunction(grid, rotated[:, i] / np.sqrt(grid.spacing))
+            per_sector[l].append((float(energies[start + i]), psi))
+    rows = [[] for _ in range(band_count)]
+    for l, bucket in enumerate(per_sector):
+        bucket.sort(key=lambda item: item[0])
+        for n in range(band_count):
+            energy, psi = bucket[n]
+            rows[n].append(fix_gauge(BlochState(n, l, energy, psi, _cell_part(psi, l))))
+    return BandStructure(grid, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.integers(8, 17), st.sampled_from(sorted(SCHEMES)),
+       st.sampled_from([0.0, 1e-7, 1e-3, 3.0]), st.data())
+def test_classifier_stop_keeps_the_full_walk_bits(n_cells, points, scheme, amplitude, data):
+    # band_count = P fills the last sector only at the top cluster: a full walk.
+    grid = RingGrid(n_cells, 1.0, points)
+    potential = PotentialSpec(0.0, ((1, amplitude, 0.4 * amplitude),
+                                    (3, -0.7 * amplitude, 0.2 * amplitude)))
+    band_count = data.draw(st.integers(1, points))
+    hamiltonian = build_hamiltonian(grid, potential, scheme=scheme)
+    classified = classify_by_translation(hamiltonian, build_translation(grid), band_count)
+    assert_same_bytes(classified, full_walk_classifier(hamiltonian, band_count))
+
+
+def test_classifier_rotates_clusters_until_every_sector_is_full(monkeypatch):
+    grid = RingGrid(16, 1.0, 64)
+    potential = PotentialSpec(0.0, ((1, 2.0, 0.5), (2, -0.3, 0.2)))
+    hamiltonian, band_count = build_hamiltonian(grid, potential), 4
+    translation = build_translation(grid)
+    # Independently of the classifier: the cluster (scalar walk over the dense
+    # energies) holding the top energy the sector solver returns is the first
+    # at which every sector holds band_count states.
+    energies = np.linalg.eigvalsh(hamiltonian.entries)
+    spans = loop_clusters(energies)
+    top = float(np.max(solve_bands(grid, potential, band_count).energies()))
+    full = [i for i, (start, stop) in enumerate(spans)
+            if energies[start] - 1e-9 <= top <= energies[stop - 1] + 1e-9]
+    assert len(full) == 1 and full[0] + 1 < len(spans) // 10
+
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    classify_by_translation(hamiltonian, translation, band_count)
+    assert shapes[0] == (grid.total_points,) * 2
+    assert shapes[1:] == [(stop - start,) * 2 for start, stop in spans[:full[0] + 1]]
+
+
+def full_tie_broken_order(energies, vectors, wavenumbers, count):
+    """_tie_broken_order rotating every degenerate cluster, ``count`` ignored.
+    Kept here only to check the solver's stop at ``count`` against."""
+    vectors = vectors.copy()
+    for start, stop in _clusters(energies):
+        if stop - start > 1:
+            block = vectors[:, start:stop]
+            q_vals, q_vecs = np.linalg.eigh(block.conj().T @ (wavenumbers[:, None] * block))
+            q_round = np.rint(q_vals).astype(int)
+            rank = np.lexsort((q_round < 0, np.abs(q_round)))
+            vectors[:, start:stop] = (block @ q_vecs)[:, rank]
+    return energies, vectors
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(8, 17), st.sampled_from([0.0, 1e-7, 1e-3, 3.0]),
+       st.integers(1, 17))
+@example(8, 16, 0.0, 2)   # sector 0's pair q = +-8 straddles the band_count boundary
+def test_solver_states_match_a_full_tie_break(n_cells, points, amplitude, band_count):
+    assume(band_count <= points)
+    grid = RingGrid(n_cells, 1.0, points)
+    potential = PotentialSpec(0.0, ((1, amplitude, 0.4 * amplitude),
+                                    (3, -0.7 * amplitude, 0.2 * amplitude)))
+    solved = solve_bands(grid, potential, band_count)
+    with mock.patch.object(spectrum, "_tie_broken_order", full_tie_broken_order):
+        oracle = solve_bands(grid, potential, band_count)
+    assert_same_bytes(solved, oracle)
+
+
+def test_classifier_commutator_bound_is_relative(ref_grid, ref_translation):
+    # A potential with the ring period but not the cell period, at a scale
+    # where an absolute floor of 1e-9 would have let it through.
+    diag = 1e-12 * np.cos(2.0 * np.pi * ref_grid.points / ref_grid.ring_length)
+    with pytest.raises(ValueError, match="commute"):
+        classify_by_translation(OperatorMatrix(ref_grid, np.diag(diag)), ref_translation, 2)
+
+
+def test_classifier_accepts_h_in_any_energy_unit():
+    grid = RingGrid(4, 1.0, 8)
+    entries = build_hamiltonian(grid, PotentialSpec(0.3, ((1, 0.8, 0.4),))).entries
+    translation = build_translation(grid)
+    for k in range(-40, 41):
+        scaled = OperatorMatrix(grid, 4.0**k * entries)
+        assert classify_by_translation(scaled, translation, 2).band_count == 2
+
+
+def test_classifier_takes_a_zero_hamiltonian():
+    # Defect and commutator read 0 <= 0: the gates pass with no floor.
+    grid = RingGrid(4, 1.0, 8)
+    zero = OperatorMatrix(grid, np.zeros((32, 32)))
+    classified = classify_by_translation(zero, build_translation(grid), 8)
+    assert np.all(classified.energies() == 0.0)
+    assert classified.orthonormality_defect() <= 1e-12
+    assert classified.translation_defect() <= 1e-12
