@@ -20,21 +20,29 @@ A run file is one JSON object.  Required structure, with defaults shown:
     }
 
 ``lattice`` and ``potential`` are required; everything else has defaults
-(``bands`` defaults to 1, no observables, no dynamics section).  Validation
-failures, unknown keys included, raise :class:`ConfigError` whose message
-names the offending key.
+(``bands`` defaults to 1, no observables, no dynamics section).
+
+Each value rule is written once, in the library: a number or an integer leaf goes
+through ``grid._number`` or ``grid._integer``, and the lattice, the potential and a
+series' terms are built as :class:`RingGrid`, :class:`PotentialSpec` and
+:class:`LocalObservableSeries`, whose checks name the field they reject.  This module
+adds only what JSON and the run file add: object shape with unknown and missing keys,
+lists, booleans, names and choices, and the rules that relate keys (bands <= P,
+band < bands, cells < N, perturbation names, distinct observable names, target !=
+source).  A failure at a key raises :class:`ConfigError` as "config key 'PATH': problem".
 """
 
 from __future__ import annotations
 
 import json
-import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .derivatives import SCHEMES
-from .grid import RingGrid
+from .grid import RingGrid, _integer, _number
 from .lattice import PotentialSpec
+from .observables import LocalObservableSeries
 
 
 class ConfigError(ValueError):
@@ -43,6 +51,19 @@ class ConfigError(ValueError):
 
 def _fail(key: str, problem: str):
     raise ConfigError(f"config key '{key}': {problem}")
+
+
+@contextmanager
+def _keyed(prefix: str = ""):
+    """Re-raise a library ValueError, whose message starts with the field it names, as a
+    ConfigError at the key path ``prefix`` + that field."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        field, _, problem = str(exc).partition(" ")
+        _fail(prefix + field, problem)
 
 
 # The keys of each object section, by its key path ("" is the root), in the
@@ -84,32 +105,15 @@ def _section(mapping, path: str, keys: tuple[str, ...] | None = None):
             _fail(here, "missing")
         else:
             value = default
-        return value if parse is None else parse(value, here, **limits)
+        with _keyed():
+            return value if parse is None else parse(value, here, **limits)
 
     return read
 
 
-def _as_int(value, path: str, minimum=None, maximum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(path, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _as_number(value, path: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        _fail(path, "must be finite")
-    if positive and value <= 0:
-        _fail(path, f"must be positive, got {value}")
+def _as_list(value, path: str, non_empty: bool = False) -> list:
+    if not isinstance(value, list) or (non_empty and not value):
+        _fail(path, "must be a non-empty list" if non_empty else "must be a list")
     return value
 
 
@@ -197,41 +201,9 @@ class RunConfig:
         return json.loads(json.dumps(out))
 
 
-def _parse_harmonics(raw, path: str) -> tuple[tuple[int, float, float], ...]:
-    if not isinstance(raw, list):
-        _fail(path, "must be a list of [index, cos_amp, sin_amp] triples")
-    out = []
-    seen = set()
-    for i, item in enumerate(raw):
-        here = f"{path}[{i}]"
-        if not isinstance(item, list) or len(item) != 3:
-            _fail(here, "must be a [index, cos_amp, sin_amp] triple")
-        idx = _as_int(item[0], here + "[0]", minimum=1)
-        if idx in seen:
-            _fail(here + "[0]", f"harmonic index {idx} appears twice")
-        seen.add(idx)
-        out.append((idx, _as_number(item[1], here + "[1]"), _as_number(item[2], here + "[2]")))
-    return tuple(out)
-
-
-def _parse_terms(raw, path: str) -> tuple[tuple[int, int, float, float], ...]:
-    if not isinstance(raw, list) or not raw:
-        _fail(path, "must be a non-empty list of [m, n, cos_amp, sin_amp] quadruples")
-    out = []
-    for i, item in enumerate(raw):
-        here = f"{path}[{i}]"
-        if not isinstance(item, list) or len(item) != 4:
-            _fail(here, "must be a [m, n, cos_amp, sin_amp] quadruple")
-        m = _as_int(item[0], here + "[0]", minimum=0)
-        n = _as_int(item[1], here + "[1]", minimum=0, maximum=8)
-        out.append((m, n, _as_number(item[2], here + "[2]"), _as_number(item[3], here + "[3]")))
-    return tuple(out)
-
-
 def _parse_epsilons(raw, path: str) -> tuple[float, ...]:
-    if not isinstance(raw, list) or not raw:
-        _fail(path, "must be a non-empty list of positive times")
-    return tuple(_as_number(e, f"{path}[{i}]", positive=True) for i, e in enumerate(raw))
+    raw = _as_list(raw, path, non_empty=True)
+    return tuple(_number(e, f"{path}[{i}]", positive=True) for i, e in enumerate(raw))
 
 
 def _parse_perturbation(raw, path: str, names: set[str]) -> str | None:
@@ -249,15 +221,17 @@ def _parse_observable(raw, path: str, bands: int, n_cells: int) -> ObservableCon
     kind = read("kind", _one_of, choices=_OBSERVABLE_KINDS)
     _section(raw, path, ("name", "kind", *_OBSERVABLE_KEYS[kind]))
     if kind == "series":
+        with _keyed(path + "."):
+            terms = LocalObservableSeries(read("terms", _as_list, non_empty=True)).terms
         return ObservableConfig(
-            name, kind, terms=read("terms", _parse_terms),
+            name, kind, terms=terms,
             symmetrize=read("symmetrize", _as_bool, True),
             scheme=read("scheme", _one_of, "spectral", choices=_SCHEMES),
         )
     if kind == "wannier_projector":
         return ObservableConfig(
-            name, kind, band=read("band", _as_int, 0, minimum=0, maximum=bands - 1),
-            site=read("site", _as_int, 0, minimum=0, maximum=n_cells - 1),
+            name, kind, band=read("band", _integer, 0, minimum=0, maximum=bands - 1),
+            site=read("site", _integer, 0, minimum=0, maximum=n_cells - 1),
         )
     return ObservableConfig(name, kind)
 
@@ -268,23 +242,20 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("config root: must be a JSON object")
     root = _section(data, "", _KEYS[""])
     lattice = root("lattice", _section, keys=_KEYS["lattice"])
-    n_cells = lattice("n_cells", _as_int, minimum=2)
-    cell_length = lattice("cell_length", _as_number, positive=True)
-    points_per_cell = lattice("points_per_cell", _as_int, minimum=8)
-    mass = lattice("mass", _as_number, 1.0, positive=True)
-    hbar = lattice("hbar", _as_number, 1.0, positive=True)
-    potential = root("potential", _section, keys=_KEYS["potential"])
-    constant = potential("constant", _as_number, 0.0)
-    harmonics = potential("harmonics", _parse_harmonics, [])
-    bands = root("bands", _as_int, 1, minimum=1, maximum=points_per_cell)
+    with _keyed("lattice."):
+        grid = RingGrid(lattice("n_cells"), lattice("cell_length"), lattice("points_per_cell"))
+    mass = lattice("mass", _number, 1.0, positive=True)
+    hbar = lattice("hbar", _number, 1.0, positive=True)
+    section = root("potential", _section, keys=_KEYS["potential"])
+    with _keyed("potential."):
+        potential = PotentialSpec(section("constant", default=0.0),
+                                  section("harmonics", _as_list, []))
+    bands = root("bands", _integer, 1, minimum=1, maximum=grid.points_per_cell)
 
-    raw_observables = root("observables", default=[])
-    if not isinstance(raw_observables, list):
-        _fail("observables", "must be a list")
     observables = []
     names = set()
-    for i, raw in enumerate(raw_observables):
-        obs = _parse_observable(raw, f"observables[{i}]", bands, n_cells)
+    for i, raw in enumerate(root("observables", _as_list, [])):
+        obs = _parse_observable(raw, f"observables[{i}]", bands, grid.n_cells)
         if obs.name in names:
             _fail(f"observables[{i}].name", f"duplicate observable name {obs.name!r}")
         names.add(obs.name)
@@ -293,11 +264,11 @@ def parse_config(data: dict) -> RunConfig:
     dynamics = root("dynamics", default=None)
     if dynamics is not None:
         read = _section(dynamics, "dynamics", _KEYS["dynamics"])
-        cell = {"minimum": 0, "maximum": n_cells - 1}
+        cell = {"minimum": 0, "maximum": grid.n_cells - 1}
         dynamics = DynamicsConfig(
             read("epsilons", _parse_epsilons),
-            read("source_cell", _as_int, **cell),
-            read("target_cell", _as_int, **cell),
+            read("source_cell", _integer, **cell),
+            read("target_cell", _integer, **cell),
             read("kinetic_scheme", _one_of, "fd4", choices=_SCHEMES),
             read("perturbation", _parse_perturbation, None, names=names),
         )
@@ -306,13 +277,13 @@ def parse_config(data: dict) -> RunConfig:
                   "epsilons are given (the slope fit needs two distinct samples)")
 
     return RunConfig(
-        n_cells=n_cells,
-        cell_length=cell_length,
-        points_per_cell=points_per_cell,
+        n_cells=grid.n_cells,
+        cell_length=grid.cell_length,
+        points_per_cell=grid.points_per_cell,
         mass=mass,
         hbar=hbar,
-        constant=constant,
-        harmonics=harmonics,
+        constant=potential.constant,
+        harmonics=potential.harmonics,
         bands=bands,
         observables=tuple(observables),
         dynamics=dynamics,
@@ -329,6 +300,6 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {str(path)!r} cannot be read: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config file {str(path)!r} is not valid JSON: {exc}") from exc
     return parse_config(data)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import RingGrid
+from .grid import RingGrid, _integer
 
 # Scheme name -> finite-difference accuracy order (None for spectral).
 SCHEMES = {"spectral": None, "fd2": 2, "fd4": 4, "fd6": 6, "fd8": 8}
@@ -78,8 +78,7 @@ def _finite_difference_column(grid: RingGrid, n: int, accuracy: int) -> np.ndarr
 def _momentum_column(grid: RingGrid, n: int, scheme: str) -> np.ndarray:
     """First column of the Hermitian circulant of (-i d/dx)^n, 0 <= n <= 8, after
     checking n and scheme; real (float64) for even n and complex for odd n."""
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= 8:
-        raise ValueError(f"derivative power must be an integer in [0, 8], got {n!r}")
+    n = _integer(n, "n", minimum=0, maximum=8)
     if scheme not in SCHEMES:
         raise ValueError(
             f"unknown derivative scheme {scheme!r}; expected one of {tuple(SCHEMES)}"

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import OperatorMatrix, _require_hermitian, _require_positive
+from .grid import _integer, _number
+from .lattice import OperatorMatrix, _require_hermitian
 
 # Largest phase error, in radians, that one rounding of a Ritz value may cause.
 _PHASE_TOL = 1e-8
@@ -43,9 +44,9 @@ class PropagationExperiment:
 
     def __post_init__(self):
         g = self.hamiltonian.grid.total_points
-        if not (0 <= self.source < g and 0 <= self.target < g):
-            raise ValueError(f"source and target must be sample indices in [0, {g})")
-        _require_positive("hbar", self.hbar)
+        _integer(self.source, "source", minimum=0, maximum=g - 1)
+        _integer(self.target, "target", minimum=0, maximum=g - 1)
+        _number(self.hbar, "hbar", positive=True)
         _require_hermitian(self.hamiltonian.entries, "total generator")
         self._alpha, self._beta = [], []
         # np.zeros leaves untouched pages unmapped: only filled rows cost memory.
@@ -86,9 +87,7 @@ class PropagationExperiment:
         A ValueError is raised when one rounding of a Ritz value moves the phases
         eps theta / hbar by more than _PHASE_TOL rad, that is u |eps/hbar| max|theta|.
         """
-        if not np.isfinite(epsilon):
-            raise ValueError(f"epsilon must be finite, got {epsilon!r}")
-        tau = epsilon / self.hbar
+        tau = _number(epsilon, "epsilon") / self.hbar
         u = np.finfo(float).eps
         m, c = 0, np.ones(1)
         while tau != 0.0:
@@ -138,6 +137,15 @@ def cell_transport_profile(experiment: PropagationExperiment, epsilon: float) ->
     return profile.reshape(grid.n_cells, grid.points_per_cell).sum(axis=1)
 
 
+def _sweep(epsilons) -> np.ndarray:
+    """The sweep as a float array, after checking it holds two or more positive, finite
+    times: a fit over it needs two distinct samples."""
+    eps = np.array([_number(e, f"epsilons[{i}]", positive=True) for i, e in enumerate(epsilons)])
+    if eps.size < 2:
+        raise ValueError(f"epsilons must hold two or more times, got {eps.size}")
+    return eps
+
+
 def linear_response_slope(experiment: PropagationExperiment,
                           epsilons: np.ndarray) -> tuple[float, float]:
     """Fit |amp(eps)| = s * eps + q * eps^2 over the sweep; return (s, q).
@@ -146,11 +154,7 @@ def linear_response_slope(experiment: PropagationExperiment,
     s = |kernel_entry| / (hbar h); the quadratic term absorbs the next order
     so the linear coefficient stays clean over finite sweeps.
     """
-    eps = np.asarray(epsilons, dtype=float)
-    if eps.size < 2:
-        raise ValueError("need at least two epsilon values to fit a slope")
-    if np.any(eps <= 0) or not np.all(np.isfinite(eps)):
-        raise ValueError("epsilon sweep must be positive and finite")
+    eps = _sweep(epsilons)
     if experiment.target == experiment.source:
         raise ValueError("slope fit expects distinct source and target samples")
     mags = np.array([abs(exact_amplitude(experiment, e)) for e in eps])
@@ -163,11 +167,7 @@ def first_order_error_exponent(experiment: PropagationExperiment,
                                epsilons: np.ndarray) -> float:
     """Log-log slope of |exact - first_order| against eps; 2 when the
     expansion is honest."""
-    eps = np.asarray(epsilons, dtype=float)
-    if eps.size < 2:
-        raise ValueError("need at least two epsilon values to fit an exponent")
-    if np.any(eps <= 0) or not np.all(np.isfinite(eps)):
-        raise ValueError("epsilon sweep must be positive and finite")
+    eps = _sweep(epsilons)
     errs = np.array(
         [abs(exact_amplitude(experiment, e) - first_order_amplitude(experiment, e)) for e in eps]
     )

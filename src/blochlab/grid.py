@@ -9,6 +9,8 @@ commutes with everything built from per-cell data.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,40 @@ import numpy as np
 
 class GridMismatchError(ValueError):
     """Two objects that must share a grid were built on different grids."""
+
+
+def _integer(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """``value`` as an int in [minimum, maximum], or ValueError naming ``name`` first.
+
+    A bool is not an integer.  A missing end defaults to -2**53 or 2**53, and no value
+    beyond 2**53 in magnitude passes: float arithmetic on an index stops being exact there.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not (abs(value) <= 2**53 and (minimum is None or value >= minimum)
+            and (maximum is None or value <= maximum)):
+        low = "-2**53" if minimum is None else minimum
+        high = "2**53" if maximum is None else maximum
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    return value
+
+
+def _number(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float, > 0 with ``positive``, or ValueError naming ``name`` first.
+
+    A bool is not a number, and an int beyond the float range counts as infinite.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0 or not positive)):
+        rule = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {rule}, got {number!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -38,14 +74,12 @@ class RingGrid:
     points_per_cell: int
 
     def __post_init__(self):
-        if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 2:
-            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
-        if not isinstance(self.points_per_cell, (int, np.integer)) or self.points_per_cell < 8:
-            raise ValueError(
-                f"points_per_cell must be an integer >= 8, got {self.points_per_cell!r}"
-            )
-        if not np.isfinite(self.cell_length) or self.cell_length <= 0:
-            raise ValueError(f"cell_length must be positive and finite, got {self.cell_length!r}")
+        # Stored as checked: plain ints and a float, whatever numeric types came in.
+        object.__setattr__(self, "n_cells", _integer(self.n_cells, "n_cells", minimum=2))
+        object.__setattr__(self, "cell_length",
+                           _number(self.cell_length, "cell_length", positive=True))
+        object.__setattr__(self, "points_per_cell",
+                           _integer(self.points_per_cell, "points_per_cell", minimum=8))
 
     @property
     def total_points(self) -> int:
@@ -73,8 +107,7 @@ class RingGrid:
 
     def index_of_cell(self, cell: int) -> int:
         """Index of the sample at the center of ``cell`` (offset P//2 into it)."""
-        if not 0 <= cell < self.n_cells:
-            raise ValueError(f"cell must lie in [0, {self.n_cells}), got {cell}")
+        cell = _integer(cell, "cell", minimum=0, maximum=self.n_cells - 1)
         return cell * self.points_per_cell + self.points_per_cell // 2
 
     def ring_distance(self, i: int, j: int) -> float:

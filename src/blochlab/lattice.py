@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import _circulant, _momentum_column
-from .grid import RingGrid, _require_same_grid
+from .grid import RingGrid, _integer, _number, _require_same_grid
 
 # Tile edge: blockwise passes keep their temporaries O(_BLOCK * G), not O(G^2).
 _BLOCK = 128
@@ -28,22 +28,17 @@ class PotentialSpec:
     harmonics: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self):
-        if not np.isfinite(self.constant):
-            raise ValueError(f"constant term must be finite, got {self.constant!r}")
-        seen = set()
-        cleaned = []
-        for term in self.harmonics:
-            if len(term) != 3:
-                raise ValueError(f"harmonic terms are (index, cos, sin) triples, got {term!r}")
-            h, alpha, beta = term
-            if not isinstance(h, (int, np.integer)) or h < 1:
-                raise ValueError(f"harmonic index must be a positive integer, got {h!r}")
+        object.__setattr__(self, "constant", _number(self.constant, "constant"))
+        seen, cleaned = set(), []
+        for i, term in enumerate(self.harmonics):
+            here = f"harmonics[{i}]"
+            if not isinstance(term, (tuple, list)) or len(term) != 3:
+                raise ValueError(f"{here} must be an (index, cos, sin) triple, got {term!r}")
+            h = _integer(term[0], here + "[0]", minimum=1)
             if h in seen:
-                raise ValueError(f"harmonic index {h} appears twice")
-            if not (np.isfinite(alpha) and np.isfinite(beta)):
-                raise ValueError(f"harmonic amplitudes must be finite, got {term!r}")
+                raise ValueError(f"{here}[0] repeats harmonic index {h}")
             seen.add(h)
-            cleaned.append((int(h), float(alpha), float(beta)))
+            cleaned.append((h, _number(term[1], here + "[1]"), _number(term[2], here + "[2]")))
         object.__setattr__(self, "harmonics", tuple(cleaned))
 
     def sample_cell(self, grid: RingGrid) -> np.ndarray:
@@ -85,16 +80,9 @@ class OperatorMatrix:
         self.entries = entries
 
 
-def _require_positive(name: str, value: float) -> None:
-    """Reject a mass or hbar that is not positive and finite."""
-    if not np.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _kinetic_scale(mass: float, hbar: float) -> float:
     """hbar^2 / 2m for a positive, finite mass and hbar; ValueError if it overflows."""
-    _require_positive("mass", mass)
-    _require_positive("hbar", hbar)
+    mass, hbar = _number(mass, "mass", positive=True), _number(hbar, "hbar", positive=True)
     with np.errstate(over="ignore"):  # inf where a Python float's ** would raise
         scale = float(np.float64(hbar) ** 2 / (2.0 * mass))
     if not np.isfinite(scale):

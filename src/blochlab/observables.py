@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .derivatives import _circulant, _momentum_column
-from .grid import RingGrid, WaveFunction, _require_same_grid
+from .grid import RingGrid, WaveFunction, _integer, _number, _require_same_grid
 from .lattice import (_BLOCK, OperatorMatrix, _commutator_norm, _frobenius_norm, _tile_pairs,
                       is_one_cell_shift)
 
@@ -39,17 +39,13 @@ class LocalObservableSeries:
 
     def __post_init__(self):
         cleaned = []
-        for term in self.terms:
-            if len(term) != 4:
-                raise ValueError(f"terms are (m, n, cos_amp, sin_amp) tuples, got {term!r}")
-            m, n, c, d = term
-            if not isinstance(m, (int, np.integer)) or m < 0:
-                raise ValueError(f"harmonic m must be an integer >= 0, got {m!r}")
-            if not isinstance(n, (int, np.integer)) or not 0 <= n <= 8:
-                raise ValueError(f"momentum power n must be an integer in [0, 8], got {n!r}")
-            if not (np.isfinite(c) and np.isfinite(d)):
-                raise ValueError(f"amplitudes must be finite, got {term!r}")
-            cleaned.append((int(m), int(n), float(c), float(d)))
+        for i, term in enumerate(self.terms):
+            here = f"terms[{i}]"
+            if not isinstance(term, (tuple, list)) or len(term) != 4:
+                raise ValueError(f"{here} must be an (m, n, cos, sin) quadruple, got {term!r}")
+            cleaned.append((_integer(term[0], here + "[0]", minimum=0),
+                            _integer(term[1], here + "[1]", minimum=0, maximum=8),
+                            _number(term[2], here + "[2]"), _number(term[3], here + "[3]")))
         object.__setattr__(self, "terms", tuple(cleaned))
 
 
@@ -123,15 +119,15 @@ class LocalityReport:
 
     def bandwidth_mass(self, width: float) -> float:
         """Mass fraction within physical ring distance <= width."""
-        if not (np.isfinite(width) and width >= 0.0):
-            raise ValueError(f"width must be finite and >= 0, got {width!r}")
+        if _number(width, "width") < 0.0:
+            raise ValueError(f"width must be >= 0, got {width!r}")
         w = int(np.floor(width / self.grid.spacing + 1e-12))
         return float(self.cumulative[min(w, self.grid.total_points // 2)])
 
     def locality_width(self, threshold: float = 0.99) -> float:
         """Smallest physical width holding at least ``threshold`` of the mass."""
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+        if _number(threshold, "threshold", positive=True) > 1.0:
+            raise ValueError(f"threshold must be <= 1, got {threshold!r}")
         idx = int(np.searchsorted(self.cumulative, threshold - 1e-12))
         idx = min(idx, self.cumulative.size - 1)
         return idx * self.grid.spacing

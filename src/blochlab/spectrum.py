@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import RingGrid, WaveFunction, _require_same_grid, translate_by_cells
+from .grid import RingGrid, WaveFunction, _integer, _require_same_grid, translate_by_cells
 from .lattice import (OperatorMatrix, PotentialSpec, _commutator_slabs, _kinetic_scale,
                       _require_hermitian, is_one_cell_shift)
 
@@ -97,10 +97,10 @@ def fix_gauge(state: BlochState) -> BlochState:
 def _clusters(energies: np.ndarray) -> list[tuple[int, int]]:
     """(start, stop) spans of ascending ``energies`` that count as degenerate.
 
-    Neighbours closer than _CLUSTER_RTOL times the spectrum's span (at least
-    1) share a cluster.
+    Neighbours no farther apart than _CLUSTER_RTOL times the spectrum's span share a
+    cluster.  With no absolute floor no energy unit merges levels; one level is one cluster.
     """
-    tol = _CLUSTER_RTOL * max(float(energies[-1] - energies[0]), 1.0)
+    tol = _CLUSTER_RTOL * float(energies[-1] - energies[0])
     edges = [0, *(np.flatnonzero(np.diff(energies) > tol) + 1).tolist(), energies.size]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -151,12 +151,8 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     where u is (P / sqrt(L)) times the length-P inverse FFT of the coefficients
     placed at m mod P, tiled over the N cells: u is cell-periodic bit for bit.
     """
-    if not 0 <= sector < grid.n_cells:
-        raise ValueError(f"sector must lie in [0, {grid.n_cells}), got {sector}")
-    if not 1 <= band_count <= grid.points_per_cell:
-        raise ValueError(
-            f"band_count must lie in [1, {grid.points_per_cell}], got {band_count}"
-        )
+    sector = _integer(sector, "sector", minimum=0, maximum=grid.n_cells - 1)
+    band_count = _integer(band_count, "band_count", minimum=1, maximum=grid.points_per_cell)
     scale = _kinetic_scale(mass, hbar)
 
     p = grid.points_per_cell
@@ -221,8 +217,7 @@ class BandStructure:
 
     def state(self, band: int, sector: int) -> BlochState:
         """State of ``band`` in [0, band_count); ``sector`` is taken mod N."""
-        if not 0 <= band < self.band_count:
-            raise ValueError(f"band must lie in [0, {self.band_count}), got {band}")
+        _integer(band, "band", minimum=0, maximum=self.band_count - 1)
         return self.states[band][sector % self.grid.n_cells]
 
     def all_states(self):
@@ -333,10 +328,7 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
         raise ValueError(
             f"hamiltonian does not commute with translation (defect {comm:.3e})"
         )
-    if not 1 <= band_count <= grid.points_per_cell:
-        raise ValueError(
-            f"band_count must lie in [1, {grid.points_per_cell}], got {band_count}"
-        )
+    band_count = _integer(band_count, "band_count", minimum=1, maximum=grid.points_per_cell)
 
     energies, vectors = np.linalg.eigh(h)
     n_cells = grid.n_cells

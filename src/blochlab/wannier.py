@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import WaveFunction
+from .grid import WaveFunction, _integer
 from .lattice import OperatorMatrix
 from .spectrum import BandStructure
 
@@ -28,8 +28,7 @@ def build_wannier(bands: BandStructure, band: int, site: int) -> WaveFunction:
     projector |W><W| between Bloch states do not.
     """
     n_cells = bands.n_cells
-    if not 0 <= site < n_cells:
-        raise ValueError(f"site must lie in [0, {n_cells}), got {site}")
+    site = _integer(site, "site", minimum=0, maximum=n_cells - 1)
     grid = bands.grid
     acc = np.zeros(grid.total_points, dtype=complex)
     shift = site * grid.cell_length

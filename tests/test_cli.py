@@ -344,6 +344,12 @@ def test_bad_config_paths_exit_2(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{")
     assert main(["solve", "--config", str(garbled)]) == 2
+    capsys.readouterr()
+    # Python refuses to read an integer of over 4300 digits: still a bad run file.
+    digits = write_config(tmp_path / "digits.json")
+    digits.write_text(digits.read_text().replace('"n_cells": 8', '"n_cells": ' + "9" * 5000))
+    assert main(["solve", "--config", str(digits)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_unreadable_config_files_exit_2(tmp_path, capsys):
@@ -449,6 +455,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     config.write_text(json.dumps(data))
     assert main(["solve", "--config", str(config)]) == 2
     assert "lattice.mas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,mutate,key", [
+    (["solve"], lambda d: d["lattice"].__setitem__("n_cells", 10**400), "lattice.n_cells"),
+    (["solve"], lambda d: d["lattice"].__setitem__("n_cells", 2**70), "lattice.n_cells"),
+    (["propagate"], lambda d: d["potential"]["harmonics"][0].__setitem__(0, 10**400),
+     "potential.harmonics[0][0]"),
+    (["scan", "--observable", "ring1"],
+     lambda d: d["observables"][1]["terms"][0].__setitem__(0, 10**400),
+     "observables[1].terms[0][0]"),
+], ids=["n_cells-1e400", "n_cells-2^70", "harmonic-1e400", "series-m-1e400"])
+def test_a_huge_integer_is_a_config_error_at_its_key(tmp_path, capsys, command, mutate, key):
+    # Integers beyond 2**53 are refused where they are read, not met later as an
+    # OverflowError traceback.
+    config = write_config(tmp_path / "run.json")
+    data = json.loads(config.read_text())
+    mutate(data)
+    config.write_text(json.dumps(data))
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config key '{key}': ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_outputs_honor_the_umask(tmp_path):

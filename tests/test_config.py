@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -132,6 +133,53 @@ def test_observable_and_dynamics_errors_name_keys(mutate, expected_key):
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert expected_key in str(err.value)
+
+
+def leaves(node, keys=()):
+    """(keys, value) of every value in a decoded JSON tree that is not an object or list."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, (*keys, key))
+        else:
+            yield (*keys, key), value
+
+
+def key_path(keys):
+    """The key path as the parser writes it, e.g. potential.harmonics[0][1]."""
+    path = ""
+    for key in keys:
+        path += f"[{key}]" if isinstance(key, int) else f".{key}" if path else key
+    return path
+
+
+# Every kind of JSON value that can go wrong, NaN and infinities included (json.loads
+# accepts them).
+FUZZ_VALUES = [True, None, "x", [], {}, 10**400, -10**400, 2**70, -1, 0,
+               math.nan, math.inf, -math.inf]
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def test_any_value_at_any_leaf_is_accepted_or_a_config_error():
+    for keys, original in leaves(full_config()):
+        for value in FUZZ_VALUES:
+            data = full_config()
+            node = data
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+            if is_number(original) and not is_number(value):
+                # A non-number in a numeric leaf fails at that leaf's own path.
+                with pytest.raises(ConfigError) as err:
+                    parse_config(data)
+                assert str(err.value).startswith(f"config key '{key_path(keys)}': ")
+            else:
+                try:
+                    parse_config(data)
+                except ConfigError as exc:
+                    assert str(exc).startswith("config key '")
 
 
 def test_equal_source_and_target_cells_allowed_with_one_epsilon():

@@ -56,6 +56,9 @@ def test_grid_wavevector():
         (8, np.inf, 32),
         (8, 1.0, 7),
         (8, 1.0, 0),
+        (8, "a", 8),
+        (8, True, 32),
+        pytest.param(2**70, 1.0, 8, id="huge-n-cells"),
     ],
 )
 def test_grid_rejects_bad_parameters(n_cells, cell_length, points):

@@ -44,6 +44,12 @@ def test_potential_validation():
         PotentialSpec(0.0, ((1, 1.0, 0.0), (1, 0.5, 0.0)))
     with pytest.raises(ValueError):
         PotentialSpec(0.0, ((2, np.inf, 0.0),))
+    # A non-number, a bool, a non-triple or an int beyond the float range is a
+    # ValueError too, not a TypeError or a silent harmonic 1.
+    for constant, harmonics in (("x", ()), (10**400, ()), (0.0, ((1, "a", 0.0),)),
+                                (0.0, (5,)), (0.0, ((True, 1.0, 0.0),))):
+        with pytest.raises(ValueError):
+            PotentialSpec(constant, harmonics)
 
 
 def test_fourier_coefficients():

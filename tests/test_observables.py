@@ -32,6 +32,10 @@ def test_series_validation():
         LocalObservableSeries(((0, 0, np.nan, 0.0),))
     with pytest.raises(ValueError):
         LocalObservableSeries(((0, 0, 1.0),))
+    with pytest.raises(ValueError):
+        LocalObservableSeries(((1, 0, None, 0.0),))
+    with pytest.raises(ValueError):
+        LocalObservableSeries(((1, True, 1.0, 0.0),))
 
 
 def test_materialize_identity_and_kinetic(ref_grid):

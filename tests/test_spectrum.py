@@ -464,7 +464,7 @@ def test_free_particle_solver_matches_the_classifier_at_odd_p(n_cells, points):
 
 def loop_clusters(energies):
     """The scalar walk both cluster sites used before they shared a helper."""
-    tol = _CLUSTER_RTOL * max(float(energies[-1] - energies[0]), 1.0)
+    tol = _CLUSTER_RTOL * float(energies[-1] - energies[0])
     spans, start = [], 0
     while start < energies.size:
         stop = start + 1
@@ -484,6 +484,27 @@ def test_cluster_spans_match_the_scalar_walk(first, gaps):
     spans = _clusters(energies)
     assert spans == loop_clusters(energies)
     assert spans[0][0] == 0 and spans[-1][1] == energies.size
+
+
+def test_bands_do_not_depend_on_the_energy_unit():
+    # hbar -> 2^k hbar and V -> 4^k V give 4^k H bit for bit, so the energies must
+    # scale exactly and the states must not move.  A cluster tolerance with an
+    # absolute floor would merge distinct levels at small scales and rotate them.
+    grid = RingGrid(8, 1.0, 32)
+
+    def bands(k):
+        c = 4.0**k
+        potential = PotentialSpec(0.3 * c, ((1, 0.8 * c, 0.4 * c), (2, 0.2 * c, 0.0)))
+        return solve_bands(grid, potential, 4, hbar=2.0**k)
+
+    reference = bands(0)
+    for k in range(-40, 41):
+        scaled = bands(k)
+        assert scaled.energies().tobytes() == (4.0**k * reference.energies()).tobytes()
+        for state, ref in zip(scaled.all_states(), reference.all_states(), strict=True):
+            assert state.wavefunction.samples.tobytes() == ref.wavefunction.samples.tobytes()
+    for scale in (1e-30, 1.0, 1e30):
+        assert _clusters(np.full(5, scale)) == [(0, 5)]
 
 
 def assert_same_bytes(got, expected):
