@@ -11,7 +11,6 @@ from .grid import (
     GridMismatchError,
     RingGrid,
     WaveFunction,
-    inner_product,
     translate_by_cells,
 )
 from .lattice import (
@@ -36,7 +35,6 @@ from .wannier import (
 from .observables import (
     LocalObservableSeries,
     LocalityReport,
-    apply_kernel,
     cell_periodicity_defect,
     locality_report,
     materialize,
@@ -44,7 +42,6 @@ from .observables import (
 from .superselection import (
     SelectionScan,
     WindingResult,
-    matrix_element,
     selection_scan,
     winding_number,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "GridMismatchError",
     "RingGrid",
     "WaveFunction",
-    "inner_product",
     "translate_by_cells",
     "OperatorMatrix",
     "PotentialSpec",
@@ -79,13 +75,11 @@ __all__ = [
     "wannier_projector",
     "LocalObservableSeries",
     "LocalityReport",
-    "apply_kernel",
     "cell_periodicity_defect",
     "locality_report",
     "materialize",
     "SelectionScan",
     "WindingResult",
-    "matrix_element",
     "selection_scan",
     "winding_number",
     "PropagationExperiment",

@@ -13,7 +13,7 @@ resolved configuration, so a result directory is self-describing.  Outputs
 are byte-for-byte deterministic for a given config at a fixed BLAS thread
 count: no timestamps, floats written with repr.  Across thread counts they
 match only where a test guards it (every command at P <= 64).  Exit codes:
-0 success, 2 configuration problems, 3 numerical failures.
+0 success, 2 configuration problems, 3 numerical failures (a failed allocation included).
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

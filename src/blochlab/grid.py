@@ -63,7 +63,7 @@ class RingGrid:
     n_cells : int
         Number of unit cells N, at least 2.
     cell_length : float
-        Length a of one cell, positive.
+        Length a of one cell, positive, with N*a finite.
     points_per_cell : int
         Samples P per cell, at least 8 so that a cell-scale feature is
         resolved.
@@ -80,6 +80,9 @@ class RingGrid:
                            _number(self.cell_length, "cell_length", positive=True))
         object.__setattr__(self, "points_per_cell",
                            _integer(self.points_per_cell, "points_per_cell", minimum=8))
+        if not math.isfinite(self.ring_length):
+            raise ValueError("cell_length must keep the ring length n_cells * cell_length finite,"
+                             f" got {self.n_cells} * {self.cell_length!r}")
 
     @property
     def total_points(self) -> int:
@@ -144,12 +147,6 @@ class WaveFunction:
 def _require_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
-
-
-def inner_product(bra: WaveFunction, ket: WaveFunction) -> complex:
-    """Quadrature inner product <bra|ket> = h * sum_j conj(bra_j) * ket_j."""
-    _require_same_grid(bra, ket)
-    return complex(bra.grid.spacing * np.vdot(bra.samples, ket.samples))
 
 
 def translate_by_cells(psi: WaveFunction, cells: int) -> WaveFunction:

@@ -142,8 +142,9 @@ def build_translation(grid: RingGrid) -> OperatorMatrix:
     """Unitary one-cell shift T with (T psi)(x) = psi(x + a), as a dense matrix.
 
     Row i has a single 1 in column (i + P) mod G.  The library never multiplies
-    by it: functions taking T check it with :func:`is_one_cell_shift` and shift
-    indices, so it serves the ``translation`` observable kind and such callers.
+    by it: :func:`commutator_norm` and ``classify_by_translation``, the two
+    functions taking T, check it with :func:`is_one_cell_shift` and shift
+    indices, so it serves the ``translation`` observable kind and those callers.
     """
     g = grid.total_points
     entries = np.zeros((g, g))
@@ -159,17 +160,16 @@ def is_one_cell_shift(op: OperatorMatrix) -> bool:
     return np.count_nonzero(op.entries) == g and bool(np.all(ones))
 
 
-def commutator_norm(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    """Frobenius norm of [A, B], where A or B must be the one-cell shift T.
+def commutator_norm(a: OperatorMatrix, translation: OperatorMatrix) -> float:
+    """Frobenius norm of [A, T]; ``translation`` must be exactly the one-cell shift T.
 
     T acts as an index shift, so no product is formed, and the norm is summed a
     slab of rows at a time.
     """
-    _require_same_grid(a, b)
-    other = a if is_one_cell_shift(b) else b if is_one_cell_shift(a) else None
-    if other is None:
-        raise ValueError("commutator_norm needs the one-cell shift as one operand")
-    return _commutator_norm(other.entries, a.grid.points_per_cell)
+    _require_same_grid(a, translation)
+    if not is_one_cell_shift(translation):
+        raise ValueError("commutator_norm needs the one-cell shift as its second operand")
+    return _commutator_norm(a.entries, a.grid.points_per_cell)
 
 
 def _frobenius_norm(a: np.ndarray) -> float:

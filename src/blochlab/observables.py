@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .derivatives import _circulant, _momentum_column
-from .grid import RingGrid, WaveFunction, _integer, _number, _require_same_grid
-from .lattice import (_BLOCK, OperatorMatrix, _commutator_norm, _frobenius_norm, _tile_pairs,
-                      is_one_cell_shift)
+from .grid import RingGrid, _integer, _number
+from .lattice import _BLOCK, OperatorMatrix, _commutator_norm, _frobenius_norm, _tile_pairs
 
 
 @dataclass(frozen=True)
@@ -164,26 +163,13 @@ def locality_report(op: OperatorMatrix) -> LocalityReport:
     return LocalityReport(op.grid, cumulative)
 
 
-def cell_periodicity_defect(op: OperatorMatrix, translation: OperatorMatrix) -> float:
+def cell_periodicity_defect(op: OperatorMatrix) -> float:
     """Relative Frobenius size of A - T A T^dagger, T the one-cell shift.
 
     Zero (to roundoff) exactly when the operator commutes with the one-cell
-    shift; order one when a single cell's worth of structure moves.
-    ``translation`` must be exactly the one-cell shift (checked in O(G^2)).
+    shift; order one when a single cell's worth of structure moves.  T acts as
+    an index shift on A's rows and columns, so it is never built.
     """
-    _require_same_grid(op, translation)
-    if not is_one_cell_shift(translation):
-        raise ValueError("translation operator is not the unitary one-cell shift")
-    return _periodicity_defect(op)
-
-
-def _periodicity_defect(op: OperatorMatrix) -> float:
     # A - T A T^dagger is [A, T] with its columns moved: the same values, the same norm.
     a = op.entries
     return _commutator_norm(a, op.grid.points_per_cell) / max(_frobenius_norm(a), 1e-300)
-
-
-def apply_kernel(op: OperatorMatrix, chi: WaveFunction) -> WaveFunction:
-    """Act with the kernel on a wavefunction: (A chi)_i = sum_j A_ij chi_j."""
-    _require_same_grid(op, chi)
-    return WaveFunction(chi.grid, op.entries @ chi.samples)

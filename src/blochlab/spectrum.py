@@ -258,31 +258,6 @@ class BandStructure:
             worst = max(worst, float(np.max(np.abs(np.roll(u, -p) - u))))
         return worst
 
-    def regauged(self, phases: np.ndarray) -> "BandStructure":
-        """Copy with psi_{n l} multiplied by exp(i phases[n, l]).
-
-        Useful for checking which derived quantities are gauge invariant.
-        """
-        phases = np.asarray(phases, dtype=float)
-        if phases.shape != (self.band_count, self.n_cells):
-            raise ValueError(
-                f"phases must have shape {(self.band_count, self.n_cells)}, got {phases.shape}"
-            )
-        new_rows = []
-        for n, row in enumerate(self.states):
-            new_row = []
-            for l, s in enumerate(row):
-                factor = np.exp(1j * phases[n, l])
-                new_row.append(
-                    replace(
-                        s,
-                        wavefunction=WaveFunction(self.grid, factor * s.wavefunction.samples),
-                        cell_part=WaveFunction(self.grid, factor * s.cell_part.samples),
-                    )
-                )
-            new_rows.append(new_row)
-        return BandStructure(self.grid, new_rows)
-
 
 def solve_bands(grid: RingGrid, potential: PotentialSpec, band_count: int,
                 mass: float = 1.0, hbar: float = 1.0) -> BandStructure:

@@ -18,21 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import WaveFunction, _require_same_grid, inner_product
+from .grid import WaveFunction, _require_same_grid
 from .lattice import OperatorMatrix
-from .observables import _periodicity_defect, apply_kernel
-from .spectrum import BandStructure, BlochState
+from .observables import cell_periodicity_defect
+from .spectrum import BandStructure
 
 # A kernel this close to cell-periodic must show no off-sector leakage
 # beyond roundoff, relative to the table's largest modulus; the scan raises
 # if its own output violates that.
 _PERIODIC_TOL = 1e-10
 _LEAK_RTOL = 1e-11
-
-
-def matrix_element(op: OperatorMatrix, bra: BlochState, ket: BlochState) -> complex:
-    """<psi_bra | A | psi_ket> with the quadrature inner product."""
-    return inner_product(bra.wavefunction, apply_kernel(op, ket.wavefunction))
 
 
 @dataclass
@@ -92,7 +87,7 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:
 def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionScan:
     """:func:`selection_scan` on the caller's state matrix, shape (G, band_count * N) in
     band-major order, which it conjugates in place: the one state-sized array it adds is A Psi."""
-    defect = _periodicity_defect(op)
+    defect = cell_periodicity_defect(op)
     a = op.entries
     # A real operator takes the real and imaginary parts apart: no complex copy of A.
     transformed = a @ psis if np.iscomplexobj(a) else a @ psis.real + 1j * (a @ psis.imag)
@@ -115,7 +110,7 @@ class WindingResult:
     """Winding diagnostics of a sampled curve psi: ring -> C.
 
     ``value`` is None when the winding is undefined: some sample modulus at
-    or below the zero threshold, or a phase step of 0.9 pi or more between
+    or below 1e-6 of the largest, or a phase step of 0.9 pi or more between
     neighbouring samples (the lift is then untrustworthy).  ``residual`` is
     the distance of the accumulated phase sum from the nearest integer
     multiple of 2 pi, in turns.
@@ -131,7 +126,7 @@ class WindingResult:
         return self.value is not None
 
 
-def winding_number(psi: WaveFunction, zero_threshold: float | None = None) -> WindingResult:
+def winding_number(psi: WaveFunction) -> WindingResult:
     """Total phase accumulated by psi around the ring, in units of 2 pi.
 
     Phase steps between neighbouring samples use the principal argument of
@@ -143,13 +138,11 @@ def winding_number(psi: WaveFunction, zero_threshold: float | None = None) -> Wi
     mods = np.abs(s)
     max_mod = float(mods.max())
     min_mod = float(mods.min())
-    if zero_threshold is None:
-        zero_threshold = 1e-6 * max_mod
     steps = np.angle(np.roll(s, -1) * np.conj(s))
     max_step = float(np.max(np.abs(steps))) if steps.size else 0.0
     total_turns = float(steps.sum() / (2.0 * np.pi))
     nearest = int(np.rint(total_turns))
     residual = abs(total_turns - nearest)
-    if max_mod == 0.0 or min_mod <= zero_threshold or max_step >= 0.9 * np.pi:
+    if min_mod <= 1e-6 * max_mod or max_step >= 0.9 * np.pi:  # all zeros: 0 <= 0
         return WindingResult(None, min_mod, max_step, residual)
     return WindingResult(nearest, min_mod, max_step, residual)

@@ -1,12 +1,15 @@
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blochlab import (
+    BandStructure,
     PotentialSpec,
     RingGrid,
+    WaveFunction,
     build_hamiltonian,
     build_translation,
     build_wannier,
@@ -14,6 +17,7 @@ from blochlab import (
     wannier_projector,
 )
 from blochlab.derivatives import _circulant, _momentum_column
+from blochlab.grid import _require_same_grid
 from blochlab.lattice import _BLOCK, _squared_norm
 
 
@@ -32,6 +36,45 @@ def fourier_coefficient(potential, h):
             c = 0.5 * complex(alpha, -beta)
             return c if h > 0 else np.conj(c)
     return 0j
+
+
+def inner_product(bra, ket):
+    """Quadrature inner product <bra|ket> = h * sum_j conj(bra_j) * ket_j of two wavefunctions."""
+    _require_same_grid(bra, ket)
+    return complex(bra.grid.spacing * np.vdot(bra.samples, ket.samples))
+
+
+def apply_kernel(op, chi):
+    """The wavefunction A chi, (A chi)_i = sum_j A_ij chi_j, by a dense product."""
+    _require_same_grid(op, chi)
+    return WaveFunction(chi.grid, op.entries @ chi.samples)
+
+
+def matrix_element(op, bra, ket):
+    """<psi_bra | A | psi_ket> of two Bloch states, one entry at a time: the oracle for
+    the scan table, which computes them all at once."""
+    return inner_product(bra.wavefunction, apply_kernel(op, ket.wavefunction))
+
+
+def regauged(bands, phases):
+    """Copy of ``bands`` with psi_{n l} and u_{n l} multiplied by exp(i phases[n, l]),
+    for checking which derived quantities are gauge invariant."""
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (bands.band_count, bands.n_cells):
+        raise ValueError(
+            f"phases must have shape {(bands.band_count, bands.n_cells)}, got {phases.shape}"
+        )
+    rows = []
+    for n, row in enumerate(bands.states):
+        rows.append([])
+        for l, s in enumerate(row):
+            factor = np.exp(1j * phases[n, l])
+            rows[n].append(replace(
+                s,
+                wavefunction=WaveFunction(bands.grid, factor * s.wavefunction.samples),
+                cell_part=WaveFunction(bands.grid, factor * s.cell_part.samples),
+            ))
+    return BandStructure(bands.grid, rows)
 
 
 # Reference configuration shared by most tests: 8 cells of unit length,

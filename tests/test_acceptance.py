@@ -17,11 +17,9 @@ from blochlab import (
     build_wannier,
     cell_periodicity_defect,
     classify_by_translation,
-    inner_product,
     linear_response_slope,
     locality_report,
     materialize,
-    matrix_element,
     selection_scan,
     solve_bands,
     wannier_projector,
@@ -29,7 +27,7 @@ from blochlab import (
 )
 from blochlab.dynamics import first_order_error_exponent
 from blochlab.grid import WaveFunction
-from conftest import momentum_matrix
+from conftest import inner_product, matrix_element, momentum_matrix, regauged
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:
@@ -75,7 +73,7 @@ def test_criterion_3_interference_moduli_in_any_gauge(ref_bands):
         if trial == 0:
             bands = ref_bands
         else:
-            bands = ref_bands.regauged(rng.uniform(0.0, 2.0 * np.pi, size=(4, 8)))
+            bands = regauged(ref_bands, rng.uniform(0.0, 2.0 * np.pi, size=(4, 8)))
         projector = wannier_projector(build_wannier(bands, 0, 0))
         for i in range(8):
             for ip in range(8):
@@ -88,14 +86,12 @@ def test_criterion_3_interference_moduli_in_any_gauge(ref_bands):
     )
 
 
-def test_criterion_4_projector_nonlocality_vs_banded_kinetic(
-    ref_grid, ref_translation, site0_projector
-):
-    defect = cell_periodicity_defect(site0_projector, ref_translation)
+def test_criterion_4_projector_nonlocality_vs_banded_kinetic(ref_grid, site0_projector):
+    defect = cell_periodicity_defect(site0_projector)
     mass = locality_report(site0_projector).bandwidth_mass(ref_grid.cell_length)
     kinetic = OperatorMatrix(ref_grid, 0.5 * momentum_matrix(ref_grid, 2, "fd4"))
     kin_width = locality_report(kinetic).locality_width(0.99)
-    kin_defect = cell_periodicity_defect(kinetic, ref_translation)
+    kin_defect = cell_periodicity_defect(kinetic)
     ok = (defect > 0.01 and mass < 0.9
           and kin_width <= 2 * ref_grid.spacing and kin_defect <= 1e-10)
     assert verdict(

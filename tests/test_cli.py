@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blochlab
 from blochlab import (
@@ -297,6 +300,59 @@ def test_a_small_cell_length_scans_cell_periodic_kernels(tmp_path, observable):
     assert summary["periodicity_defect"] <= 1e-10
 
 
+_UNIT_RUNS = [["solve"], ["wannier", "--band", "0", "--site", "1"], ["winding", "--band", "1"],
+              *(["scan", "--observable", name] for name in ("site0", "ring1", "h", "shift"))]
+
+
+def unit_run_outputs(shape, k):
+    """Exit code and CSV cells of each run in _UNIT_RUNS on an N x P grid, hbar 2^k, V 4^k."""
+    c = 4.0**k
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(
+            Path(tmp) / "run.json",
+            lattice={"n_cells": shape[0], "cell_length": 1.0, "points_per_cell": shape[1],
+                     "hbar": 2.0**k},
+            potential={"constant": 0.3 * c,
+                       "harmonics": [[1, 0.8 * c, 0.4 * c], [2, 0.2 * c, 0.0]]},
+            bands=2,
+            observables=[{"name": "site0", "kind": "wannier_projector", "band": 0, "site": 1},
+                         {"name": "ring1", "kind": "series", "terms": [[1, 1, 1.0, 0.5]],
+                          "scheme": "fd6"},
+                         {"name": "h", "kind": "hamiltonian"},
+                         {"name": "shift", "kind": "translation"}],
+            dynamics=None)
+        for i, args in enumerate(_UNIT_RUNS):
+            out = Path(tmp) / str(i)
+            code = main([args[0], "--config", str(config), "--out", str(out), *args[1:]])
+            results.append((code, {p.name: read_csv(p) for p in sorted(out.glob("*.csv"))}))
+    return results
+
+
+@given(k=st.integers(-40, 40), shape=st.sampled_from([(2, 8), (3, 9), (4, 8), (5, 10)]))
+@settings(max_examples=20, deadline=None)
+def test_every_csv_is_independent_of_the_energy_unit(k, shape):
+    """hbar -> 2^k hbar and V -> 4^k V give 4^k H bit for bit.  So every CSV of solve,
+    wannier, winding and scan (each observable kind) keeps its bytes, except the energies
+    and the elements of the H scan, which are exactly 4^k times larger.  propagate is left
+    out: its generator H + eps R adds a projector or series R that does not scale with the
+    unit, so its amplitudes change."""
+    # (last argument, file) -> the columns that scale with the unit.
+    scaled = {("solve", "bands.csv"): {"energy"}, ("h", "scan.csv"): {"re", "im", "modulus"}}
+    for args, (code, files), (ref_code, ref_files) in zip(
+            _UNIT_RUNS, unit_run_outputs(shape, k), unit_run_outputs(shape, 0), strict=True):
+        assert ref_code == 0 and (code, files.keys()) == (ref_code, ref_files.keys()), args
+        for name, (header, rows) in files.items():
+            ref_header, ref_rows = ref_files[name]
+            assert header == ref_header and len(rows) == len(ref_rows), (args, name)
+            for j, column in enumerate(header):
+                got, want = [r[j] for r in rows], [r[j] for r in ref_rows]
+                if column in scaled.get((args[-1], name), ()):
+                    assert [float(v) for v in got] == [4.0**k * float(v) for v in want], column
+                else:
+                    assert got == want, (args, name, column)
+
+
 def test_csv_modulus_and_density_are_scalar_abs_of_the_written_parts(tmp_path):
     # With a sine term the states are complex enough that numpy's vectorized
     # abs differs from the scalar abs in the last bit on about a third of them.
@@ -480,6 +536,27 @@ def test_a_huge_integer_is_a_config_error_at_its_key(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+def test_an_overflowing_ring_length_is_a_config_error_at_its_key(tmp_path, capsys):
+    # N * a = 8e308 is inf: the grid refuses it, with no RuntimeWarning from sampling it.
+    config = write_config(tmp_path / "run.json",
+                          lattice={"n_cells": 8, "cell_length": 1e308, "points_per_cell": 32})
+    assert main(["solve", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: config key 'lattice.cell_length': ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_too_large_to_allocate_is_a_numerical_failure(tmp_path, capsys):
+    # G = 2**53 * 32 samples (2 EiB of positions) fails at its first allocation.
+    config = write_config(tmp_path / "run.json",
+                          lattice={"n_cells": 2**53, "cell_length": 1.0, "points_per_cell": 32})
+    assert main(["solve", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_outputs_honor_the_umask(tmp_path):
     config = write_config(tmp_path / "run.json")
     previous = os.umask(0o022)
@@ -555,7 +632,7 @@ rng = np.random.default_rng(7)
 t = build_translation(grid)
 for entries in (rng.normal(size=(g, g)), rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))):
     op = OperatorMatrix(grid, entries)
-    print(repr(commutator_norm(op, t)), repr(cell_periodicity_defect(op, t)))
+    print(repr(commutator_norm(op, t)), repr(cell_periodicity_defect(op)))
 """
 
 

@@ -7,18 +7,16 @@ from blochlab import (
     PotentialSpec,
     RingGrid,
     WaveFunction,
-    apply_kernel,
     build_hamiltonian,
     build_translation,
-    cell_periodicity_defect,
     classify_by_translation,
-    inner_product,
     materialize,
     selection_scan,
     solve_bands,
     translate_by_cells,
 )
 from blochlab.lattice import commutator_norm
+from conftest import apply_kernel, inner_product
 
 
 def plane_wave(grid, winding):
@@ -59,6 +57,7 @@ def test_grid_wavevector():
         (8, "a", 8),
         (8, True, 32),
         pytest.param(2**70, 1.0, 8, id="huge-n-cells"),
+        pytest.param(8, 1e308, 32, id="infinite-ring-length"),
     ],
 )
 def test_grid_rejects_bad_parameters(n_cells, cell_length, points):
@@ -130,15 +129,14 @@ def _grid_checks():
     return {
         "inner_product": lambda: inner_product(WaveFunction(small, np.ones(16)), psi_large),
         "commutator_norm": lambda: commutator_norm(h_small, t_large),
-        "cell_periodicity_defect": lambda: cell_periodicity_defect(h_small, t_large),
         "apply_kernel": lambda: apply_kernel(h_small, psi_large),
         "classify_by_translation": lambda: classify_by_translation(h_small, t_large, 1),
         "selection_scan": lambda: selection_scan(series, solve_bands(small, potential, 1)),
     }
 
 
-@pytest.mark.parametrize("site", ["inner_product", "commutator_norm", "cell_periodicity_defect",
-                                  "apply_kernel", "classify_by_translation", "selection_scan"])
+@pytest.mark.parametrize("site", ["inner_product", "commutator_norm", "apply_kernel",
+                                  "classify_by_translation", "selection_scan"])
 def test_every_grid_check_raises_grid_mismatch(site):
     with pytest.raises(GridMismatchError, match="grids differ"):
         _grid_checks()[site]()

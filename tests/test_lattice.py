@@ -281,12 +281,11 @@ def test_shift_products_match_the_dense_oracle(slab_order_norm, n_cells, points,
     assert slabs.tobytes() == rolled.tobytes()
     dense_commutator = slab_order_norm(a.entries @ t - t @ a.entries)
     assert commutator_norm(a, translation) == dense_commutator
-    assert commutator_norm(translation, a) == dense_commutator
     moved = t @ a.entries @ t.conj().T
     # [A, T] is A - T A T^dagger with its columns moved by P.
     commutator = np.roll(a.entries - moved, p, axis=1)
     dense_defect = slab_order_norm(commutator) / _frobenius_norm(a.entries)
-    assert cell_periodicity_defect(a, translation) == dense_defect
+    assert cell_periodicity_defect(a) == dense_defect
     # The norm itself against numpy's, independently of the helper.
     assert dense_commutator == pytest.approx(np.linalg.norm(a.entries @ t - t @ a.entries), rel=1e-13)
     assert dense_defect == pytest.approx(
@@ -326,8 +325,6 @@ def _not_the_shift(grid):
 def test_operators_other_than_the_shift_are_rejected(name, ref_grid, ref_hamiltonian):
     bad = OperatorMatrix(ref_grid, _not_the_shift(ref_grid)[name])
     with pytest.raises(ValueError, match="unitary one-cell shift"):
-        cell_periodicity_defect(ref_hamiltonian, bad)
-    with pytest.raises(ValueError, match="unitary one-cell shift"):
         classify_by_translation(ref_hamiltonian, bad, 2)
     with pytest.raises(ValueError, match="one-cell shift"):
         commutator_norm(ref_hamiltonian, bad)
@@ -335,15 +332,16 @@ def test_operators_other_than_the_shift_are_rejected(name, ref_grid, ref_hamilto
         commutator_norm(bad, ref_hamiltonian)
 
 
-def test_commutator_norm_needs_the_shift_as_an_operand(ref_hamiltonian):
+def test_commutator_norm_needs_the_shift_as_an_operand(ref_hamiltonian, ref_translation):
     with pytest.raises(ValueError, match="one-cell shift"):
         commutator_norm(ref_hamiltonian, ref_hamiltonian)
+    # T is taken only as the second operand.
+    with pytest.raises(ValueError, match="one-cell shift as its second operand"):
+        commutator_norm(ref_translation, ref_hamiltonian)
 
 
 def test_shift_sites_reject_a_grid_mismatch(ref_hamiltonian):
     other = build_translation(RingGrid(8, 1.0, 16))
-    with pytest.raises(GridMismatchError):
-        cell_periodicity_defect(ref_hamiltonian, other)
     with pytest.raises(GridMismatchError):
         classify_by_translation(ref_hamiltonian, other, 2)
     with pytest.raises(GridMismatchError):

@@ -8,7 +8,6 @@ from blochlab import (
     LocalObservableSeries,
     RingGrid,
     WaveFunction,
-    apply_kernel,
     build_translation,
     build_wannier,
     cell_periodicity_defect,
@@ -19,8 +18,8 @@ from blochlab import (
 )
 from blochlab.derivatives import SCHEMES
 from blochlab.lattice import OperatorMatrix, _frobenius_norm
-from blochlab.observables import _harmonic_profiles, _periodicity_defect
-from conftest import momentum_matrix
+from blochlab.observables import _harmonic_profiles
+from conftest import apply_kernel, momentum_matrix
 
 
 def test_series_validation():
@@ -235,7 +234,7 @@ def test_periodicity_defect_matches_the_roll_formula(ref_potential, slab_order_n
     op = oracle_kernel(kind, shape, ref_potential)
     p = op.grid.points_per_cell
     moved = np.roll(op.entries, (-p, -p), axis=(0, 1))
-    defect = _periodicity_defect(op)
+    defect = cell_periodicity_defect(op)
     # [A, T] is A - T A T^dagger with its columns moved by P.
     commutator = np.roll(op.entries - moved, p, axis=1)
     assert defect == slab_order_norm(commutator) / _frobenius_norm(op.entries)
@@ -255,7 +254,7 @@ def test_scan_operator_memory_bounds(traced_peak):
         size = op.entries.nbytes
         assert size == 64 * 2**20
         assert peak() <= 1.25 * size
-        for call, bound in ((locality_report, 0.14), (_periodicity_defect, 0.10)):
+        for call, bound in ((locality_report, 0.14), (cell_periodicity_defect, 0.10)):
             peak.reset()
             call(op)
             assert peak() <= bound * size, call.__name__
@@ -282,31 +281,25 @@ def test_locality_width_threshold_validation(ref_grid, site0_projector):
         report.locality_width(1.5)
 
 
-def test_periodicity_defect_of_commuting_operators(ref_grid, ref_hamiltonian, ref_translation):
-    assert cell_periodicity_defect(ref_hamiltonian, ref_translation) == 0.0
+def test_periodicity_defect_of_commuting_operators(ref_grid, ref_hamiltonian):
+    assert cell_periodicity_defect(ref_hamiltonian) == 0.0
     cellcos = materialize(LocalObservableSeries(((8, 0, 1.0, 0.0),)), ref_grid)
-    assert cell_periodicity_defect(cellcos, ref_translation) < 1e-14
+    assert cell_periodicity_defect(cellcos) < 1e-14
 
 
-def test_periodicity_defect_of_ring_harmonic(ref_grid, ref_translation):
+def test_periodicity_defect_of_ring_harmonic(ref_grid):
     # diag cos(2 pi x / L) misses cell periodicity by a computable amount:
     # ||cos(theta + 2 pi / N) - cos(theta)|| / ||cos|| = 2 sin(pi / N).
     op = materialize(LocalObservableSeries(((1, 0, 1.0, 0.0),)), ref_grid)
-    defect = cell_periodicity_defect(op, ref_translation)
+    defect = cell_periodicity_defect(op)
     assert defect == pytest.approx(2.0 * np.sin(np.pi / 8.0), abs=1e-12)
 
 
-def test_periodicity_defect_of_site_projector(site0_projector, ref_translation):
+def test_periodicity_defect_of_site_projector(site0_projector):
     # T moves the site, and distinct-site states are orthogonal, so the
     # defect is exactly sqrt(2) for any potential.
-    defect = cell_periodicity_defect(site0_projector, ref_translation)
+    defect = cell_periodicity_defect(site0_projector)
     assert defect == pytest.approx(np.sqrt(2.0), abs=1e-9)
-
-
-def test_periodicity_defect_validation(ref_grid, ref_hamiltonian):
-    not_unitary = OperatorMatrix(ref_grid, 0.5 * np.eye(256))
-    with pytest.raises(ValueError, match="unitary"):
-        cell_periodicity_defect(ref_hamiltonian, not_unitary)
 
 
 def test_apply_kernel_identity_and_diagonal(ref_grid, rng):

@@ -1,0 +1,49 @@
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import blochlab
+
+
+def bound_public_names():
+    """Names without a leading underscore that blochlab/__init__.py binds at top level."""
+    tree = ast.parse(Path(blochlab.__file__).read_text())
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_all_is_exactly_what_the_package_binds():
+    assert len(blochlab.__all__) == len(set(blochlab.__all__))
+    assert set(blochlab.__all__) == set(bound_public_names())
+    for name in blochlab.__all__:
+        assert hasattr(blochlab, name), name
+
+
+@pytest.mark.parametrize("module, name", [
+    ("grid", "inner_product"),
+    ("observables", "apply_kernel"),
+    ("observables", "_periodicity_defect"),
+    ("superselection", "matrix_element"),
+])
+def test_removed_names_stay_removed(module, name):
+    # Second routes to one entry of the scan table or its defect live in the tests' conftest.
+    assert not hasattr(importlib.import_module(f"blochlab.{module}"), name)
+    assert not hasattr(blochlab, name)
+
+
+def test_removed_operands_and_methods_stay_removed():
+    assert not hasattr(blochlab.BandStructure, "regauged")
+    assert list(inspect.signature(blochlab.winding_number).parameters) == ["psi"]
+    assert list(inspect.signature(blochlab.cell_periodicity_defect).parameters) == ["op"]
+    from blochlab.lattice import commutator_norm
+    assert list(inspect.signature(commutator_norm).parameters) == ["a", "translation"]

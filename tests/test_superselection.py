@@ -9,16 +9,15 @@ from blochlab import (
     RingGrid,
     WaveFunction,
     build_hamiltonian,
-    build_translation,
     cell_periodicity_defect,
     materialize,
-    matrix_element,
     selection_scan,
     solve_bands,
     winding_number,
 )
 from blochlab.spectrum import BlochState
 from blochlab.superselection import SelectionScan
+from conftest import matrix_element
 
 
 def ring_wave(grid, winding, envelope=None):
@@ -162,11 +161,17 @@ def test_winding_undefined_on_large_steps(ref_grid):
     assert result.max_step >= 0.9 * np.pi
 
 
-def test_winding_zero_threshold_override(ref_grid):
-    small = WaveFunction(ref_grid, 1e-5 * ring_wave(ref_grid, 1).samples)
-    assert winding_number(small, zero_threshold=1e-7).value == 1
-    # A threshold above every modulus declares the winding undefined.
-    assert not winding_number(small, zero_threshold=2e-5).defined
+def test_winding_zero_threshold_is_relative(ref_grid):
+    # One sample's modulus below 1e-6 of the largest makes the winding undefined,
+    # and above it defined, whatever the curve's overall scale.
+    for dip, defined in ((0.5e-6, False), (2e-6, True)):
+        envelope = np.ones(ref_grid.total_points)
+        envelope[17] = dip
+        for scale in (1e-5, 1.0, 1e5):
+            curve = WaveFunction(ref_grid, scale * envelope * ring_wave(ref_grid, 1).samples)
+            assert winding_number(curve).defined is defined
+            assert winding_number(curve).value == (1 if defined else None)
+    assert not winding_number(WaveFunction(ref_grid, np.zeros(ref_grid.total_points))).defined
 
 
 def nodeless_curve(grid, rng, winding):
@@ -215,10 +220,9 @@ def test_band0_windings_track_sector_with_zone_edge_exception(ref_grid):
 def test_scan_defect_is_the_public_periodicity_defect(ref_grid, ref_bands, ref_hamiltonian,
                                                       site0_projector):
     ring = materialize(LocalObservableSeries(((1, 1, 1.0, 0.3),)), ref_grid)
-    translation = build_translation(ref_grid)
     for op in (ref_hamiltonian, site0_projector, ring):
         scan = selection_scan(op, ref_bands)
-        assert scan.periodicity_defect == cell_periodicity_defect(op, translation)
+        assert scan.periodicity_defect == cell_periodicity_defect(op)
 
 
 @pytest.mark.parametrize("shape", [(8, 32), (9, 29)], ids=["even_g", "odd_g"])

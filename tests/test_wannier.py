@@ -5,11 +5,10 @@ from blochlab import (
     WaveFunction,
     build_wannier,
     cell_probability,
-    inner_product,
-    matrix_element,
     translate_by_cells,
     wannier_projector,
 )
+from conftest import inner_product, matrix_element, regauged
 
 
 def test_wannier_is_normalized(ref_bands):
@@ -103,7 +102,7 @@ def test_projector_annihilates_other_bands(ref_bands, site0_projector):
 
 
 def test_projector_moduli_survive_regauging(ref_bands, rng):
-    rotated = ref_bands.regauged(rng.uniform(0.0, 2.0 * np.pi, size=(4, 8)))
+    rotated = regauged(ref_bands, rng.uniform(0.0, 2.0 * np.pi, size=(4, 8)))
     proj = wannier_projector(build_wannier(rotated, 0, 0))
     for l in range(8):
         for lp in range(8):
