@@ -8,12 +8,14 @@ Five subcommands, all driven by a JSON run file (see :mod:`blochlab.config`):
     blochlab winding   --config run.json [--band N] [--out DIR]
     blochlab propagate --config run.json [--observable NAME] [--out DIR]
 
-Each command writes CSV data files plus a summary JSON that embeds the fully
-resolved configuration, so a result directory is self-describing.  Outputs
-are byte-for-byte deterministic for a given config at a fixed BLAS thread
-count: no timestamps, floats written with repr.  Across thread counts they
-match only where a test guards it (every command at P <= 64).  Exit codes:
-0 success, 2 configuration problems, 3 numerical failures (a failed allocation included).
+Each ``cmd_*`` computes every value and returns its files; ``main`` alone writes
+them: CSV data files plus a summary JSON that embeds the fully resolved
+configuration, so a result directory is self-describing.  Outputs are
+byte-for-byte deterministic for a given config at a fixed BLAS thread count: no
+timestamps, floats written with repr.  Across thread counts they match only
+where a test guards it (every command at P <= 64).  Exit codes: 0 success,
+2 configuration problems (an output path that cannot be written included),
+3 numerical failures (a failed allocation included); on 2 or 3 no file is written.
 """
 
 from __future__ import annotations
@@ -103,19 +105,17 @@ def _require_band(config: RunConfig, band: int) -> None:
         raise ConfigError(f"config key 'bands': band {band} not solved (bands={config.bands})")
 
 
-def cmd_solve(config: RunConfig, out: Path) -> int:
+def cmd_solve(config: RunConfig, args: argparse.Namespace) -> dict:
     bands = _solve(config)
     sectors = np.tile(np.arange(bands.n_cells), bands.band_count)
-    write_csv(out / "bands.csv", {
-        "band": np.repeat(np.arange(bands.band_count), bands.n_cells),
-        "sector": sectors,
-        "wavevector": bands.grid.wavevector(sectors),
-        "energy": bands.energies().ravel(),
-    })
-    write_json(
-        out / "solve_summary.json",
-        {
-            "config": config.resolved(),
+    return {
+        "bands.csv": {
+            "band": np.repeat(np.arange(bands.band_count), bands.n_cells),
+            "sector": sectors,
+            "wavevector": bands.grid.wavevector(sectors),
+            "energy": bands.energies().ravel(),
+        },
+        "solve_summary.json": {
             "band_count": bands.band_count,
             "residuals": {
                 "orthonormality": bands.orthonormality_defect(),
@@ -123,11 +123,11 @@ def cmd_solve(config: RunConfig, out: Path) -> int:
                 "cell_periodicity": bands.cell_periodicity_defect(),
             },
         },
-    )
-    return EXIT_OK
+    }
 
 
-def cmd_wannier(config: RunConfig, out: Path, band: int, site: int) -> int:
+def cmd_wannier(config: RunConfig, args: argparse.Namespace) -> dict:
+    band, site = args.band, args.site
     _require_band(config, band)
     if not 0 <= site < config.n_cells:
         raise ConfigError(
@@ -136,88 +136,84 @@ def cmd_wannier(config: RunConfig, out: Path, band: int, site: int) -> int:
     bands = _solve(config)
     wannier = build_wannier(bands, band, site)
     samples = wannier.samples
-    write_csv(out / "wannier.csv", {
-        "index": np.arange(samples.size),
-        "x": bands.grid.points,
-        "re": samples.real,
-        "im": samples.imag,
-        "density": (abs(z) ** 2 for z in samples.tolist()),
-    })
-    write_json(
-        out / "wannier_summary.json",
-        {
-            "config": config.resolved(),
+    return {
+        "wannier.csv": {
+            "index": np.arange(samples.size),
+            "x": bands.grid.points,
+            "re": samples.real,
+            "im": samples.imag,
+            "density": (abs(z) ** 2 for z in samples.tolist()),
+        },
+        "wannier_summary.json": {
             "band": band,
             "site": site,
             "norm": wannier.norm(),
             "cell_probability": [float(p) for p in cell_probability(wannier)],
         },
-    )
-    return EXIT_OK
+    }
 
 
-def cmd_scan(config: RunConfig, out: Path, observable: str) -> int:
-    obs = config.observable(observable)
+def cmd_scan(config: RunConfig, args: argparse.Namespace) -> dict:
+    obs = config.observable(args.observable)
     bands = _solve(config)
     site = build_wannier(bands, obs.band, obs.site) if obs.kind == "wannier_projector" else None
     psis, band_count = bands.state_matrix(), bands.band_count
     del bands  # the states go before the G x G operator is built; psis is their one copy
     op = _resolve_operator(config, obs, site)
     scan = _scan(op, psis, band_count)
-    # Build every output before the first write, so a failure leaves no file.
     report = locality_report(op)
     del op  # the G x G operator goes before the output text is built
-    summary = {
-        "config": config.resolved(),
-        "observable": obs.name,
-        "periodicity_defect": scan.periodicity_defect,
-        "off_sector_max": scan.off_sector_max(),
-        "hermitian_symmetry_defect": scan.hermitian_symmetry_defect(),
-        "sector_difference_profile": [float(v) for v in scan.sector_difference_profile()],
-        "locality_width_99": report.locality_width(0.99),
-        "bandwidth_mass_one_cell": report.bandwidth_mass(config.cell_length),
-    }
     labels = np.indices(scan.table.shape).reshape(4, -1)
     elements = scan.table.ravel()
-    write_csv(out / "scan.csv", {
-        **dict(zip(("band_bra", "sector_bra", "band_ket", "sector_ket"), labels)),
-        "re": elements.real,
-        "im": elements.imag,
-        # Scalar abs: numpy's vectorized abs can differ in the last bit.
-        "modulus": map(abs, elements.tolist()),
-    })
-    distances = np.arange(report.cumulative.size) * config.grid().spacing
-    write_csv(out / "locality.csv", {"distance": distances, "cumulative_mass": report.cumulative})
-    write_json(out / "scan_summary.json", summary)
-    return EXIT_OK
+    return {
+        "scan.csv": {
+            **dict(zip(("band_bra", "sector_bra", "band_ket", "sector_ket"), labels)),
+            "re": elements.real,
+            "im": elements.imag,
+            # Scalar abs: numpy's vectorized abs can differ in the last bit.
+            "modulus": map(abs, elements.tolist()),
+        },
+        "locality.csv": {
+            "distance": np.arange(report.cumulative.size) * config.grid().spacing,
+            "cumulative_mass": report.cumulative,
+        },
+        "scan_summary.json": {
+            "observable": obs.name,
+            "periodicity_defect": scan.periodicity_defect,
+            "off_sector_max": scan.off_sector_max(),
+            "hermitian_symmetry_defect": scan.hermitian_symmetry_defect(),
+            "sector_difference_profile": [float(v) for v in scan.sector_difference_profile()],
+            "locality_width_99": report.locality_width(0.99),
+            "bandwidth_mass_one_cell": report.bandwidth_mass(config.cell_length),
+        },
+    }
 
 
-def cmd_winding(config: RunConfig, out: Path, band: int) -> int:
+def cmd_winding(config: RunConfig, args: argparse.Namespace) -> dict:
+    band = args.band
     _require_band(config, band)
     bands = _solve(config)
     results = [winding_number(bands.state(band, l).wavefunction) for l in range(bands.n_cells)]
-    write_csv(out / "winding.csv", {
-        "band": [band] * len(results),
-        "sector": range(len(results)),
-        "winding": ["" if r.value is None else r.value for r in results],
-        "min_modulus": [r.min_modulus for r in results],
-        "max_step": [r.max_step for r in results],
-        "residual": [r.residual for r in results],
-    })
-    write_json(
-        out / "winding_summary.json",
-        {"config": config.resolved(), "band": band,
-         "windings": {str(l): r.value for l, r in enumerate(results)}},
-    )
-    return EXIT_OK
+    return {
+        "winding.csv": {
+            "band": [band] * len(results),
+            "sector": range(len(results)),
+            "winding": ["" if r.value is None else r.value for r in results],
+            "min_modulus": [r.min_modulus for r in results],
+            "max_step": [r.max_step for r in results],
+            "residual": [r.residual for r in results],
+        },
+        "winding_summary.json": {"band": band,
+                                 "windings": {str(l): r.value for l, r in enumerate(results)}},
+    }
 
 
-def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
+def cmd_propagate(config: RunConfig, args: argparse.Namespace) -> dict:
     if config.dynamics is None:
         raise ConfigError("config key 'dynamics': missing (required by the propagate command)")
     dyn = config.dynamics
     grid = config.grid()
-    perturb_name = observable if observable is not None else dyn.perturbation
+    perturb_name = args.observable if args.observable is not None else dyn.perturbation
     # R (zeros with no perturbation) is fresh and held nowhere else: H is added into it
     # a slab of rows at a time, so H_m has the bits of H + R and is the one G x G array.
     if perturb_name is None:
@@ -233,9 +229,7 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
         hbar=config.hbar,
     )
     amplitudes = np.array([exact_amplitude(experiment, eps) for eps in dyn.epsilons])
-    # The summary's fits can fail, so they run before the first write.
     summary = {
-        "config": config.resolved(),
         "perturbation": perturb_name,
         "source_index": experiment.source,
         "target_index": experiment.target,
@@ -256,12 +250,13 @@ def cmd_propagate(config: RunConfig, out: Path, observable: str | None) -> int:
             )
         except ValueError:
             summary["first_order_error_exponent"] = None
-    write_csv(out / "propagation.csv", {
-        "epsilon": dyn.epsilons, "re": amplitudes.real, "im": amplitudes.imag,
-        "modulus": map(abs, amplitudes.tolist()),
-    })
-    write_json(out / "propagation_summary.json", summary)
-    return EXIT_OK
+    return {
+        "propagation.csv": {
+            "epsilon": dyn.epsilons, "re": amplitudes.real, "im": amplitudes.imag,
+            "modulus": map(abs, amplitudes.tolist()),
+        },
+        "propagation_summary.json": summary,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,24 +299,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Looked up at call time, so a wrapper installed on the module is the one called.
+    commands = {"solve": cmd_solve, "wannier": cmd_wannier, "scan": cmd_scan,
+                "winding": cmd_winding, "propagate": cmd_propagate}
     try:
         config = load_config(args.config)
         out = Path(args.out) if args.out is not None else Path(config.output_dir)
-        if args.command == "solve":
-            return cmd_solve(config, out)
-        if args.command == "wannier":
-            return cmd_wannier(config, out, args.band, args.site)
-        if args.command == "scan":
-            return cmd_scan(config, out, args.observable)
-        if args.command == "winding":
-            return cmd_winding(config, out, args.band)
-        return cmd_propagate(config, out, args.observable)
+        for name, content in commands[args.command](config, args).items():
+            if name.endswith(".csv"):
+                write_csv(out / name, content)
+            else:
+                write_json(out / name, {"config": config.resolved(), **content})
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # load_config raises its own as ConfigError: this is a write
+        print(f"configuration error: output path {str(out)!r} cannot be written: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 def entrypoint() -> None:

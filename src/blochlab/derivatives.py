@@ -14,6 +14,8 @@ they commute exactly with the cell shift:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -68,7 +70,13 @@ def _finite_difference_column(grid: RingGrid, n: int, accuracy: int) -> np.ndarr
         raise ValueError(f"stencil of {npts} points does not fit on a grid of {g} samples")
     half = npts // 2
     offsets = np.arange(-half, half + 1)
-    weights = fornberg_weights(n, offsets) / grid.spacing**n
+    try:
+        step = grid.spacing**n  # Python's float power: it raises where numpy gives inf
+    except OverflowError:
+        step = math.inf
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"spacing^{n} is not a positive finite float (spacing {grid.spacing!r})")
+    weights = fornberg_weights(n, offsets) / step
     col = np.zeros(g)
     for off, w in zip(offsets, weights):
         col[(-off) % g] += w
@@ -86,14 +94,18 @@ def _momentum_column(grid: RingGrid, n: int, scheme: str) -> np.ndarray:
     if n == 0:
         return np.eye(1, grid.total_points)[0]
     accuracy = SCHEMES[scheme]
-    if accuracy is None:
-        col = _spectral_column(grid, n)
-    else:
-        col = _finite_difference_column(grid, n, accuracy)
-    # Hermiticity of a circulant reads col[d] == conj(col[G-d]).  The ifft
-    # meets it only to roundoff and the Fornberg weights are not bitwise
-    # mirrored, so the column is symmetrized exactly.
-    return 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused below
+        if accuracy is None:
+            col = _spectral_column(grid, n)
+        else:
+            col = _finite_difference_column(grid, n, accuracy)
+        # Hermiticity of a circulant reads col[d] == conj(col[G-d]).  The ifft
+        # meets it only to roundoff and the Fornberg weights are not bitwise
+        # mirrored, so the column is symmetrized exactly.
+        col = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    if not np.isfinite(col).all():
+        raise ValueError(f"(-i d/dx)^{n} column is not finite (spacing {grid.spacing!r})")
+    return col
 
 
 def _circulant(col: np.ndarray) -> np.ndarray:

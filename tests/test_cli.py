@@ -492,6 +492,69 @@ def test_failed_propagate_leaves_no_output(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
+_LATE_VALUES = {
+    "solve": ("blochlab.cli.BandStructure.translation_defect", ["solve"]),
+    "wannier": ("blochlab.cli.cell_probability", ["wannier", "--band", "0", "--site", "1"]),
+    "scan": ("blochlab.cli.locality_report", ["scan", "--observable", "ring1"]),
+    "winding": ("blochlab.cli.winding_number", ["winding", "--band", "0"]),
+    "propagate": ("blochlab.cli.cell_transport_profile", ["propagate"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_LATE_VALUES))
+def test_a_failed_command_writes_no_file(tmp_path, monkeypatch, capsys, command):
+    # A value each command computes after most of its outputs fails: main writes
+    # only what a command returns, so no file may be left behind.
+    target, args = _LATE_VALUES[command]
+
+    def explode(*args, **kwargs):
+        raise ValueError("late value failed")
+
+    monkeypatch.setattr(target, explode)
+    config = write_config(tmp_path / "run.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([args[0], "--config", str(config), *args[1:], "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: late value failed\n"
+    assert list(out.iterdir()) == []
+
+
+def test_an_output_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    # A path under a regular file fails whatever the permissions, so it holds as root too.
+    config = write_config(tmp_path / "run.json")
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output path {str(out)!r} cannot be written")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file", config]
+    assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("cell_length", [1e200, 1e-200])
+@pytest.mark.parametrize("args", [["propagate"], ["scan", "--observable", "wave"]],
+                         ids=["propagate", "scan"])
+def test_an_extreme_spacing_fails_the_momentum_column(tmp_path, capsys, cell_length, args):
+    # An fd4 series of momentum powers 1 and 2 and the fd4 kinetic term: h^n overflows
+    # a float at cell_length 1e200 and is 0 at 1e-200.  One error line, exit 3, no
+    # file, and no RuntimeWarning (the test settings make one an error).
+    config = write_config(
+        tmp_path / "run.json",
+        lattice={"n_cells": 8, "cell_length": cell_length, "points_per_cell": 32},
+        observables=[{"name": "wave", "kind": "series", "scheme": "fd4",
+                      "terms": [[3, 1, 0.7, 0.2], [5, 2, 0.4, -0.3]]}],
+        dynamics={"epsilons": [1e-4, 2e-4], "source_cell": 6, "target_cell": 2,
+                  "kinetic_scheme": "fd4", "perturbation": "wave"})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([args[0], "--config", str(config), *args[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
+
+
 def test_module_entrypoint_smoke(tmp_path):
     config = write_config(tmp_path / "run.json")
     result = subprocess.run(

@@ -6,6 +6,7 @@ from blochlab import RingGrid
 from blochlab.derivatives import (
     SCHEMES,
     _finite_difference_column,
+    _momentum_column,
     _spectral_column,
     fornberg_weights,
 )
@@ -105,6 +106,20 @@ def test_scheme_and_power_validation():
         momentum_matrix(grid, 2, "fd3")
     with pytest.raises(ValueError):
         momentum_matrix(grid, 2, "chebyshev")
+
+
+@pytest.mark.parametrize("scheme,spacing,message", [
+    *((s, h, r"spacing\^2 is not a positive finite float") for s in ("fd2", "fd4", "fd8")
+      for h in (1e200, 1e-200)),
+    *((s, 1e-154, r"column is not finite") for s in SCHEMES),
+    ("spectral", 1e-200, r"column is not finite"),
+])
+def test_a_column_that_is_not_finite_is_a_value_error(scheme, spacing, message):
+    # h^2 overflows a float at h = 1e200 and is 0 at 1e-200.  At 1e-154 it is
+    # positive, but the fd weights / h^2 and the spectral k^2 overflow.  Each is one
+    # ValueError and no RuntimeWarning (the test settings make one an error).
+    with pytest.raises(ValueError, match=message):
+        _momentum_column(RingGrid(8, 32 * spacing, 32), 2, scheme)
 
 
 def scipy_circulant_oracle(grid, n, scheme):
