@@ -131,10 +131,10 @@ def transport_profile(experiment: PropagationExperiment, epsilon: float) -> np.n
 
 
 def cell_transport_profile(experiment: PropagationExperiment, epsilon: float) -> np.ndarray:
-    """Transition probability h^2 sum_{j in cell} |amp_j|^2 per cell."""
+    """Transition probability h^2 sum_{j in cell} |amp_j|^2 = sum_{j in cell} |U_jz|^2 per cell."""
     grid = experiment.hamiltonian.grid
-    profile = transport_profile(experiment, epsilon) * grid.spacing**2
-    return profile.reshape(grid.n_cells, grid.points_per_cell).sum(axis=1)
+    c, basis = experiment._krylov(epsilon)
+    return (np.abs(c @ basis) ** 2).reshape(grid.n_cells, grid.points_per_cell).sum(axis=1)
 
 
 def _sweep(epsilons) -> np.ndarray:

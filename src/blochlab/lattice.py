@@ -20,8 +20,9 @@ class PotentialSpec:
     V(x) = constant + sum_h [alpha_h cos(2 pi h x / a) + beta_h sin(2 pi h x / a)]
 
     ``harmonics`` is a tuple of (h, alpha_h, beta_h) with distinct positive
-    integer h.  The potential is sampled once on the first cell and tiled, so
-    its grid samples are exactly cell-periodic by construction.
+    integer h.  Harmonic h is the ring harmonic N h, sampled as a series
+    term's is, on one cell and tiled, so the samples are exactly
+    cell-periodic by construction.
     """
 
     constant: float = 0.0
@@ -41,18 +42,28 @@ class PotentialSpec:
             cleaned.append((h, _number(term[1], here + "[1]"), _number(term[2], here + "[2]")))
         object.__setattr__(self, "harmonics", tuple(cleaned))
 
-    def sample_cell(self, grid: RingGrid) -> np.ndarray:
-        """Values on the P samples of the first cell."""
-        x = np.arange(grid.points_per_cell) * grid.spacing
-        v = np.full(grid.points_per_cell, float(self.constant))
+    def sample(self, grid: RingGrid) -> np.ndarray:
+        """Values on all G samples, harmonic h by :func:`_harmonic_profiles` of m = N h."""
+        v = np.full(grid.total_points, float(self.constant))
         for h, alpha, beta in self.harmonics:
-            phase = 2.0 * np.pi * h * x / grid.cell_length
-            v += alpha * np.cos(phase) + beta * np.sin(phase)
+            cos_prof, sin_prof = _harmonic_profiles(grid, grid.n_cells * h)
+            v += alpha * cos_prof + beta * sin_prof
         return v
 
-    def sample(self, grid: RingGrid) -> np.ndarray:
-        """Values on all G samples; exact tiling of the first cell."""
-        return np.tile(self.sample_cell(grid), grid.n_cells)
+
+def _harmonic_profiles(grid: RingGrid, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi m x / L on all samples.
+
+    When m is a multiple of N the function has the cell period, and it is
+    evaluated on one cell and tiled so the samples repeat exactly.
+    """
+    if m % grid.n_cells == 0:
+        reps = m // grid.n_cells
+        x_cell = np.arange(grid.points_per_cell) * grid.spacing
+        phase = 2.0 * np.pi * reps * x_cell / grid.cell_length
+        return np.tile(np.cos(phase), grid.n_cells), np.tile(np.sin(phase), grid.n_cells)
+    phase = 2.0 * np.pi * m * grid.points / grid.ring_length
+    return np.cos(phase), np.sin(phase)
 
 
 @dataclass
@@ -206,18 +217,14 @@ def _commutator_norm(a: np.ndarray, p: int) -> float:
     return float(np.sqrt(sum(_squared_norm(slab) for slab in _commutator_slabs(a, p))))
 
 
-def _tile_pairs(g: int):
-    """(rows, cols) slices of the _BLOCK x _BLOCK tiles (I, J) with I <= J, row-major."""
-    for i in range(0, g, _BLOCK):
-        for j in range(i, g, _BLOCK):
-            yield slice(i, i + _BLOCK), slice(j, j + _BLOCK)
-
-
 def _hermitian_check(a: np.ndarray) -> tuple[float, float]:
-    """(max |A - A^dagger|, max |A|) over the tile pairs, with no G x G temporary: entry
-    (j, i) of A - A^dagger is minus the conjugate of entry (i, j), of equal modulus."""
-    defects, sizes = [], []
-    for rows, cols in _tile_pairs(len(a)):
-        defects.append(np.max(np.abs(a[rows, cols] - a[cols, rows].conj().T)))
-        sizes += [np.max(np.abs(a[rows, cols])), np.max(np.abs(a[cols, rows]))]
+    """(max |A - A^dagger|, max |A|) over the tiles (I, J) with I <= J, with no G x G
+    temporary: entry (j, i) of A - A^dagger is minus the conjugate of entry (i, j)."""
+    g, defects, sizes = len(a), [], []
+    for i in range(0, g, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        for j in range(i, g, _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            defects.append(np.max(np.abs(a[rows, cols] - a[cols, rows].conj().T)))
+            sizes += [np.max(np.abs(a[rows, cols])), np.max(np.abs(a[cols, rows]))]
     return float(np.max(defects)), float(np.max(sizes))

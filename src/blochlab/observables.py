@@ -19,7 +19,7 @@ import numpy as np
 
 from .derivatives import _circulant, _momentum_column
 from .grid import RingGrid, _integer, _number
-from .lattice import _BLOCK, OperatorMatrix, _commutator_norm, _frobenius_norm, _tile_pairs
+from .lattice import _BLOCK, OperatorMatrix, _commutator_norm, _frobenius_norm, _harmonic_profiles
 
 
 @dataclass(frozen=True)
@@ -48,30 +48,16 @@ class LocalObservableSeries:
         object.__setattr__(self, "terms", tuple(cleaned))
 
 
-def _harmonic_profiles(grid: RingGrid, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi m x / L on all samples.
-
-    When m is a multiple of N the function has the cell period, and it is
-    evaluated on one cell and tiled so the samples repeat exactly.
-    """
-    if m % grid.n_cells == 0:
-        reps = m // grid.n_cells
-        x_cell = np.arange(grid.points_per_cell) * grid.spacing
-        phase = 2.0 * np.pi * reps * x_cell / grid.cell_length
-        return np.tile(np.cos(phase), grid.n_cells), np.tile(np.sin(phase), grid.n_cells)
-    phase = 2.0 * np.pi * m * grid.points / grid.ring_length
-    return np.cos(phase), np.sin(phase)
-
-
 def materialize(series: LocalObservableSeries, grid: RingGrid,
                 scheme: str = "spectral") -> OperatorMatrix:
     """Dense matrix of the series on the grid.
 
-    Each term is a diagonal position factor times a momentum-power circulant
-    from the requested derivative scheme.  The result is filled a block of
-    rows at a time from strided views over each term's circulant column, and
-    symmetrized in place, so nothing but the result is G x G.  The matrix is
-    real when every momentum power is even, and complex otherwise.
+    Term t is a real profile f_t times a momentum-power circulant K_t of the
+    requested derivative scheme, and K_t is Hermitian bit for bit, so A^dagger
+    = sum_t K_t f_t.  One walk over _BLOCK-row slabs sums the rows of A and of
+    A^dagger in term order, from strided views over each circulant column, and
+    writes each slab of the result once: nothing but it is G x G.  The matrix
+    is real when every momentum power is even, and complex otherwise.
     """
     g = grid.total_points
     even = all(n % 2 == 0 for _, n, _, _ in series.terms)
@@ -81,27 +67,25 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
         cos_prof, sin_prof = _harmonic_profiles(grid, m)
         kernel = _circulant(_momentum_column(grid, n, scheme)) if n else None
         terms.append((c * cos_prof + d * sin_prof, kernel))
+    # Reused slabs: rows of A^dagger, and one term's product.
+    adjoint, product = (np.empty((min(_BLOCK, g), g), dtype=acc.dtype) for _ in range(2))
     for start in range(0, g, _BLOCK):
         rows = slice(start, start + _BLOCK)
         diag = np.arange(start, min(start + _BLOCK, g))
+        adj, prod = adjoint[: len(diag)], product[: len(diag)]
+        adj.fill(0.0)
         for profile, kernel in terms:
             if kernel is None:
                 acc[diag, diag] += profile[diag]
+                adj[diag - start, diag] += profile[diag]
             else:
-                acc[rows] += profile[rows, None] * kernel[rows]
-    if series.symmetrize:
-        # Tiles (I, J) and (J, I) are both read before either is written, and
-        # each by the formula itself: a conjugated tile can flip a zero's sign.
-        for rows, cols in _tile_pairs(g):
-            upper = _hermitian_part(acc, rows, cols)
-            acc[cols, rows] = _hermitian_part(acc, cols, rows)
-            acc[rows, cols] = upper
+                acc[rows] += np.multiply(profile[rows, None], kernel[rows], out=prod)
+                if series.symmetrize:
+                    adj += np.multiply(kernel[rows], profile, out=prod)
+        if series.symmetrize:
+            acc[rows] += adj
+            acc[rows] *= 0.5
     return OperatorMatrix(grid, acc)
-
-
-def _hermitian_part(a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """Block [rows, cols] of (A + A^dagger)/2, as 0.5 * (x + conj(y)) element by element."""
-    return 0.5 * (a[rows, cols] + a[cols, rows].conj().T)
 
 
 @dataclass

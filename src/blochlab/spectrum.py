@@ -162,7 +162,7 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     q = (sector + n_cells * m_window + g // 2) % g - g // 2   # folded wavenumber index
     kappa = 2.0 * np.pi * q / length
 
-    with np.errstate(over="ignore"):  # an overflow is left as inf, which the check rejects
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf = NaN: rejected below
         kinetic = np.diag(scale * kappa**2).astype(complex)
     # The potential couples plane waves differing by a reciprocal lattice
     # vector: <kappa_i| V |kappa_j> = V_hat(i - j) up to aliasing, so the block

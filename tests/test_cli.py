@@ -284,6 +284,40 @@ def test_a_tiny_hbar_is_a_numerical_failure(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_an_underflowing_kinetic_scale_is_a_numerical_failure(tmp_path, capsys):
+    # hbar^2/2m underflows to 0.0 at hbar 1e-200 and k^2 overflows at cell_length
+    # 1e-300, so the sector block's kinetic diagonal is 0 * inf: one error line, exit
+    # 3, no file and no RuntimeWarning (the test settings make one an error).
+    config = write_config(
+        tmp_path / "run.json",
+        lattice={"n_cells": 8, "cell_length": 1e-300, "points_per_cell": 32, "hbar": 1e-200})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
+
+
+def test_a_huge_cell_length_propagates(tmp_path, capsys):
+    # At cell_length 1e200 h^2 overflows a Python float, and the spectral columns are
+    # tiny or zero rather than infinite: the run succeeds, its cell probabilities summed
+    # from the propagator column itself.
+    config = write_config(
+        tmp_path / "run.json",
+        lattice={"n_cells": 8, "cell_length": 1e200, "points_per_cell": 32},
+        observables=[{"name": "wave", "kind": "series", "scheme": "spectral",
+                      "terms": [[1, 1, 1.0, 0.0], [3, 2, 0.5, 0.1]]}],
+        dynamics={"epsilons": [1e-4, 2e-4], "source_cell": 6, "target_cell": 2,
+                  "kinetic_scheme": "spectral", "perturbation": "wave"})
+    assert main(["propagate", "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "propagation_summary.json").read_text())
+    probabilities = np.array(summary["cell_arrival_probability"])
+    assert np.all(np.isfinite(probabilities))
+    assert abs(probabilities.sum() - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("observable", ["h", "cell"])
 def test_a_small_cell_length_scans_cell_periodic_kernels(tmp_path, observable):
     # At cell_length 1e-3 the table's moduli reach ~1e7, so the leakage guard

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from blochlab import (
     GridMismatchError,
     LocalObservableSeries,
+    PotentialSpec,
     RingGrid,
     WaveFunction,
     build_translation,
@@ -130,6 +131,22 @@ def test_materialize_cell_harmonic_is_tiled_diagonal(ref_grid):
     assert np.max(np.abs(diag[:32] - expected)) < 1e-14
     off = op.entries - np.diag(np.diag(op.entries))
     assert np.max(np.abs(off)) == 0.0
+
+
+@given(n_cells=st.integers(2, 12), points=st.integers(8, 64), cell_length=st.floats(1e-2, 1e2),
+       constant=_AMPLITUDES,
+       harmonics=st.lists(st.tuples(st.integers(1, 40), _AMPLITUDES, _AMPLITUDES),
+                          max_size=3, unique_by=lambda term: term[0]))
+@settings(max_examples=50, deadline=None)
+def test_the_potential_is_the_diagonal_of_its_series(n_cells, points, cell_length, constant,
+                                                     harmonics):
+    # One profile rule: harmonic h of the potential is the series' ring harmonic N h.
+    grid = RingGrid(n_cells, cell_length, points)
+    potential = PotentialSpec(constant, tuple(harmonics))
+    series = LocalObservableSeries(((0, 0, constant, 0.0),) + tuple(
+        (n_cells * h, 0, alpha, beta) for h, alpha, beta in harmonics))
+    # array_equal, not bytes: a constant of -0.0 is +0.0 in the series' sum.
+    assert np.array_equal(potential.sample(grid), np.diag(materialize(series, grid).entries))
 
 
 def test_materialize_additive_in_terms(ref_grid):
