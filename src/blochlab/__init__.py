@@ -23,7 +23,6 @@ from .spectrum import (
     BandStructure,
     BlochState,
     classify_by_translation,
-    fix_gauge,
     solve_bands,
     solve_sector,
 )
@@ -50,7 +49,6 @@ from .dynamics import (
     exact_amplitude,
     first_order_amplitude,
     linear_response_slope,
-    transport_profile,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +65,6 @@ __all__ = [
     "BandStructure",
     "BlochState",
     "classify_by_translation",
-    "fix_gauge",
     "solve_bands",
     "solve_sector",
     "build_wannier",
@@ -86,5 +83,4 @@ __all__ = [
     "exact_amplitude",
     "first_order_amplitude",
     "linear_response_slope",
-    "transport_profile",
 ]

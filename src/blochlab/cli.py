@@ -15,7 +15,8 @@ byte-for-byte deterministic for a given config at a fixed BLAS thread count: no
 timestamps, floats written with repr.  Across thread counts they match only
 where a test guards it (every command at P <= 64).  Exit codes: 0 success,
 2 configuration problems (an output path that cannot be written included),
-3 numerical failures (a failed allocation included); on 2 or 3 no file is written.
+3 numerical failures (a failed allocation or a float overflow included); on 2
+or 3 no file is written.
 """
 
 from __future__ import annotations
@@ -305,7 +306,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         out = Path(args.out) if args.out is not None else Path(config.output_dir)
-        for name, content in commands[args.command](config, args).items():
+        # Overflow, 0 * inf or 1 / 0 fails the command; a library guard's errstate still wins.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            files = commands[args.command](config, args)
+        for name, content in files.items():
             if name.endswith(".csv"):
                 write_csv(out / name, content)
             else:
@@ -313,7 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, np.linalg.LinAlgError,
+            MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:  # load_config raises its own as ConfigError: this is a write

@@ -120,16 +120,6 @@ def first_order_amplitude(experiment: PropagationExperiment, epsilon: float) -> 
     return complex(delta - 1j * epsilon / experiment.hbar * experiment.kernel_entry() / h)
 
 
-def transport_profile(experiment: PropagationExperiment, epsilon: float) -> np.ndarray:
-    """|amplitude|^2 from the source to every sample after time epsilon.
-
-    The h^2-weighted sum of the profile is exactly 1 (unitarity with two
-    continuum normalizations), so entries read as transition densities.
-    """
-    c, basis = experiment._krylov(epsilon)
-    return np.abs(c @ basis / experiment.hamiltonian.grid.spacing) ** 2
-
-
 def cell_transport_profile(experiment: PropagationExperiment, epsilon: float) -> np.ndarray:
     """Transition probability h^2 sum_{j in cell} |amp_j|^2 = sum_{j in cell} |U_jz|^2 per cell."""
     grid = experiment.hamiltonian.grid

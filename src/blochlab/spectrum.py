@@ -14,16 +14,17 @@ on purpose:
   sector knowledge and reads each eigenvector's sector off the translation
   operator afterwards, with numpy's Hermitian eigensolver alone.
 
-Agreement between the two is a meaningful check, so neither calls the other.
+Agreement between the two is a meaningful check, so neither calls the other.  Both
+fill the three arrays of a :class:`BandStructure` and fix every row's gauge in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RingGrid, WaveFunction, _integer, _require_same_grid, translate_by_cells
+from .grid import RingGrid, WaveFunction, _integer, _require_same_grid
 from .lattice import (OperatorMatrix, PotentialSpec, _commutator_slabs, _kinetic_scale,
                       _require_hermitian, is_one_cell_shift)
 
@@ -34,21 +35,10 @@ _CLUSTER_RTOL = 1e-9
 
 @dataclass
 class BlochState:
-    """One band eigenstate of a definite crystal-momentum sector.
-
-    Attributes
-    ----------
-    band : int
-        Band index n, counted from 0 upward in energy within the sector.
-    sector : int
-        Crystal-momentum label l in {0..N-1}; the translation eigenvalue is
-        exp(+i k_l a).
-    energy : float
-    wavefunction : WaveFunction
-        Normalized full wave psi = u(x) exp(i k_l x).
-    cell_part : WaveFunction
-        The cell-periodic factor u(x) = psi(x) exp(-i k_l x).
-    """
+    """One band eigenstate: band n, counted from 0 upward in energy within its sector
+    l in {0..N-1} (translation eigenvalue exp(+i k_l a)), its energy, the normalized
+    wave psi = u(x) exp(i k_l x) and its cell-periodic factor u(x) = psi(x) exp(-i k_l x).
+    :meth:`BandStructure.state` builds one on demand from the band arrays."""
 
     band: int
     sector: int
@@ -61,37 +51,28 @@ class BlochState:
         return self.wavefunction.grid.wavevector(self.sector)
 
 
-def _cell_part(psi: WaveFunction, sector: int) -> WaveFunction:
-    grid = psi.grid
-    phase = np.exp(-1j * grid.wavevector(sector) * grid.points)
-    return WaveFunction(grid, psi.samples * phase)
+def _fix_gauge(waves: np.ndarray, cells: np.ndarray) -> None:
+    """Remove each state's free global phase in place, with a deterministic convention.
 
-
-def fix_gauge(state: BlochState) -> BlochState:
-    """Remove the free global phase with a deterministic convention.
-
-    The whole state is rotated so that u at its largest-modulus sample (the
-    first such sample on ties) is real and positive.  Applying the fix twice
-    changes nothing, and two states differing only by a global phase map to
-    the same representative.
+    ``waves`` and ``cells`` are C-contiguous arrays of psi and u rows, shape (..., G).
+    Each psi and its u are rotated so that u at its largest-modulus sample (the first
+    such sample on ties) is real and positive.  Applying the fix twice changes nothing,
+    and two states differing only by a global phase map to the same representative.
     """
-    u = state.cell_part.samples
-    moduli = np.abs(u)
-    top = float(moduli.max())
-    # Ties must be detected with a tolerance band: an exactly flat or
-    # symmetric profile (plane wave, standing wave) acquires last-bit noise
-    # that would otherwise send independent solvers to different peaks.
-    peak = int(np.argmax(moduli >= top * (1.0 - 1e-9)))
-    value = u[peak]
-    if value == 0:
-        raise ValueError("cannot fix gauge: cell-periodic part vanishes at its own peak")
-    phase = value / abs(value)
-    grid = state.wavefunction.grid
-    return replace(
-        state,
-        wavefunction=WaveFunction(grid, state.wavefunction.samples / phase),
-        cell_part=WaveFunction(grid, u / phase),
-    )
+    g = waves.shape[-1]
+    for psi, u in zip(waves.reshape(-1, g), cells.reshape(-1, g)):
+        moduli = np.abs(u)
+        top = float(moduli.max())
+        # Ties must be detected with a tolerance band: an exactly flat or
+        # symmetric profile (plane wave, standing wave) acquires last-bit noise
+        # that would otherwise send independent solvers to different peaks.
+        peak = int(np.argmax(moduli >= top * (1.0 - 1e-9)))
+        value = u[peak]
+        if value == 0:
+            raise ValueError("cannot fix gauge: cell-periodic part vanishes at its own peak")
+        phase = value / abs(value)  # scalar abs: np.abs can differ in the last bit
+        psi /= phase
+        u /= phase
 
 
 def _clusters(energies: np.ndarray) -> list[tuple[int, int]]:
@@ -132,7 +113,8 @@ def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray, wavenumbers: np
 
 
 def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
-                 band_count: int, mass: float = 1.0, hbar: float = 1.0) -> list[BlochState]:
+                 band_count: int, mass: float = 1.0,
+                 hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest ``band_count`` eigenstates of crystal momentum k_l, l = ``sector``.
 
     Works entirely in the reduced basis of the P plane waves
@@ -150,6 +132,9 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     exp(i kappa x_j) = exp(i k_l x_j) exp(2 pi i m j / P), so psi = exp(i k_l x) u
     where u is (P / sqrt(L)) times the length-P inverse FFT of the coefficients
     placed at m mod P, tiled over the N cells: u is cell-periodic bit for bit.
+
+    Returns the energies (band_count,) and the gauge-fixed psi and u rows
+    (band_count, G) of the lowest bands.
     """
     sector = _integer(sector, "sector", minimum=0, maximum=grid.n_cells - 1)
     band_count = _integer(band_count, "band_count", minimum=1, maximum=grid.points_per_cell)
@@ -185,31 +170,38 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
 
     # m_window is in FFT-shifted order, so ifftshift puts m at index m mod P.
     cells = np.fft.ifft(np.fft.ifftshift(coeffs[:, :band_count], axes=0), axis=0)
-    phase = np.exp(1j * grid.wavevector(sector) * grid.points)
-    states = []
-    for band, cell in enumerate(cells.T * (p / np.sqrt(length))):
-        u = np.tile(cell, n_cells)
-        states.append(fix_gauge(BlochState(
-            band=band, sector=sector, energy=float(energies[band]),
-            wavefunction=WaveFunction(grid, phase * u), cell_part=WaveFunction(grid, u),
-        )))
-    return states
+    cells = np.tile(cells.T * (p / np.sqrt(length)), n_cells)
+    waves = np.exp(1j * grid.wavevector(sector) * grid.points) * cells
+    _fix_gauge(waves, cells)
+    return energies[:band_count], waves, cells
 
 
 @dataclass
 class BandStructure:
-    """All computed Bloch states, indexed by band n and sector l."""
+    """All computed Bloch states as three arrays indexed by band n and sector l.
+
+    ``energy`` has shape (band_count, N); ``waves`` holds psi_{n l} and ``cells``
+    its cell-periodic part u_{n l} = psi_{n l} exp(-i k_l x), each of shape
+    (band_count, N, G).  Both routes fill them C-contiguous: one row per state.
+    """
 
     grid: RingGrid
-    states: list[list[BlochState]]     # states[n][l]
+    energy: np.ndarray
+    waves: np.ndarray
+    cells: np.ndarray
 
     def __post_init__(self):
-        if not self.states or any(len(row) != self.grid.n_cells for row in self.states):
-            raise ValueError("states must be a non-empty band-major table of N sectors per band")
+        shape = (len(self.energy), self.grid.n_cells)
+        if not (shape[0] and self.energy.shape == shape
+                and self.waves.shape == self.cells.shape == (*shape, self.grid.total_points)):
+            raise ValueError(f"energy must have shape (band_count, N) = (B, {shape[1]}) and waves"
+                             f" and cells (B, N, G) with G = {self.grid.total_points}, B >= 1")
+        if not all(np.all(np.isfinite(a)) for a in (self.energy, self.waves, self.cells)):
+            raise ValueError("energies and states must be finite")
 
     @property
     def band_count(self) -> int:
-        return len(self.states)
+        return len(self.energy)
 
     @property
     def n_cells(self) -> int:
@@ -217,21 +209,20 @@ class BandStructure:
 
     def state(self, band: int, sector: int) -> BlochState:
         """State of ``band`` in [0, band_count); ``sector`` is taken mod N."""
-        _integer(band, "band", minimum=0, maximum=self.band_count - 1)
-        return self.states[band][sector % self.grid.n_cells]
-
-    def all_states(self):
-        for row in self.states:
-            yield from row
+        band = _integer(band, "band", minimum=0, maximum=self.band_count - 1)
+        l = sector % self.grid.n_cells
+        return BlochState(band, l, float(self.energy[band, l]),
+                          WaveFunction(self.grid, self.waves[band, l]),
+                          WaveFunction(self.grid, self.cells[band, l]))
 
     def energies(self) -> np.ndarray:
         """Array of shape (band_count, N) of eigenvalues."""
-        return np.array([[s.energy for s in row] for row in self.states])
+        return self.energy.copy()
 
     def state_matrix(self) -> np.ndarray:
-        """Columns psi_{n l} in band-major order, shape (G, band_count * N)."""
-        cols = [s.wavefunction.samples for s in self.all_states()]
-        return np.column_stack(cols)
+        """Columns psi_{n l} in band-major order, shape (G, band_count * N): a fresh
+        C-contiguous copy, which the caller may overwrite."""
+        return self.waves.reshape(-1, self.grid.total_points).T.copy()
 
     def orthonormality_defect(self) -> float:
         """Largest deviation of h * Psi^dagger Psi from the identity."""
@@ -241,33 +232,30 @@ class BandStructure:
 
     def translation_defect(self) -> float:
         """Largest norm of T_a psi - exp(+i k_l a) psi over all states."""
-        worst = 0.0
-        for s in self.all_states():
-            shifted = translate_by_cells(s.wavefunction, 1)
-            expected = np.exp(1j * s.wavevector * self.grid.cell_length)
-            diff = WaveFunction(self.grid, shifted.samples - expected * s.wavefunction.samples)
-            worst = max(worst, diff.norm())
+        p, worst = self.grid.points_per_cell, 0.0
+        for row in self.waves:
+            for l, psi in enumerate(row):
+                expected = np.exp(1j * self.grid.wavevector(l) * self.grid.cell_length)
+                diff = WaveFunction(self.grid, np.roll(psi, -p) - expected * psi)
+                worst = max(worst, diff.norm())
         return worst
 
     def cell_periodicity_defect(self) -> float:
         """Largest |u(x + a) - u(x)| over all states and samples."""
-        p = self.grid.points_per_cell
-        worst = 0.0
-        for s in self.all_states():
-            u = s.cell_part.samples
-            worst = max(worst, float(np.max(np.abs(np.roll(u, -p) - u))))
-        return worst
+        u = self.cells
+        return float(np.max(np.abs(np.roll(u, -self.grid.points_per_cell, axis=-1) - u)))
 
 
 def solve_bands(grid: RingGrid, potential: PotentialSpec, band_count: int,
                 mass: float = 1.0, hbar: float = 1.0) -> BandStructure:
-    """Solve every sector and assemble the band-major table."""
-    per_sector = [
-        solve_sector(grid, potential, l, band_count, mass=mass, hbar=hbar)
-        for l in range(grid.n_cells)
-    ]
-    rows = [[per_sector[l][n] for l in range(grid.n_cells)] for n in range(band_count)]
-    return BandStructure(grid, rows)
+    """Solve every sector and fill the band-major arrays one sector column at a time."""
+    band_count = _integer(band_count, "band_count", minimum=1, maximum=grid.points_per_cell)
+    energy = np.empty((band_count, grid.n_cells))
+    waves, cells = (np.empty((*energy.shape, grid.total_points), complex) for _ in range(2))
+    for l in range(grid.n_cells):
+        energy[:, l], waves[:, l], cells[:, l] = solve_sector(
+            grid, potential, l, band_count, mass=mass, hbar=hbar)
+    return BandStructure(grid, energy, waves, cells)
 
 
 def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMatrix,
@@ -333,25 +321,20 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
                 raise ValueError(
                     f"translation eigenvalue {lam!r} is not an N-th root of unity"
                 )
-            psi = WaveFunction(grid, rotated[:, i] / np.sqrt(grid.spacing))
+            psi = rotated[:, i] / np.sqrt(grid.spacing)
             per_sector[l].append((float(energies[start + i]), psi))
 
-    rows: list[list[BlochState]] = [[] for _ in range(band_count)]
+    energy = np.empty((band_count, n_cells))
+    waves = np.empty((band_count, n_cells, grid.total_points), dtype=complex)
+    cells = np.empty_like(waves)
     for l, bucket in enumerate(per_sector):
         bucket.sort(key=lambda item: item[0])
         if len(bucket) < band_count:
             raise ValueError(
                 f"sector {l} received {len(bucket)} states, fewer than band_count={band_count}"
             )
-        for n in range(band_count):
-            energy, psi = bucket[n]
-            state = BlochState(
-                band=n,
-                sector=l,
-                energy=energy,
-                wavefunction=psi,
-                cell_part=_cell_part(psi, l),
-            )
-            rows[n].append(fix_gauge(state))
-    return BandStructure(grid, rows)
-
+        phase = np.exp(-1j * grid.wavevector(l) * grid.points)
+        for n, (e, psi) in enumerate(bucket[:band_count]):
+            energy[n, l], waves[n, l], cells[n, l] = e, psi, psi * phase
+    _fix_gauge(waves, cells)
+    return BandStructure(grid, energy, waves, cells)

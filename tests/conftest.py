@@ -1,6 +1,5 @@
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,17 +63,24 @@ def regauged(bands, phases):
         raise ValueError(
             f"phases must have shape {(bands.band_count, bands.n_cells)}, got {phases.shape}"
         )
-    rows = []
-    for n, row in enumerate(bands.states):
-        rows.append([])
-        for l, s in enumerate(row):
-            factor = np.exp(1j * phases[n, l])
-            rows[n].append(replace(
-                s,
-                wavefunction=WaveFunction(bands.grid, factor * s.wavefunction.samples),
-                cell_part=WaveFunction(bands.grid, factor * s.cell_part.samples),
-            ))
-    return BandStructure(bands.grid, rows)
+    factor = np.exp(1j * phases)[:, :, None]
+    return BandStructure(bands.grid, bands.energies(), factor * bands.waves, factor * bands.cells)
+
+
+def all_states(bands):
+    """Every state of ``bands`` as a BlochState record, in band-major order."""
+    return [bands.state(n, l) for n in range(bands.band_count) for l in range(bands.n_cells)]
+
+
+def transport_profile(experiment, epsilon):
+    """|amplitude|^2 from the source to every sample after time epsilon, from the
+    propagator column divided by h: the per-sample oracle for cell_transport_profile.
+
+    The h^2-weighted sum of the profile is exactly 1 (unitarity with two
+    continuum normalizations), so entries read as transition densities.
+    """
+    c, basis = experiment._krylov(epsilon)
+    return np.abs(c @ basis / experiment.hamiltonian.grid.spacing) ** 2
 
 
 # Reference configuration shared by most tests: 8 cells of unit length,

@@ -299,6 +299,43 @@ def test_an_underflowing_kinetic_scale_is_a_numerical_failure(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, amplitude", [(["scan", "--observable", "huge"], 1e300),
+                                             (["propagate"], 1e160)], ids=["scan", "propagate"])
+def test_a_floating_point_overflow_is_a_numerical_failure(tmp_path, capsys, args, amplitude):
+    # A 1e300 fd4 series overflows the locality report's squared moduli, which left NaN
+    # in locality.csv and bare NaN (not JSON) in the summary; a 1e160 one overflows the
+    # Lanczos norm.  Either is one error line, exit 3 and no file, with no RuntimeWarning.
+    config = write_config(
+        tmp_path / "run.json",
+        observables=[{"name": "huge", "kind": "series", "scheme": "fd4",
+                      "terms": [[3, 2, amplitude, 0.0]]}],
+        dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 6, "target_cell": 2,
+                  "kinetic_scheme": "fd4", "perturbation": "huge"})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([args[0], "--config", str(config), *args[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: overflow") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("numerator, message", [(0.0, "invalid value"), (1.0, "divide by zero")],
+                         ids=["invalid", "divide"])
+def test_an_invalid_value_or_a_division_by_zero_is_a_numerical_failure(
+        tmp_path, monkeypatch, capsys, numerator, message):
+    # 0 / 0 or 1 / 0 in any value a command computes fails it like an overflow does.
+    def nonfinite(*args, **kwargs):
+        return np.full(8, numerator) / np.zeros(8)
+
+    monkeypatch.setattr("blochlab.cli.cell_probability", nonfinite)
+    config = write_config(tmp_path / "run.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["wannier", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message} encountered in divide\n"
+    assert list(out.iterdir()) == []
+
+
 def test_a_huge_cell_length_propagates(tmp_path, capsys):
     # At cell_length 1e200 h^2 overflows a Python float, and the spectral columns are
     # tiny or zero rather than infinite: the run succeeds, its cell probabilities summed

@@ -14,7 +14,6 @@ from blochlab import (
     first_order_amplitude,
     linear_response_slope,
     solve_bands,
-    transport_profile,
     wannier_projector,
 )
 from blochlab.dynamics import (
@@ -22,6 +21,7 @@ from blochlab.dynamics import (
     first_order_error_exponent,
 )
 from blochlab.lattice import _hermitian_check
+from conftest import transport_profile
 
 
 def eigh_propagator(experiment):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -34,15 +35,21 @@ def test_all_is_exactly_what_the_package_binds():
     ("observables", "apply_kernel"),
     ("observables", "_periodicity_defect"),
     ("superselection", "matrix_element"),
+    ("spectrum", "fix_gauge"),
+    ("dynamics", "transport_profile"),
 ])
 def test_removed_names_stay_removed(module, name):
-    # Second routes to one entry of the scan table or its defect live in the tests' conftest.
+    # Second routes to one entry of the scan table, its defect or the cell transport
+    # profile live in the tests' conftest; the gauge fix is private to the spectrum.
     assert not hasattr(importlib.import_module(f"blochlab.{module}"), name)
     assert not hasattr(blochlab, name)
 
 
 def test_removed_operands_and_methods_stay_removed():
     assert not hasattr(blochlab.BandStructure, "regauged")
+    assert not hasattr(blochlab.BandStructure, "all_states")
+    fields = [field.name for field in dataclasses.fields(blochlab.BandStructure)]
+    assert fields == ["grid", "energy", "waves", "cells"]
     assert list(inspect.signature(blochlab.winding_number).parameters) == ["psi"]
     assert list(inspect.signature(blochlab.cell_periodicity_defect).parameters) == ["op"]
     from blochlab.lattice import commutator_norm

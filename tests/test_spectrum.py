@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from blochlab import (
     BandStructure,
-    BlochState,
     OperatorMatrix,
     PotentialSpec,
     PropagationExperiment,
@@ -17,14 +16,13 @@ from blochlab import (
     build_hamiltonian,
     build_translation,
     classify_by_translation,
-    fix_gauge,
     solve_bands,
     solve_sector,
 )
 from blochlab import spectrum
 from blochlab.derivatives import SCHEMES
-from blochlab.spectrum import _CLUSTER_RTOL, _cell_part, _clusters
-from conftest import fourier_coefficient, inner_product, momentum_matrix, regauged
+from blochlab.spectrum import _CLUSTER_RTOL, _clusters, _fix_gauge
+from conftest import all_states, fourier_coefficient, inner_product, momentum_matrix, regauged
 
 
 def free_sector_energies(grid, sector, count):
@@ -75,8 +73,8 @@ def test_weak_potential_perturbation_theory():
     # and each contributes (alpha/2)^2 over the gap.
     grid = RingGrid(8, 1.0, 32)
     alpha = 0.1 * (2.0 * np.pi) ** 2 / 2.0
-    states = solve_sector(grid, PotentialSpec(0.0, ((1, alpha, 0.0),)), 0, 1)
-    e0 = states[0].energy
+    energies, _, _ = solve_sector(grid, PotentialSpec(0.0, ((1, alpha, 0.0),)), 0, 1)
+    e0 = energies[0]
     predicted = -(alpha**2) / (4.0 * np.pi**2)
     assert abs(e0 - predicted) / abs(predicted) < 0.01
     assert e0 == pytest.approx(-0.09826817868971625, abs=1e-9)
@@ -113,38 +111,48 @@ def test_mass_and_hbar_must_be_positive_and_finite(ref_grid, ref_potential, bad)
 def test_zone_edge_degeneracy_resolved_deterministically(ref_grid):
     # Free particle, sector N/2: bands 0 and 1 are exactly degenerate plane
     # waves q = +-4.  The tie-break puts +4 first, both runs identical.
-    states = solve_sector(ref_grid, PotentialSpec(), 4, 2)
-    assert states[0].energy == pytest.approx(states[1].energy, rel=1e-12)
+    energies, waves, _ = solve_sector(ref_grid, PotentialSpec(), 4, 2)
+    assert energies[0] == pytest.approx(energies[1], rel=1e-12)
     x = ref_grid.points
     for band, q in enumerate((4, -4)):
         wave = WaveFunction(
             ref_grid,
             np.exp(2j * np.pi * q * x / ref_grid.ring_length) / np.sqrt(ref_grid.ring_length),
         )
-        overlap = abs(inner_product(wave, states[band].wavefunction))
+        overlap = abs(inner_product(wave, WaveFunction(ref_grid, waves[band])))
         assert overlap == pytest.approx(1.0, abs=1e-10)
-    again = solve_sector(ref_grid, PotentialSpec(), 4, 2)
-    for a, b in zip(states, again):
-        assert np.array_equal(a.wavefunction.samples, b.wavefunction.samples)
+    _, again, _ = solve_sector(ref_grid, PotentialSpec(), 4, 2)
+    for a, b in zip(waves, again, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_fix_gauge_idempotent_and_quotient(ref_bands, rng):
-    state = ref_bands.state(1, 3)
-    once = fix_gauge(state)
-    twice = fix_gauge(once)
-    assert np.max(np.abs(once.wavefunction.samples - twice.wavefunction.samples)) < 1e-14
+    # _fix_gauge rotates (psi, u) rows in place; each pair here is one state's rows.
+    psi, u = ref_bands.waves[1, 3], ref_bands.cells[1, 3]
+    once = psi[None].copy(), u[None].copy()
+    _fix_gauge(*once)
+    twice = once[0].copy(), once[1].copy()
+    _fix_gauge(*twice)
+    assert np.max(np.abs(once[0] - twice[0])) < 1e-14
     # Two arbitrary phases of the same state land on the same representative.
-    from dataclasses import replace
-
     for _ in range(5):
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        rotated = replace(
-            state,
-            wavefunction=WaveFunction(state.wavefunction.grid, phase * state.wavefunction.samples),
-            cell_part=WaveFunction(state.cell_part.grid, phase * state.cell_part.samples),
-        )
-        fixed = fix_gauge(rotated)
-        assert np.max(np.abs(fixed.wavefunction.samples - once.wavefunction.samples)) < 1e-12
+        fixed = phase * psi[None], phase * u[None]
+        _fix_gauge(*fixed)
+        assert np.max(np.abs(fixed[0] - once[0])) < 1e-12
+
+
+def test_fix_gauge_phase_is_the_scalar_abs_of_the_peak(rng):
+    # Outputs keep their bytes only while each phase is v / abs(v) with numpy's scalar
+    # abs: the vectorized np.abs differs from it in the last bit on about a third of values.
+    waves, cells = rng.normal(size=(2, 40, 3, 16)) + 1j * rng.normal(size=(2, 40, 3, 16))
+    expected = []
+    for psi, u in zip(waves.reshape(-1, 16), cells.reshape(-1, 16)):
+        value = u[np.argmax(np.abs(u))]
+        expected += [psi / (value / abs(value)), u / (value / abs(value))]
+    _fix_gauge(waves, cells)
+    rows = np.stack([waves.reshape(-1, 16), cells.reshape(-1, 16)], axis=1).reshape(-1, 16)
+    assert rows.tobytes() == np.array(expected).tobytes()
 
 
 def test_regauged_preserves_physics(ref_bands, rng):
@@ -219,9 +227,17 @@ def test_full_band_set_resolves_identity(ref_grid, ref_potential):
     assert np.max(np.abs(resolution - np.eye(256))) < 1e-8
 
 
+def same_state(a, b):
+    """Same slot and energy, and psi and u equal bit for bit."""
+    return ((a.band, a.sector, a.energy) == (b.band, b.sector, b.energy)
+            and a.wavefunction.samples.tobytes() == b.wavefunction.samples.tobytes()
+            and a.cell_part.samples.tobytes() == b.cell_part.samples.tobytes())
+
+
 def test_state_indexing_wraps_sectors(ref_bands):
-    assert ref_bands.state(0, 8) is ref_bands.state(0, 0)
-    assert ref_bands.state(2, -1) is ref_bands.state(2, 7)
+    # state() builds a record on demand, so a wrapped sector reads the same row.
+    assert same_state(ref_bands.state(0, 8), ref_bands.state(0, 0))
+    assert same_state(ref_bands.state(2, -1), ref_bands.state(2, 7))
 
 
 def test_state_rejects_a_band_outside_the_table(ref_bands):
@@ -229,6 +245,35 @@ def test_state_rejects_a_band_outside_the_table(ref_bands):
     for band in (-1, 4):
         with pytest.raises(ValueError, match="band must lie in"):
             ref_bands.state(band, 0)
+
+
+def test_state_matrix_is_a_copy_the_caller_may_overwrite(ref_bands):
+    # The scan conjugates the state matrix in place; the band table must not move.
+    before = [ref_bands.state(n, l) for n in range(4) for l in range(8)]
+    m = ref_bands.state_matrix()
+    assert m.flags.c_contiguous and m.shape == (256, 32)
+    np.conj(m, out=m)
+    after = [ref_bands.state(n, l) for n in range(4) for l in range(8)]
+    assert all(same_state(a, b) for a, b in zip(before, after, strict=True))
+    assert np.array_equal(m.conj(), ref_bands.state_matrix())
+
+
+def test_band_structure_rejects_misshaped_and_nonfinite_arrays(ref_bands, ref_grid):
+    energy, waves, cells = ref_bands.energies(), ref_bands.waves, ref_bands.cells
+    for bad in [(energy[:, :7], waves[:, :7], cells[:, :7]),    # N - 1 sectors
+                (energy[:0], waves[:0], cells[:0]),             # no band
+                (energy, waves[:, :, :255], cells[:, :, :255]),  # G - 1 samples
+                (energy, waves, cells[:3]),                     # u table of another size
+                (energy.ravel(), waves, cells)]:
+        with pytest.raises(ValueError, match="must have shape"):
+            BandStructure(ref_grid, *bad)
+    # The finiteness check each state's WaveFunction ran at build time is the table's now.
+    for index in (0, 1, 2):
+        arrays = [energy.copy(), waves.copy(), cells.copy()]
+        arrays[index][(1, 2, 3)[:arrays[index].ndim]] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            BandStructure(ref_grid, *arrays)
+    assert BandStructure(ref_grid, energy, waves, cells).band_count == 4
 
 
 def test_cell_part_definition(ref_bands, ref_grid):
@@ -239,7 +284,7 @@ def test_cell_part_definition(ref_bands, ref_grid):
 
 
 def exponential_table_states(grid, sector, energies, coeffs, band_count):
-    """Bloch states synthesized from a G x P table of plane waves.
+    """Energies and gauge-fixed psi and u rows synthesized from a G x P table of plane waves.
 
     psi = sum_m c_m exp(i kappa_m x) / sqrt(L) and u = psi exp(-i k_l x), the
     route the solver took before its one-cell FFT synthesis, kept here only
@@ -249,16 +294,14 @@ def exponential_table_states(grid, sector, energies, coeffs, band_count):
     q = sector + grid.n_cells * np.arange(-(p // 2), p - p // 2)
     kappa = 2.0 * np.pi * q / grid.ring_length
     phases = np.exp(1j * np.outer(grid.points, kappa)) / np.sqrt(grid.ring_length)
-    states = []
-    for band in range(band_count):
-        psi = WaveFunction(grid, phases @ coeffs[:, band])
-        states.append(fix_gauge(BlochState(band, sector, float(energies[band]), psi,
-                                           _cell_part(psi, sector))))
-    return states
+    waves = np.array([phases @ coeffs[:, band] for band in range(band_count)])
+    cells = waves * np.exp(-1j * grid.wavevector(sector) * grid.points)
+    _fix_gauge(waves, cells)
+    return energies[:band_count], waves, cells
 
 
 def solve_sector_and_coefficients(grid, potential, sector, band_count):
-    """solve_sector's states plus the sector eigenpairs it synthesized them from."""
+    """solve_sector's (energies, psi, u) plus the sector eigenpairs it synthesized them from."""
     captured = []
     tie_broken_order = spectrum._tie_broken_order
 
@@ -267,9 +310,9 @@ def solve_sector_and_coefficients(grid, potential, sector, band_count):
         return captured[-1]
 
     with mock.patch.object(spectrum, "_tie_broken_order", recording):
-        states = solve_sector(grid, potential, sector, band_count)
+        solved = solve_sector(grid, potential, sector, band_count)
     energies, coeffs = captured[0]
-    return states, energies, coeffs
+    return solved, energies, coeffs
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,15 +324,13 @@ def test_one_cell_synthesis_matches_the_exponential_table(n_cells, points, ampli
                                     (3, -0.7 * amplitude, 0.2 * amplitude)))
     band_count = data.draw(st.integers(1, points))
     for sector in range(n_cells):
-        states, energies, coeffs = solve_sector_and_coefficients(
+        solved, energies, coeffs = solve_sector_and_coefficients(
             grid, potential, sector, band_count)
         oracle = exponential_table_states(grid, sector, energies, coeffs, band_count)
-        for state, reference in zip(states, oracle, strict=True):
-            assert state.energy == reference.energy
-            u = state.cell_part.samples
+        for energy, psi, u, ref_energy, ref_psi, _ in zip(*solved, *oracle, strict=True):
+            assert energy == ref_energy
             assert np.array_equal(np.roll(u, -points), u)
-            diff = state.wavefunction.samples - reference.wavefunction.samples
-            assert WaveFunction(grid, diff).norm() <= 1e-12
+            assert WaveFunction(grid, psi - ref_psi).norm() <= 1e-12
 
 
 @pytest.mark.parametrize("grid, potential", [
@@ -300,6 +341,21 @@ def test_one_cell_synthesis_matches_the_exponential_table(n_cells, points, ampli
 def test_solver_cell_parts_are_exactly_periodic(grid, potential):
     bands = solve_bands(grid, potential, grid.points_per_cell)
     assert bands.cell_periodicity_defect() == 0.0
+
+
+def bands_from_sector_buckets(grid, per_sector, band_count):
+    """The band table of each sector's lowest ``band_count`` (energy, psi) pairs, with
+    u = psi exp(-i k_l x) and the gauge fixed, filled state by state."""
+    energy = np.empty((band_count, grid.n_cells))
+    waves = np.empty((band_count, grid.n_cells, grid.total_points), dtype=complex)
+    cells = np.empty_like(waves)
+    for l, bucket in enumerate(per_sector):
+        bucket.sort(key=lambda item: item[0])
+        for n, (e, psi) in enumerate(bucket[:band_count]):
+            energy[n, l], waves[n, l] = e, psi
+            cells[n, l] = psi * np.exp(-1j * grid.wavevector(l) * grid.points)
+    _fix_gauge(waves, cells)
+    return BandStructure(grid, energy, waves, cells)
 
 
 def schur_classifier_oracle(hamiltonian, translation, band_count):
@@ -320,22 +376,15 @@ def schur_classifier_oracle(hamiltonian, translation, band_count):
         rotated = block @ z / np.sqrt(grid.spacing)
         for i, lam in enumerate(np.diag(schur_t)):
             l = int(np.rint(np.angle(lam) * grid.n_cells / (2.0 * np.pi))) % grid.n_cells
-            psi = WaveFunction(grid, rotated[:, i])
-            per_sector[l].append((float(energies[start + i]), psi))
-    rows = [[] for _ in range(band_count)]
-    for l, bucket in enumerate(per_sector):
-        bucket.sort(key=lambda item: item[0])
-        for n in range(band_count):
-            energy, psi = bucket[n]
-            rows[n].append(fix_gauge(BlochState(n, l, energy, psi, _cell_part(psi, l))))
-    return BandStructure(grid, rows)
+            per_sector[l].append((float(energies[start + i]), rotated[:, i]))
+    return bands_from_sector_buckets(grid, per_sector, band_count)
 
 
 @pytest.mark.parametrize("amplitude", [2.0, 1e-6])
 def test_classifier_matches_the_dense_translation_oracle(ref_grid, ref_translation, amplitude):
     h = build_hamiltonian(ref_grid, PotentialSpec(0.0, ((1, amplitude, 0.0),)))
     classified = classify_by_translation(h, ref_translation, 4)
-    for state in classified.all_states():
+    for state in all_states(classified):
         psi = state.wavefunction.samples
         lam = ref_grid.spacing * (psi.conj() @ ref_translation.entries @ psi)
         assert abs(lam - np.exp(2j * np.pi * state.sector / 8)) < 1e-10
@@ -359,7 +408,7 @@ def assert_classifier_matches_the_schur_oracle(hamiltonian, band_count, solved=N
     for reference in (oracle, solved or oracle):
         assert np.max(np.abs(classified.energies() - reference.energies())) <= 1e-12 * scale
     assert classified.orthonormality_defect() <= 1e-12
-    for state, expected in zip(classified.all_states(), oracle.all_states(), strict=True):
+    for state, expected in zip(all_states(classified), all_states(oracle), strict=True):
         assert (state.band, state.sector) == (expected.band, expected.sector)
         psi = state.wavefunction.samples
         lam = grid.spacing * np.vdot(psi, np.roll(psi, -grid.points_per_cell))
@@ -438,15 +487,15 @@ def test_sector_solve_matches_the_toeplitz_oracle(grid, potential):
     p = grid.points_per_cell
     for sector in range(grid.n_cells):
         block, kappa = scipy_toeplitz_sector_block(grid, potential, sector)
-        states = solve_sector(grid, potential, sector, p)
-        assert np.array_equal([s.energy for s in states], np.linalg.eigh(block)[0])
+        energies, waves, _ = solve_sector(grid, potential, sector, p)
+        assert np.array_equal(energies, np.linalg.eigh(block)[0])
         # Equal energies do not fix the orientation of the Toeplitz block:
         # its transpose has the same spectrum.  The plane-wave coefficients
         # of the returned states must be eigenvectors of the oracle block.
         phases = np.exp(1j * np.outer(grid.points, kappa)) / np.sqrt(grid.ring_length)
-        for state in states[:4]:
-            c = grid.spacing * (phases.conj().T @ state.wavefunction.samples)
-            assert np.linalg.norm(block @ c - state.energy * c) < 1e-9
+        for energy, psi in zip(energies[:4], waves[:4]):
+            c = grid.spacing * (phases.conj().T @ psi)
+            assert np.linalg.norm(block @ c - energy * c) < 1e-9
 
 
 @pytest.mark.parametrize("n_cells, points", [(3, 9), (4, 11), (5, 9)])
@@ -500,19 +549,17 @@ def test_bands_do_not_depend_on_the_energy_unit():
     for k in range(-40, 41):
         scaled = bands(k)
         assert scaled.energies().tobytes() == (4.0**k * reference.energies()).tobytes()
-        for state, ref in zip(scaled.all_states(), reference.all_states(), strict=True):
-            assert state.wavefunction.samples.tobytes() == ref.wavefunction.samples.tobytes()
+        assert scaled.waves.tobytes() == reference.waves.tobytes()
     for scale in (1e-30, 1.0, 1e30):
         assert _clusters(np.full(5, scale)) == [(0, 5)]
 
 
 def assert_same_bytes(got, expected):
-    """Same (band, sector) slots, and energies, psi and u equal bit for bit."""
-    for state, reference in zip(got.all_states(), expected.all_states(), strict=True):
-        assert (state.band, state.sector) == (reference.band, reference.sector)
-        assert np.float64(state.energy).tobytes() == np.float64(reference.energy).tobytes()
-        assert state.wavefunction.samples.tobytes() == reference.wavefunction.samples.tobytes()
-        assert state.cell_part.samples.tobytes() == reference.cell_part.samples.tobytes()
+    """Same (band, sector) table, and energies, psi and u equal bit for bit."""
+    assert got.waves.shape == expected.waves.shape
+    assert got.energies().tobytes() == expected.energies().tobytes()
+    assert got.waves.tobytes() == expected.waves.tobytes()
+    assert got.cells.tobytes() == expected.cells.tobytes()
 
 
 def full_walk_classifier(hamiltonian, band_count):
@@ -533,15 +580,9 @@ def full_walk_classifier(hamiltonian, band_count):
         t_eigs = np.einsum("ij,ij->j", z.conj(), restricted @ z)
         for i, lam in enumerate(t_eigs):
             l = int(np.rint(np.angle(lam) * n_cells / (2.0 * np.pi))) % n_cells
-            psi = WaveFunction(grid, rotated[:, i] / np.sqrt(grid.spacing))
+            psi = rotated[:, i] / np.sqrt(grid.spacing)
             per_sector[l].append((float(energies[start + i]), psi))
-    rows = [[] for _ in range(band_count)]
-    for l, bucket in enumerate(per_sector):
-        bucket.sort(key=lambda item: item[0])
-        for n in range(band_count):
-            energy, psi = bucket[n]
-            rows[n].append(fix_gauge(BlochState(n, l, energy, psi, _cell_part(psi, l))))
-    return BandStructure(grid, rows)
+    return bands_from_sector_buckets(grid, per_sector, band_count)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,6 @@ from blochlab import (
     solve_bands,
     winding_number,
 )
-from blochlab.spectrum import BlochState
 from blochlab.superselection import SelectionScan
 from conftest import matrix_element
 
@@ -115,17 +114,9 @@ def test_scan_raises_on_theorem_violation(ref_grid, ref_potential, ref_hamiltoni
         (bands.state(0, 1).wavefunction.samples + bands.state(0, 2).wavefunction.samples)
         / np.sqrt(2.0),
     )
-    corrupt = bands.state(0, 1)
-    broken_state = BlochState(
-        band=corrupt.band,
-        sector=corrupt.sector,
-        energy=corrupt.energy,
-        wavefunction=mixed,
-        cell_part=corrupt.cell_part,
-    )
-    rows = [list(row) for row in bands.states]
-    rows[0][1] = broken_state
-    broken = BandStructure(ref_grid, rows)
+    waves = bands.waves.copy()
+    waves[0, 1] = mixed.samples
+    broken = BandStructure(ref_grid, bands.energies(), waves, bands.cells)
     with pytest.raises(RuntimeError, match="selection rule"):
         selection_scan(ref_hamiltonian, broken)
 
