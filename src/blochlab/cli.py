@@ -137,13 +137,17 @@ def cmd_wannier(config: RunConfig, args: argparse.Namespace) -> dict:
     bands = _solve(config)
     wannier = build_wannier(bands, band, site)
     samples = wannier.samples
+    density = [abs(z) ** 2 for z in samples.tolist()]
+    if any(0.0 < d < sys.float_info.min for d in density):
+        raise ValueError("Wannier density |W|^2 underflows to a subnormal float at some "
+                         "sample, where it keeps too few digits to write")
     return {
         "wannier.csv": {
             "index": np.arange(samples.size),
             "x": bands.grid.points,
             "re": samples.real,
             "im": samples.imag,
-            "density": (abs(z) ** 2 for z in samples.tolist()),
+            "density": density,
         },
         "wannier_summary.json": {
             "band": band,
@@ -159,7 +163,9 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> dict:
     bands = _solve(config)
     site = build_wannier(bands, obs.band, obs.site) if obs.kind == "wannier_projector" else None
     psis, band_count = bands.state_matrix(), bands.band_count
-    del bands  # the states go before the G x G operator is built; psis is their one copy
+    # The states go before the G x G operator is built: psis is their one copy, and the
+    # scan only reads it, holding one 128-row slab of A psis beside it.
+    del bands
     op = _resolve_operator(config, obs, site)
     scan = _scan(op, psis, band_count)
     report = locality_report(op)
@@ -306,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         out = Path(args.out) if args.out is not None else Path(config.output_dir)
-        # Overflow, 0 * inf or 1 / 0 fails the command; a library guard's errstate still wins.
+        # Overflow, 0 * inf or 1 / 0 fails the command, in numpy (FloatingPointError) or
+        # in Python floats (ZeroDivisionError, OverflowError); a library guard's errstate wins.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             files = commands[args.command](config, args)
         for name, content in files.items():
@@ -317,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, FloatingPointError, np.linalg.LinAlgError,
+    except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError,
             MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -9,8 +9,11 @@ import numpy as np
 from .derivatives import _circulant, _momentum_column
 from .grid import RingGrid, _integer, _number, _require_same_grid
 
-# Tile edge: blockwise passes keep their temporaries O(_BLOCK * G), not O(G^2).
+# Tile edge: blockwise passes keep their temporaries O(_BLOCK * G), not O(G^2).  It
+# fixes the sum order of the [A, T] norm, so passes whose bits do not depend on the
+# height walk thinner _SLAB-row slabs instead, and their freed slabs stay small.
 _BLOCK = 128
+_SLAB = 32
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.
 
 def _add_hamiltonian(entries: np.ndarray, grid: RingGrid, potential: PotentialSpec,
                      mass: float, hbar: float, scheme: str) -> None:
-    """entries += H in place, one _BLOCK-row slab of H at a time, so H is never G x G.
+    """entries += H in place, one _SLAB-row slab of H at a time, so H is never G x G.
 
     A slab is the kinetic circulant's rows times s = hbar^2/2m, plus 0.0 (the fd
     stencils' off-band -0.0 become +0.0), with s k_ii + V_i on its diagonal: the
@@ -136,11 +139,11 @@ def _add_hamiltonian(entries: np.ndarray, grid: RingGrid, potential: PotentialSp
     scale = _kinetic_scale(mass, hbar)
     kinetic = _circulant(_momentum_column(grid, 2, scheme))
     g = grid.total_points
-    buffer = np.empty((min(_BLOCK, g), g))  # reused, so one slab is alive beside entries
+    buffer = np.empty((min(_SLAB, g), g))  # reused, so one slab is alive beside entries
     with np.errstate(over="ignore"):
         diagonal = scale * kinetic[0, 0] + potential.sample(grid)
-        for start in range(0, g, _BLOCK):
-            rows = slice(start, start + _BLOCK)
+        for start in range(0, g, _SLAB):
+            rows = slice(start, start + _SLAB)
             slab = buffer[: len(diagonal[rows])]
             np.multiply(kinetic[rows], scale, out=slab)
             slab += 0.0

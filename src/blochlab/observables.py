@@ -19,7 +19,7 @@ import numpy as np
 
 from .derivatives import _circulant, _momentum_column
 from .grid import RingGrid, _integer, _number
-from .lattice import _BLOCK, OperatorMatrix, _commutator_norm, _frobenius_norm, _harmonic_profiles
+from .lattice import _SLAB, OperatorMatrix, _commutator_norm, _frobenius_norm, _harmonic_profiles
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,11 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
 
     Term t is a real profile f_t times a momentum-power circulant K_t of the
     requested derivative scheme, and K_t is Hermitian bit for bit, so A^dagger
-    = sum_t K_t f_t.  One walk over _BLOCK-row slabs sums the rows of A and of
+    = sum_t K_t f_t.  One walk over _SLAB-row slabs sums the rows of A and of
     A^dagger in term order, from strided views over each circulant column, and
-    writes each slab of the result once: nothing but it is G x G.  The matrix
-    is real when every momentum power is even, and complex otherwise.
+    writes each slab of the result once: nothing but it is G x G.  Each row is
+    summed on its own, so the bits do not depend on the slab height.  The
+    matrix is real when every momentum power is even, and complex otherwise.
     """
     g = grid.total_points
     even = all(n % 2 == 0 for _, n, _, _ in series.terms)
@@ -68,10 +69,10 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
         kernel = _circulant(_momentum_column(grid, n, scheme)) if n else None
         terms.append((c * cos_prof + d * sin_prof, kernel))
     # Reused slabs: rows of A^dagger, and one term's product.
-    adjoint, product = (np.empty((min(_BLOCK, g), g), dtype=acc.dtype) for _ in range(2))
-    for start in range(0, g, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        diag = np.arange(start, min(start + _BLOCK, g))
+    adjoint, product = (np.empty((min(_SLAB, g), g), dtype=acc.dtype) for _ in range(2))
+    for start in range(0, g, _SLAB):
+        rows = slice(start, start + _SLAB)
+        diag = np.arange(start, min(start + _SLAB, g))
         adj, prod = adjoint[: len(diag)], product[: len(diag)]
         adj.fill(0.0)
         for profile, kernel in terms:
@@ -123,17 +124,19 @@ def locality_report(op: OperatorMatrix) -> LocalityReport:
     samples; the report stores the cumulative fraction of |S_ij|^2 per
     distance, so the profile reads as 'how nonlocal is this observable'
     rather than mixing in an arbitrary non-normal part.  S is A bit for bit
-    when A is Hermitian.
+    when A is Hermitian.  S is taken one _SLAB-row slab at a time, so nothing
+    but A is G x G.
     """
     a, g = op.entries, op.grid.total_points
     k = np.arange(g)
     dist = _circulant(np.minimum(k, g - k))
     mass = np.zeros(g // 2 + 1)
     # Reused slabs of S = (conj(A[:, rows]).T + A[rows]) / 2 (addition commutes) and |S|^2.
-    part, squares = np.empty((min(_BLOCK, g), g), dtype=a.dtype), np.empty((min(_BLOCK, g), g))
-    # add.at sums in the same row-major order as one bincount over the matrix.
-    for start in range(0, g, _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    part, squares = np.empty((min(_SLAB, g), g), dtype=a.dtype), np.empty((min(_SLAB, g), g))
+    # add.at sums in the same row-major order as one bincount over the matrix,
+    # whatever the slab height.
+    for start in range(0, g, _SLAB):
+        rows = slice(start, start + _SLAB)
         s, weights = part[: g - start], squares[: g - start]
         np.conjugate(a[:, rows].T, out=s)
         s += a[rows]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import WaveFunction, _require_same_grid
-from .lattice import OperatorMatrix
+from .lattice import _BLOCK, OperatorMatrix, _hermitian_check
 from .observables import cell_periodicity_defect
 from .spectrum import BandStructure
 
@@ -28,6 +28,10 @@ from .spectrum import BandStructure
 # if its own output violates that.
 _PERIODIC_TOL = 1e-10
 _LEAK_RTOL = 1e-11
+# A Hermitian kernel's table is Hermitian.  One that misses by more than this,
+# relative to its largest modulus, holds the product's rounding noise, not matrix
+# elements (every element is zero but for roundoff), and the scan raises.
+_HERMITIAN_RTOL = 1e-9
 
 
 @dataclass
@@ -78,7 +82,8 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:
     selection rule applies, and finding off-sector leakage above 1e-11 of the
     table's largest modulus means the scan itself or the states are broken,
     so a RuntimeError is raised rather than returning numbers that contradict
-    a theorem.
+    a theorem.  So is a table of a Hermitian kernel that misses Hermitian
+    symmetry by more than 1e-9 of its largest modulus: it is rounding noise.
     """
     _require_same_grid(op, bands)
     return _scan(op, bands.state_matrix(), bands.band_count)
@@ -86,13 +91,22 @@ def selection_scan(op: OperatorMatrix, bands: BandStructure) -> SelectionScan:
 
 def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionScan:
     """:func:`selection_scan` on the caller's state matrix, shape (G, band_count * N) in
-    band-major order, which it conjugates in place: the one state-sized array it adds is A Psi."""
+    band-major order and C-contiguous, which it leaves as it is.  It walks A in _BLOCK-row
+    slabs and adds conj(Psi_r)^T (A_r Psi) into the table, so besides A and Psi it holds
+    the table and one slab of A Psi, never G x (band_count * N) of it."""
     defect = cell_periodicity_defect(op)
-    a = op.entries
-    # A real operator takes the real and imaginary parts apart: no complex copy of A.
-    transformed = a @ psis if np.iscomplexobj(a) else a @ psis.real + 1j * (a @ psis.imag)
-    np.conj(psis, out=psis)
-    flat = op.grid.spacing * (psis.T @ transformed)
+    a, g = op.entries, op.grid.total_points
+    # -0.0 is the exact additive identity (0.0 + -0.0 is +0.0): a lone slab keeps its bits.
+    flat = np.full((psis.shape[1],) * 2, complex(-0.0, -0.0))
+    # A real A multiplies Psi viewed as floats, (re, im) interleaved, in one real GEMM
+    # viewed back as complex: no complex copy of A and no copies of Re Psi or Im Psi.
+    rhs = psis if np.iscomplexobj(a) else psis.view(float)
+    buffer = np.empty((min(_BLOCK, g), rhs.shape[1]), dtype=rhs.dtype)
+    for start in range(0, g, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        slab = np.matmul(a[rows], rhs, out=buffer[: g - start]).view(complex)
+        flat += psis[rows].T.conj() @ slab
+    flat *= op.grid.spacing
     scan = SelectionScan(flat.reshape(band_count, op.grid.n_cells, band_count, -1), defect)
     largest = float(np.max(scan.moduli()))
     if defect <= _PERIODIC_TOL and scan.off_sector_max() > _LEAK_RTOL * largest:
@@ -102,6 +116,14 @@ def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionSca
             "this contradicts the translation selection rule and indicates "
             "a broken scan or band structure"
         )
+    asymmetry = scan.hermitian_symmetry_defect()
+    if asymmetry > _HERMITIAN_RTOL * largest:
+        herm_defect, max_abs = _hermitian_check(a)  # paid only by a table that fails
+        if herm_defect <= 1e-10 * max_abs:
+            raise RuntimeError(
+                f"Hermitian kernel gives a table {asymmetry:.3e} from Hermitian, with largest "
+                f"modulus {largest:.3e}: its elements are rounding noise of the product"
+            )
     return scan
 
 

@@ -55,6 +55,14 @@ def matrix_element(op, bra, ket):
     return inner_product(bra.wavefunction, apply_kernel(op, ket.wavefunction))
 
 
+def one_gemm_table(op, psis):
+    """h conj(Psi)^T (A Psi) with A Psi as one product, a real A applied to Re Psi and
+    Im Psi apart: the oracle for the scan's table, which it sums slab by slab."""
+    a = op.entries
+    transformed = a @ psis if np.iscomplexobj(a) else a @ psis.real + 1j * (a @ psis.imag)
+    return op.grid.spacing * (psis.conj().T @ transformed)
+
+
 def regauged(bands, phases):
     """Copy of ``bands`` with psi_{n l} and u_{n l} multiplied by exp(i phases[n, l]),
     for checking which derived quantities are gauge invariant."""

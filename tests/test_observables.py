@@ -18,7 +18,8 @@ from blochlab import (
     wannier_projector,
 )
 from blochlab.derivatives import SCHEMES
-from blochlab.lattice import OperatorMatrix, _frobenius_norm
+from blochlab import lattice, observables
+from blochlab.lattice import OperatorMatrix, _add_hamiltonian, _frobenius_norm
 from blochlab.observables import _harmonic_profiles
 from conftest import apply_kernel, momentum_matrix
 
@@ -261,20 +262,47 @@ def test_periodicity_defect_matches_the_roll_formula(ref_potential, slab_order_n
 
 def test_scan_operator_memory_bounds(traced_peak):
     # 128 x 16 (G = 2048) with the two-term fd4 series of powers 1 and 2: a
-    # 64 MiB complex result.  Beyond blocks of rows, materialize may hold
-    # only its result; the report holds one reused slab of S, one of its
-    # squares and one of distances, and the defect one reused slab of [A, T].
+    # 64 MiB complex result.  Beyond 32-row slabs, materialize may hold only its
+    # result; the report holds one reused 32-row slab of S, one of its squares
+    # and one of distances, and the defect one reused 128-row slab of [A, T].
     grid = RingGrid(128, 1.0, 16)
     series = LocalObservableSeries(((1, 1, 1.0, 0.3), (3, 2, 0.5, -0.2)))
     with traced_peak() as peak:
         op = materialize(series, grid, scheme="fd4")
         size = op.entries.nbytes
         assert size == 64 * 2**20
-        assert peak() <= 1.25 * size
-        for call, bound in ((locality_report, 0.14), (cell_periodicity_defect, 0.10)):
+        assert peak() <= 1.06 * size
+        for call, bound in ((locality_report, 0.04), (cell_periodicity_defect, 0.10)):
             peak.reset()
             call(op)
             assert peak() <= bound * size, call.__name__
+
+
+@pytest.mark.parametrize("height", [1, 7, 32, 128, 261])
+def test_row_walks_keep_their_bytes_at_any_slab_height(monkeypatch, rng, height):
+    # materialize, locality_report and _add_hamiltonian treat each row on its own
+    # (the report's add.at runs in row-major order), so the slab height moves no bit.
+    # G = 261 leaves a short last slab at every height but 1 and G.
+    grid = RingGrid(9, 1.0, 29)
+    g = grid.total_points
+    series = [LocalObservableSeries(((1, 1, 1.0, 0.3), (3, 2, 0.5, -0.2), (0, 0, 0.7, 0.0))),
+              LocalObservableSeries(((2, 2, 0.4, 0.1), (9, 0, 1.0, -1.0))),
+              LocalObservableSeries(((4, 3, 1.0, 0.2),), symmetrize=False)]
+    potential = PotentialSpec(0.3, ((1, 2.0, -0.5), (2, 0.1, 0.4)))
+    r = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+
+    def outputs():
+        ops = [materialize(s, grid, scheme="fd4") for s in series]
+        filled = r.copy()
+        _add_hamiltonian(filled, grid, potential, 0.9, 1.1, "fd6")
+        return ([op.entries.tobytes() for op in ops]
+                + [locality_report(op).cumulative.tobytes() for op in ops]
+                + [filled.tobytes()])
+
+    expected = outputs()
+    monkeypatch.setattr(lattice, "_SLAB", height)
+    monkeypatch.setattr(observables, "_SLAB", height)
+    assert outputs() == expected
 
 
 def test_locality_report_rejects_the_zero_operator(ref_grid):

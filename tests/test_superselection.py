@@ -15,8 +15,8 @@ from blochlab import (
     solve_bands,
     winding_number,
 )
-from blochlab.superselection import SelectionScan
-from conftest import matrix_element
+from blochlab.superselection import SelectionScan, _scan
+from conftest import matrix_element, one_gemm_table
 
 
 def ring_wave(grid, winding, envelope=None):
@@ -230,11 +230,70 @@ def test_real_operator_scan_matches_the_complex_product(ref_potential, shape, rn
 
 
 def test_selection_scan_memory_bound(ref_potential, traced_peak):
-    # 32 x 64 (G = 2048), the real 32 MiB H and 128 states: beyond its inputs
-    # the scan holds neither a complex copy of H nor a G x G defect buffer.
+    # 32 x 64 (G = 2048), the real 32 MiB H and 128 states: beyond its inputs the
+    # scan holds the 4 MiB copy of the states, one 2 MiB defect slab, one 128-row
+    # slab of A Psi and the table; no A Psi, no complex H, no Re Psi or Im Psi.
     grid = RingGrid(32, 1.0, 64)
     h = build_hamiltonian(grid, ref_potential)
     bands = solve_bands(grid, ref_potential, 4)
     with traced_peak() as peak:
         selection_scan(h, bands)
-        assert peak() <= 0.5 * h.entries.nbytes
+        assert peak() <= 0.22 * h.entries.nbytes
+
+
+# G = 128 k (one and three whole slabs), G = 192 and 320 (a short last slab), odd G.
+_SLAB_SHAPES = pytest.mark.parametrize(
+    "shape", [(4, 32), (12, 32), (4, 48), (10, 32), (9, 29)],
+    ids=["g128", "g384", "g192", "g320", "g261"])
+
+
+@_SLAB_SHAPES
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_scan_table_matches_the_one_gemm_oracle(ref_potential, rng, shape, dtype):
+    # The table is summed over 128-row slabs of A, so its bits may differ from one
+    # product's; its elements stay within roundoff of it, and the caller's states
+    # are left as they were.
+    grid = RingGrid(shape[0], 1.0, shape[1])
+    g = grid.total_points
+    bands = solve_bands(grid, ref_potential, 2)
+    a = rng.normal(size=(g, g))
+    op = OperatorMatrix(grid, a + 1j * rng.normal(size=(g, g)) if dtype is complex else a)
+    psis = bands.state_matrix()
+    oracle = one_gemm_table(op, psis)
+    table = _scan(op, psis, bands.band_count).table.reshape(oracle.shape)
+    assert np.max(np.abs(table - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    assert psis.tobytes() == bands.state_matrix().tobytes()
+
+
+@_SLAB_SHAPES
+@pytest.mark.parametrize("kind", ["hamiltonian", "complex_cell_series"])
+def test_scan_guard_raises_on_a_corrupted_periodic_case(ref_potential, shape, kind):
+    # One state mixes two sectors; the scan of a cell-periodic kernel, real or
+    # complex, summed over whole and short slabs, must refuse it.
+    grid = RingGrid(shape[0], 1.0, shape[1])
+    bands = solve_bands(grid, ref_potential, 2)
+    if kind == "hamiltonian":
+        op = build_hamiltonian(grid, ref_potential)
+    else:
+        op = materialize(LocalObservableSeries(((grid.n_cells, 1, 1.0, 0.4),)), grid)
+        assert np.iscomplexobj(op.entries) and cell_periodicity_defect(op) < 1e-14
+    waves = bands.waves.copy()
+    waves[1, 1] = (waves[1, 1] + waves[0, 2]) / np.sqrt(2.0)
+    broken = BandStructure(grid, bands.energies(), waves, bands.cells)
+    with pytest.raises(RuntimeError, match="selection rule"):
+        selection_scan(op, broken)
+
+
+def test_scan_raises_on_a_table_of_rounding_noise():
+    # Free band 0 on 4 x 14 holds the wavenumbers 0, 1, +-2 and -1.  The ring
+    # harmonic 9 moves a wavenumber by +-9, so every element of the Hermitian
+    # series below is zero but for rounding: the table cannot be Hermitian to
+    # 1e-9 of its largest modulus, and the scan refuses it.  The bare product is
+    # not Hermitian, so its table (noise as well) is returned.
+    grid = RingGrid(4, 1.0, 14)
+    bands = solve_bands(grid, PotentialSpec(), 1)
+    terms = ((9, 2, 1.0, 0.5),)
+    with pytest.raises(RuntimeError, match="rounding noise"):
+        selection_scan(materialize(LocalObservableSeries(terms), grid), bands)
+    bare = selection_scan(materialize(LocalObservableSeries(terms, symmetrize=False), grid), bands)
+    assert np.max(bare.moduli()) < 1e-12

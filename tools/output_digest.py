@@ -30,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 
-def _workloads(root: Path):
+def workloads_of(root: Path):
     """perfbench.workloads as the checkout at ``root`` defines it."""
     sys.path.insert(0, str(root))
     try:
@@ -39,15 +39,36 @@ def _workloads(root: Path):
         sys.path.remove(str(root))
 
 
-def _run(job, configs: Path, out: Path, env: dict[str, str]) -> tuple[int, int]:
-    """Run one job into ``out``; return its exit code and stderr line count."""
+def prepare(workloads, name: str, seed: int, configs: Path) -> dict:
+    """Write workload ``name``'s run files for ``seed`` into ``configs``; return its
+    distinct warm-ups, jobs and probes by key, in that order."""
+    workload = workloads.build(name, seed)
+    configs.mkdir(parents=True)
+    for file, config in workload.configs.items():
+        (configs / file).write_text(json.dumps(config))
+    distinct = {}
+    for job in workload.warmups + workload.jobs + workload.probes:
+        distinct.setdefault(job.key, job)
+    return distinct
+
+
+def command(job, configs: Path, out: Path) -> list[str]:
+    """The argv that runs ``job`` on the run files in ``configs`` into ``out``."""
     io = ["--config", str(configs / job.config), "--out", str(out)]
     if job.command == "crosscheck":
-        argv = [sys.executable, "-m", "perfbench.crosscheck", *io]
-    else:
-        argv = [sys.executable, "-m", "blochlab", job.command, *io, *job.args]
-    proc = subprocess.run(argv, env=env, cwd=configs, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
+        return [sys.executable, "-m", "perfbench.crosscheck", *io]
+    return [sys.executable, "-m", "blochlab", job.command, *io, *job.args]
+
+
+def checkout_env(root: Path) -> dict[str, str]:
+    """The environment that imports blochlab and perfbench from the checkout at ``root``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
+
+
+def _run(job, configs: Path, out: Path, env: dict[str, str]) -> tuple[int, int]:
+    """Run one job into ``out``; return its exit code and stderr line count."""
+    proc = subprocess.run(command(job, configs, out), env=env, cwd=configs,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     return proc.returncode, len(proc.stderr.splitlines())
 
 
@@ -58,19 +79,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
-    workloads = _workloads(root)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
+    workloads = workloads_of(root)
+    env = checkout_env(root)
     with tempfile.TemporaryDirectory() as scratch:
         for seed in args.seeds:
             for name in workloads.BUILDERS:
-                workload = workloads.build(name, seed)
                 configs = Path(scratch, name, str(seed))
-                configs.mkdir(parents=True)
-                for file, config in workload.configs.items():
-                    (configs / file).write_text(json.dumps(config))
-                distinct = {}
-                for job in workload.warmups + workload.jobs + workload.probes:
-                    distinct.setdefault(job.key, job)
+                distinct = prepare(workloads, name, seed, configs)
                 for i, (key, job) in enumerate(distinct.items()):
                     out = configs / f"out_{i}"
                     code, lines = _run(job, configs, out, env)
