@@ -221,12 +221,14 @@ def cmd_propagate(config: RunConfig, args: argparse.Namespace) -> dict:
     dyn = config.dynamics
     grid = config.grid()
     perturb_name = args.observable if args.observable is not None else dyn.perturbation
-    # R (zeros with no perturbation) is fresh and held nowhere else: H is added into it
-    # a slab of rows at a time, so H_m has the bits of H + R and is the one G x G array.
+    # R (zeros with no perturbation) is held nowhere else: H is added into it a slab of
+    # rows at a time, so H_m has the bits of H + R and is the one G x G array.  Every R
+    # is fresh but the one-cell shift, a read-only view that gets a private copy here.
     if perturb_name is None:
         hamiltonian = OperatorMatrix(grid, np.zeros((grid.total_points,) * 2))
     else:
         hamiltonian = _resolve_operator(config, config.observable(perturb_name))
+        hamiltonian.entries = np.require(hamiltonian.entries, requirements="W")
     _add_hamiltonian(hamiltonian.entries, grid, config.potential(), config.mass,
                      config.hbar, dyn.kinetic_scheme)
     experiment = PropagationExperiment(

@@ -153,18 +153,18 @@ def _add_hamiltonian(entries: np.ndarray, grid: RingGrid, potential: PotentialSp
 
 
 def build_translation(grid: RingGrid) -> OperatorMatrix:
-    """Unitary one-cell shift T with (T psi)(x) = psi(x + a), as a dense matrix.
+    """Unitary one-cell shift T with (T psi)(x) = psi(x + a), as a read-only view.
 
-    Row i has a single 1 in column (i + P) mod G.  The library never multiplies
-    by it: :func:`commutator_norm` and ``classify_by_translation``, the two
+    Row i has a single 1 in column (i + P) mod G.  The entries are the circulant
+    view over one unit column, so T costs O(G) memory and a write into it raises;
+    a caller that needs to write takes a copy.  The library never multiplies by
+    it: :func:`commutator_norm` and ``classify_by_translation``, the two
     functions taking T, check it with :func:`is_one_cell_shift` and shift
     indices, so it serves the ``translation`` observable kind and those callers.
     """
-    g = grid.total_points
-    entries = np.zeros((g, g))
-    rows = np.arange(g)
-    entries[rows, (rows + grid.points_per_cell) % g] = 1.0
-    return OperatorMatrix(grid, entries)
+    column = np.zeros(grid.total_points)
+    column[-grid.points_per_cell] = 1.0
+    return OperatorMatrix(grid, _circulant(column))
 
 
 def is_one_cell_shift(op: OperatorMatrix) -> bool:
@@ -201,14 +201,17 @@ def _squared_norm(a: np.ndarray) -> float:
 def _commutator_slabs(a: np.ndarray, p: int):
     """The _BLOCK-row slabs, in row order, of [A, T] = A T - T A for the shift T by p
     samples: entry (i, j) is A[i, j - p] - A[i + p, j], indices mod G.  The slabs share
-    one buffer, so each is overwritten by the next and nothing is G x G.  [A, T] is
-    A - T A T^dagger with its columns moved by p, so the two share every value."""
+    one buffer, so each is overwritten by the next and nothing is G x G.  The shifted
+    rows are gathered by at most two row slices, so a strided view of A is read in
+    place, never copied whole.  [A, T] is A - T A T^dagger with its columns moved by p,
+    so the two share every value."""
     g, q = len(a), len(a) - p
     buffer = np.empty((min(_BLOCK, g), g), dtype=a.dtype)
     for start in range(0, g, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        index = np.arange(start, min(start + _BLOCK, g)) + p
-        slab = a.take(index, axis=0, mode="wrap", out=buffer[: len(index)])
+        slab, lo = buffer[: min(_BLOCK, g - start)], (start + p) % g
+        top = min(len(slab), g - lo)
+        slab[:top], slab[top:] = a[lo:lo + top], a[: len(slab) - top]
         np.subtract(a[rows, :q], slab[:, p:], out=slab[:, p:])
         np.subtract(a[rows, q:], slab[:, :p], out=slab[:, :p])
         yield slab

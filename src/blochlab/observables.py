@@ -138,7 +138,7 @@ def locality_report(op: OperatorMatrix) -> LocalityReport:
     for start in range(0, g, _SLAB):
         rows = slice(start, start + _SLAB)
         s, weights = part[: g - start], squares[: g - start]
-        np.conjugate(a[:, rows].T, out=s)
+        np.conjugate(a[:, rows], out=s.T)
         s += a[rows]
         s *= 0.5
         np.square(np.abs(s, out=weights), out=weights)

@@ -6,6 +6,7 @@ import pytest
 
 from blochlab import (
     BandStructure,
+    OperatorMatrix,
     PotentialSpec,
     RingGrid,
     WaveFunction,
@@ -24,6 +25,16 @@ def momentum_matrix(grid, n, scheme="spectral"):
     """Dense G x G matrix of (-i d/dx)^n on the grid samples: the circulant of the
     library's momentum column, which H and materialize are checked against."""
     return _circulant(_momentum_column(grid, n, scheme)).copy()
+
+
+def dense_translation(grid):
+    """The one-cell shift T as a writable dense G x G matrix, row i holding a single 1
+    in column (i + P) mod G: the oracle for build_translation's read-only view."""
+    g = grid.total_points
+    entries = np.zeros((g, g))
+    rows = np.arange(g)
+    entries[rows, (rows + grid.points_per_cell) % g] = 1.0
+    return OperatorMatrix(grid, entries)
 
 
 def fourier_coefficient(potential, h):

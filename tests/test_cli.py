@@ -25,6 +25,7 @@ from blochlab import (
 )
 from blochlab.cli import _resolve_operator, main, write_csv, write_json
 from blochlab.config import load_config
+from conftest import dense_translation
 
 ROOT = str(Path(__file__).resolve().parent.parent)
 if ROOT not in sys.path:
@@ -180,6 +181,7 @@ def test_propagate_solves_bands_only_for_a_projector(tmp_path, monkeypatch):
 def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypatch):
     # H is added into the perturbation's buffer: the experiment gets H_m with the
     # bits of H + R, a real R keeps H_m real, and with no perturbation H_m is H.
+    # A writable R is that buffer itself, not a copy of it.
     config = write_config(tmp_path / "run.json")
     bare = write_config(tmp_path / "bare.json",
                         dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 6,
@@ -191,11 +193,20 @@ def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypat
             seen.append(self)
             super().__post_init__()
 
+    resolved = []
+
+    def resolve(*args):
+        op = _resolve_operator(*args)
+        resolved.append(op.entries)
+        return op
+
+    monkeypatch.setattr("blochlab.cli._resolve_operator", resolve)
     monkeypatch.setattr("blochlab.cli.PropagationExperiment", Recorder)
     assert main(["propagate", "--config", str(config)]) == 0
     assert main(["propagate", "--config", str(config), "--observable", "h"]) == 0
     assert main(["propagate", "--config", str(bare)]) == 0
     site, real, plain = (experiment.hamiltonian.entries for experiment in seen)
+    assert len(resolved) == 2 and site is resolved[0] and real is resolved[1]
     run = load_config(config)
     h = build_hamiltonian(run.grid(), run.potential(), scheme="fd4").entries
     r = _resolve_operator(run, run.observable("site0")).entries
@@ -204,6 +215,37 @@ def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypat
     assert r.dtype == real.dtype == np.float64
     assert real.tobytes() == (h + r).tobytes()
     assert plain.tobytes() == h.tobytes()
+
+
+def write_expected_scan_files(directory, run, observable, op):
+    """The scan files written from selection_scan(op, bands) and locality_report(op)."""
+    bands = solve_bands(run.grid(), run.potential(), run.bands, mass=run.mass, hbar=run.hbar)
+    scan, report = selection_scan(op, bands), locality_report(op)
+    labels = np.indices(scan.table.shape).reshape(4, -1)
+    elements = scan.table.ravel()
+    write_csv(directory / "scan.csv", {
+        **dict(zip(("band_bra", "sector_bra", "band_ket", "sector_ket"), labels)),
+        "re": elements.real, "im": elements.imag, "modulus": map(abs, elements.tolist()),
+    })
+    write_csv(directory / "locality.csv", {
+        "distance": np.arange(report.cumulative.size) * run.grid().spacing,
+        "cumulative_mass": report.cumulative,
+    })
+    write_json(directory / "scan_summary.json", {
+        "config": run.resolved(),
+        "observable": observable,
+        "periodicity_defect": scan.periodicity_defect,
+        "off_sector_max": scan.off_sector_max(),
+        "hermitian_symmetry_defect": scan.hermitian_symmetry_defect(),
+        "sector_difference_profile": [float(v) for v in scan.sector_difference_profile()],
+        "locality_width_99": report.locality_width(0.99),
+        "bandwidth_mass_one_cell": report.bandwidth_mass(run.cell_length),
+    })
+
+
+def assert_same_files(actual, expected, names):
+    for name in names:
+        assert (actual / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("observable", ["site0", "ring1", "h", "shift"])
@@ -216,32 +258,60 @@ def test_scan_files_match_the_public_scan_and_report(tmp_path, observable):
     config.write_text(json.dumps(data))
     assert main(["scan", "--config", str(config), "--observable", observable]) == 0
     run = load_config(config)
-    bands = solve_bands(run.grid(), run.potential(), run.bands, mass=run.mass, hbar=run.hbar)
-    op = _resolve_operator(run, run.observable(observable))
-    scan, report = selection_scan(op, bands), locality_report(op)
-    expected = tmp_path / "expected"
-    labels = np.indices(scan.table.shape).reshape(4, -1)
-    elements = scan.table.ravel()
-    write_csv(expected / "scan.csv", {
-        **dict(zip(("band_bra", "sector_bra", "band_ket", "sector_ket"), labels)),
-        "re": elements.real, "im": elements.imag, "modulus": map(abs, elements.tolist()),
-    })
-    write_csv(expected / "locality.csv", {
-        "distance": np.arange(report.cumulative.size) * run.grid().spacing,
-        "cumulative_mass": report.cumulative,
-    })
-    write_json(expected / "scan_summary.json", {
-        "config": run.resolved(),
-        "observable": observable,
-        "periodicity_defect": scan.periodicity_defect,
-        "off_sector_max": scan.off_sector_max(),
-        "hermitian_symmetry_defect": scan.hermitian_symmetry_defect(),
-        "sector_difference_profile": [float(v) for v in scan.sector_difference_profile()],
-        "locality_width_99": report.locality_width(0.99),
-        "bandwidth_mass_one_cell": report.bandwidth_mass(run.cell_length),
-    })
-    for name in ("scan.csv", "locality.csv", "scan_summary.json"):
-        assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes(), name
+    write_expected_scan_files(tmp_path / "expected", run, observable,
+                              _resolve_operator(run, run.observable(observable)))
+    assert_same_files(tmp_path / "out", tmp_path / "expected",
+                      ("scan.csv", "locality.csv", "scan_summary.json"))
+
+
+def test_a_translation_scan_has_the_dense_shifts_bytes_and_no_g_by_g_array(tmp_path,
+                                                                          traced_peak):
+    # 32 x 64 (G = 2048): the dense shift would be a 32 MiB array.  The scan reads the
+    # shift's read-only view and writes the files of the dense shift's scan and report.
+    # Beside the states and its slabs it holds no array near G x G.
+    config = write_config(
+        tmp_path / "run.json", bands=2,
+        lattice={"n_cells": 32, "cell_length": 1.0, "points_per_cell": 64},
+        observables=[{"name": "shift", "kind": "translation"}],
+        dynamics={"epsilons": [1e-4], "source_cell": 6, "target_cell": 2,
+                  "perturbation": "shift"})
+    with traced_peak() as peak:
+        assert main(["scan", "--config", str(config), "--observable", "shift"]) == 0
+        assert peak() <= 0.25 * 2048**2 * 8
+    run = load_config(config)
+    write_expected_scan_files(tmp_path / "expected", run, "shift", dense_translation(run.grid()))
+    assert_same_files(tmp_path / "out", tmp_path / "expected",
+                      ("scan.csv", "locality.csv", "scan_summary.json"))
+
+
+def shift_perturbed_config(path, n_cells):
+    return write_config(
+        path, lattice={"n_cells": n_cells, "cell_length": 1.0, "points_per_cell": 32},
+        observables=[{"name": "shift", "kind": "translation"}],
+        dynamics={"epsilons": [1e-4, 2e-4, 4e-4], "source_cell": 0, "target_cell": 1,
+                  "kinetic_scheme": "fd4", "perturbation": "shift"})
+
+
+def test_the_shift_perturbs_propagate_as_the_dense_shift_at_two_cells(tmp_path, monkeypatch):
+    # At N = 2, T = T^dagger, so H + T is Hermitian.  H is added into the perturbation's
+    # buffer, and T's read-only view gets a private copy for it: the files are those
+    # of the dense shift.
+    config = shift_perturbed_config(tmp_path / "run.json", 2)
+    assert main(["propagate", "--config", str(config), "--out", str(tmp_path / "view")]) == 0
+    monkeypatch.setattr("blochlab.cli.build_translation", dense_translation)
+    assert main(["propagate", "--config", str(config), "--out", str(tmp_path / "dense")]) == 0
+    assert_same_files(tmp_path / "view", tmp_path / "dense",
+                      ("propagation.csv", "propagation_summary.json"))
+
+
+def test_the_shift_is_not_a_hermitian_perturbation_at_three_cells(tmp_path, capsys):
+    config = shift_perturbed_config(tmp_path / "run.json", 3)
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: total generator is not Hermitian")
+    assert not out.exists()
 
 
 def test_scan_holds_its_operator_and_one_copy_of_its_states(tmp_path, traced_peak):

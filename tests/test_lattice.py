@@ -13,7 +13,7 @@ from blochlab import (
     cell_periodicity_defect,
     classify_by_translation,
 )
-from blochlab.derivatives import SCHEMES
+from blochlab.derivatives import SCHEMES, _circulant
 from blochlab.lattice import (
     _add_hamiltonian,
     _commutator_slabs,
@@ -22,7 +22,7 @@ from blochlab.lattice import (
     commutator_norm,
     is_one_cell_shift,
 )
-from conftest import fourier_coefficient, momentum_matrix
+from conftest import dense_translation, fourier_coefficient, momentum_matrix
 
 
 def test_potential_sampling_tiles_exactly():
@@ -254,6 +254,50 @@ def test_hamiltonian_of_a_real_potential_is_real(scheme, n_cells, points):
     assert h.entries.dtype == np.float64
     assert np.array_equal(h.entries, oracle)
     assert not np.any(oracle.imag)
+
+
+@pytest.mark.parametrize("n_cells, points", [(8, 32), (16, 64), (2, 11), (3, 9), (5, 8)])
+def test_translation_is_a_read_only_view_of_the_dense_shift(n_cells, points):
+    grid = RingGrid(n_cells, 1.0, points)
+    translation = build_translation(grid)
+    t, dense = translation.entries, dense_translation(grid).entries
+    assert t.dtype == dense.dtype and t.shape == dense.shape
+    assert t.tobytes() == dense.tobytes()
+    assert not t.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        t[0, grid.points_per_cell] = 2.0
+    assert is_one_cell_shift(translation)
+
+
+def test_translation_and_its_defect_hold_no_g_by_g_array(traced_peak):
+    # G = 2048: the dense shift would be 32 MiB.  The view is backed by 2G floats;
+    # building it holds those, the unit column, and the 64 KiB (8192-float) buffer of
+    # numpy's reduction when the finiteness check reads the strided view.  Its
+    # periodicity defect holds one reused 128-row slab of [T, T].
+    grid = RingGrid(32, 1.0, 64)
+    dense_bytes = grid.total_points**2 * 8
+    with traced_peak() as peak:
+        translation = build_translation(grid)
+        assert peak() <= 128 * 2**10
+        peak.reset()
+        assert cell_periodicity_defect(translation) == 0.0
+        assert peak() <= 0.07 * dense_bytes
+
+
+@pytest.mark.parametrize("n_cells, points", [(8, 32), (9, 29)], ids=["g256", "g261"])
+def test_commutator_slabs_read_a_strided_view_as_its_copy(n_cells, points, rng):
+    # G = 256 fills whole 128-row slabs and G = 261 leaves a short one.  The shifted
+    # rows come from two row slices of the view, with the bytes of its contiguous copy.
+    grid = RingGrid(n_cells, 1.0, points)
+    g, p = grid.total_points, grid.points_per_cell
+    views = [build_translation(grid).entries,
+             _circulant(rng.normal(size=g) + 1j * rng.normal(size=g))]
+    for view in views:
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        for slab, expected in zip(_commutator_slabs(view, p), _commutator_slabs(copy, p),
+                                  strict=True):
+            assert slab.tobytes() == expected.tobytes()
 
 
 def test_translation_action_matches_roll(ref_grid, ref_translation, rng):

@@ -5,7 +5,8 @@
 For each seed, the run files come from ``perfbench.workloads.build`` in the
 checkout at DIR, and every distinct warm-up, job and probe runs ``--repeat``
 times, one at a time, as a subprocess on that checkout's source, exactly as
-``tools/output_digest.py`` runs it.  One line is printed per job and seed:
+``tools/output_digest.py`` runs it, BLAS thread count included.  One line is
+printed per job and seed:
 
     workload seed job-key exit=CODE max_rss_mib=PEAK
 

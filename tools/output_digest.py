@@ -14,7 +14,10 @@ per output file:
 A job that writes no file prints one line with ``-`` for the file and the
 digest.  Two checkouts gave byte-identical outputs when their listings
 diff clean, which also compares every exit code and stderr line count.
-Jobs run one at a time.
+Jobs run one at a time, with the BLAS thread count set to the CPU count as
+``perfbench/run.py`` sets it.  Some outputs follow that count, so the
+listing opens with the line ``# nproc=N blas_threads=N``, and two listings
+compare only at one thread count.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def workloads_of(root: Path):
@@ -61,8 +66,11 @@ def command(job, configs: Path, out: Path) -> list[str]:
 
 
 def checkout_env(root: Path) -> dict[str, str]:
-    """The environment that imports blochlab and perfbench from the checkout at ``root``."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
+    """The environment that imports blochlab and perfbench from the checkout at ``root``,
+    with every BLAS thread count set to the CPU count."""
+    threads = str(len(os.sched_getaffinity(0)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))),
+                **dict.fromkeys(BLAS_THREAD_VARS, threads))
 
 
 def _run(job, configs: Path, out: Path, env: dict[str, str]) -> tuple[int, int]:
@@ -81,6 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     root = args.root.resolve()
     workloads = workloads_of(root)
     env = checkout_env(root)
+    print(f"# nproc={len(os.sched_getaffinity(0))} blas_threads={env[BLAS_THREAD_VARS[0]]}",
+          flush=True)
     with tempfile.TemporaryDirectory() as scratch:
         for seed in args.seeds:
             for name in workloads.BUILDERS:
