@@ -11,7 +11,6 @@ from .grid import (
     GridMismatchError,
     RingGrid,
     WaveFunction,
-    translate_by_cells,
 )
 from .lattice import (
     OperatorMatrix,
@@ -57,7 +56,6 @@ __all__ = [
     "GridMismatchError",
     "RingGrid",
     "WaveFunction",
-    "translate_by_cells",
     "OperatorMatrix",
     "PotentialSpec",
     "build_hamiltonian",

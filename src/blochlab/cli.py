@@ -200,7 +200,7 @@ def cmd_winding(config: RunConfig, args: argparse.Namespace) -> dict:
     band = args.band
     _require_band(config, band)
     bands = _solve(config)
-    results = [winding_number(bands.state(band, l).wavefunction) for l in range(bands.n_cells)]
+    results = [winding_number(WaveFunction(bands.grid, psi)) for psi in bands.waves[band]]
     return {
         "winding.csv": {
             "band": [band] * len(results),

@@ -148,15 +148,3 @@ def _require_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
 
-
-def translate_by_cells(psi: WaveFunction, cells: int) -> WaveFunction:
-    """Translate a wavefunction by a whole number of cells, exactly.
-
-    The convention is the active shift (T psi)(x) = psi(x + cells*a), i.e.
-    output sample j equals input sample (j + cells*P) mod G.  A plane wave
-    exp(i*k_l*x) picks up the factor exp(+i*k_l*a) per cell under this map.
-    Index arithmetic only, so norms are preserved bit for bit and any number
-    of cells (negative, zero, or beyond N) is exact.
-    """
-    shift = int(cells) * psi.grid.points_per_cell
-    return WaveFunction(psi.grid, np.roll(psi.samples, -shift))

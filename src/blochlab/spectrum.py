@@ -87,8 +87,9 @@ def _clusters(energies: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray, wavenumbers: np.ndarray,
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve degenerate clusters toward definite plane-wave content.
+                      count: int) -> None:
+    """Resolve degenerate clusters toward definite plane-wave content, rotating the
+    columns of ``vectors`` in place.
 
     Inside each cluster of (numerically) equal energies the eigvectors are
     rotated to diagonalize the restriction of the wavenumber operator, then
@@ -97,7 +98,6 @@ def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray, wavenumbers: np
     ordering is arbitrary.  Only clusters that start below ``count`` are rotated;
     they still come from the whole spectrum, whose span sets their tolerance.
     """
-    vectors = vectors.copy()
     for start, stop in _clusters(energies):
         if start >= count:
             break
@@ -109,7 +109,6 @@ def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray, wavenumbers: np
             q_round = np.rint(q_vals).astype(int)
             rank = np.lexsort((q_round < 0, np.abs(q_round)))
             vectors[:, start:stop] = rotated[:, rank]
-    return energies, vectors
 
 
 def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
@@ -166,7 +165,7 @@ def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
     energies, coeffs = np.linalg.eigh(block)
     if not np.all(np.isfinite(energies)):
         raise ValueError(f"sector {sector} energies are not finite")
-    energies, coeffs = _tie_broken_order(energies, coeffs, q.astype(float), band_count)
+    _tie_broken_order(energies, coeffs, q.astype(float), band_count)
 
     # m_window is in FFT-shifted order, so ifftshift puts m at index m mod P.
     cells = np.fft.ifft(np.fft.ifftshift(coeffs[:, :band_count], axes=0), axis=0)
@@ -183,6 +182,7 @@ class BandStructure:
     ``energy`` has shape (band_count, N); ``waves`` holds psi_{n l} and ``cells``
     its cell-periodic part u_{n l} = psi_{n l} exp(-i k_l x), each of shape
     (band_count, N, G).  Both routes fill them C-contiguous: one row per state.
+    The library reads the rows; :meth:`state` builds a :class:`BlochState` on demand.
     """
 
     grid: RingGrid
@@ -208,9 +208,9 @@ class BandStructure:
         return self.grid.n_cells
 
     def state(self, band: int, sector: int) -> BlochState:
-        """State of ``band`` in [0, band_count); ``sector`` is taken mod N."""
+        """State of ``band`` in [0, band_count); the integer ``sector`` is taken mod N."""
         band = _integer(band, "band", minimum=0, maximum=self.band_count - 1)
-        l = sector % self.grid.n_cells
+        l = _integer(sector, "sector") % self.grid.n_cells
         return BlochState(band, l, float(self.energy[band, l]),
                           WaveFunction(self.grid, self.waves[band, l]),
                           WaveFunction(self.grid, self.cells[band, l]))
@@ -232,13 +232,12 @@ class BandStructure:
 
     def translation_defect(self) -> float:
         """Largest norm of T_a psi - exp(+i k_l a) psi over all states."""
-        p, worst = self.grid.points_per_cell, 0.0
-        for row in self.waves:
-            for l, psi in enumerate(row):
-                expected = np.exp(1j * self.grid.wavevector(l) * self.grid.cell_length)
-                diff = WaveFunction(self.grid, np.roll(psi, -p) - expected * psi)
-                worst = max(worst, diff.norm())
-        return worst
+        grid = self.grid
+        sectors = np.arange(grid.n_cells)[:, None]
+        phases = np.exp(1j * grid.wavevector(sectors) * grid.cell_length)
+        largest = max(np.vdot(diff, diff).real for row in self.waves
+                      for diff in np.roll(row, -grid.points_per_cell, axis=-1) - phases * row)
+        return float(np.sqrt(grid.spacing * largest))
 
     def cell_periodicity_defect(self) -> float:
         """Largest |u(x + a) - u(x)| over all states and samples."""
@@ -265,19 +264,20 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
     No sector structure is assumed up front: the dense H is diagonalized
     (by LAPACK's real symmetric solver when H is real), eigenvectors are
     clustered by energy, and each degenerate cluster is rotated onto the
-    eigenvectors of the restricted translation R, which is unitary when
+    eigenvectors z of the restricted translation R, which is unitary when
     [H, T] = 0.  They come from a Hermitian eigensolve of the Hermitian part
     of exp(-i pi/(2N)) R, whose eigenvalues separate the sectors, so the
     rotation is unitary even when one sector holds two states of a cluster.
-    The sector label l is read from z^dagger R z = exp(+i 2 pi l / N).
-    ``translation`` must be exactly the one-cell shift (checked in O(G^2));
-    it is applied as an index shift.  The [H, T] bound is 1e-9 max |H|.
+    The cluster's labels l are read in one step from the vector
+    z^dagger R z = exp(+i 2 pi l / N), which must lie within 1e-8 of the unit
+    circle and 1e-6 of the N-th root.  ``translation`` must be exactly the
+    one-cell shift (checked in O(G^2)); it is applied as an index shift.  The
+    [H, T] bound is 1e-9 max |H|.
 
     The walk up the clusters stops once every sector holds ``band_count``
-    states.  Later clusters lie strictly higher and the per-sector sort is
-    stable, so the returned states are a full walk's bit for bit; each one
-    passed the unit-circle and N-th root checks, and only unreturned states
-    go unrotated.
+    states, so only unreturned states go unrotated.  The walked states stay in
+    ascending energy, and each sector's bands are its first ``band_count`` of
+    them, gathered into the three arrays at once.
     """
     grid = hamiltonian.grid
     _require_same_grid(hamiltonian, translation)
@@ -299,42 +299,38 @@ def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMa
     # cos(2 pi l / N - pi/(2N)), distinct across l: no two 2 pi l / N sum to pi/N mod 2 pi.
     # Sectors l and N - l lie only 2 sin(2 pi l / N) sin(pi/(2N)) ~ 2 pi^2 l / N^2 apart.
     tilt = np.exp(-0.5j * np.pi / n_cells)
-    per_sector: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(n_cells)]
+    counts = np.zeros(n_cells, dtype=int)
+    rotated, labels = [], []
     for start, stop in _clusters(energies):
-        if min(map(len, per_sector)) >= band_count:
+        if counts.min() >= band_count:
             break
         block = vectors[:, start:stop]
         restricted = block.conj().T @ np.roll(block, -p, axis=0)
         tilted = tilt * restricted
         _, z = np.linalg.eigh(0.5 * (tilted + tilted.conj().T))
-        rotated = block @ z
-        t_eigs = np.einsum("ij,ij->j", z.conj(), restricted @ z)
-        for i in range(stop - start):
-            lam = t_eigs[i]
-            if abs(abs(lam) - 1.0) > 1e-8:
-                raise ValueError(
-                    f"translation eigenvalue {lam!r} is not on the unit circle"
-                )
-            l = int(np.rint(np.angle(lam) * n_cells / (2.0 * np.pi))) % n_cells
-            residual = abs(lam - np.exp(2j * np.pi * l / n_cells))
-            if residual > 1e-6:
-                raise ValueError(
-                    f"translation eigenvalue {lam!r} is not an N-th root of unity"
-                )
-            psi = rotated[:, i] / np.sqrt(grid.spacing)
-            per_sector[l].append((float(energies[start + i]), psi))
-
-    energy = np.empty((band_count, n_cells))
-    waves = np.empty((band_count, n_cells, grid.total_points), dtype=complex)
-    cells = np.empty_like(waves)
-    for l, bucket in enumerate(per_sector):
-        bucket.sort(key=lambda item: item[0])
-        if len(bucket) < band_count:
+        lam = np.einsum("ij,ij->j", z.conj(), restricted @ z)
+        off = np.flatnonzero(np.abs(np.abs(lam) - 1.0) > 1e-8)
+        if off.size:
+            raise ValueError(f"translation eigenvalue {lam[off[0]]!r} is not on the unit circle")
+        l = np.rint(np.angle(lam) * n_cells / (2.0 * np.pi)).astype(int) % n_cells
+        off = np.flatnonzero(np.abs(lam - np.exp(2j * np.pi * l / n_cells)) > 1e-6)
+        if off.size:
             raise ValueError(
-                f"sector {l} received {len(bucket)} states, fewer than band_count={band_count}"
-            )
-        phase = np.exp(-1j * grid.wavevector(l) * grid.points)
-        for n, (e, psi) in enumerate(bucket[:band_count]):
-            energy[n, l], waves[n, l], cells[n, l] = e, psi, psi * phase
+                f"translation eigenvalue {lam[off[0]]!r} is not an N-th root of unity")
+        rotated.append(block @ z)
+        labels.append(l)
+        counts += np.bincount(l, minlength=n_cells)
+
+    short = np.flatnonzero(counts < band_count)
+    if short.size:
+        raise ValueError(f"sector {short[0]} received {counts[short[0]]} states,"
+                         f" fewer than band_count={band_count}")
+    sectors = np.concatenate(labels)
+    order = np.array([np.flatnonzero(sectors == l)[:band_count] for l in range(n_cells)]).T
+    energy = energies[order]
+    waves = np.ascontiguousarray(np.concatenate(rotated, axis=1).T[order])
+    rotated.clear()   # free the walked columns before u is built beside psi
+    waves /= np.sqrt(grid.spacing)
+    cells = waves * np.exp(-1j * grid.wavevector(np.arange(n_cells)[:, None]) * grid.points)
     _fix_gauge(waves, cells)
     return BandStructure(grid, energy, waves, cells)

@@ -21,21 +21,19 @@ from .spectrum import BandStructure
 
 
 def build_wannier(bands: BandStructure, band: int, site: int) -> WaveFunction:
-    """W_{n M} = (1/sqrt(N)) sum_l exp(-i k_l M a) psi_{n l}.
+    """W_{n M} = (1/sqrt(N)) sum_l exp(-i k_l M a) psi_{n l}, summed over the rows
+    ``bands.waves[band]`` in sector order.
 
     The state depends on the gauge of the underlying band: rotating any
     psi_{n k_l} by a phase reshapes W.  Moduli of matrix elements of the
     projector |W><W| between Bloch states do not.
     """
-    n_cells = bands.n_cells
-    site = _integer(site, "site", minimum=0, maximum=n_cells - 1)
     grid = bands.grid
-    acc = np.zeros(grid.total_points, dtype=complex)
-    shift = site * grid.cell_length
-    for l in range(n_cells):
-        state = bands.state(band, l)
-        acc += np.exp(-1j * state.wavevector * shift) * state.wavefunction.samples
-    return WaveFunction(grid, acc / np.sqrt(n_cells))
+    site = _integer(site, "site", minimum=0, maximum=grid.n_cells - 1)
+    band = _integer(band, "band", minimum=0, maximum=bands.band_count - 1)
+    phases = np.exp(-1j * grid.wavevector(np.arange(grid.n_cells)) * (site * grid.cell_length))
+    acc = sum(phase * psi for phase, psi in zip(phases, bands.waves[band]))
+    return WaveFunction(grid, acc / np.sqrt(grid.n_cells))
 
 
 def wannier_projector(state: WaveFunction) -> OperatorMatrix:

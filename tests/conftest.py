@@ -37,6 +37,14 @@ def dense_translation(grid):
     return OperatorMatrix(grid, entries)
 
 
+def translate_by_cells(psi, cells):
+    """The wavefunction psi(x + cells * a): output sample j is input sample
+    (j + cells * P) mod G, for any integer number of cells.  A plane wave exp(i k_l x)
+    picks up exp(+i k_l a) per cell.  An index shift only, so samples keep their bits."""
+    shift = int(cells) * psi.grid.points_per_cell
+    return WaveFunction(psi.grid, np.roll(psi.samples, -shift))
+
+
 def fourier_coefficient(potential, h):
     """Coefficient of exp(+i 2 pi h x / a) in ``potential``; conjugate-symmetric in h."""
     if h == 0:
@@ -89,6 +97,29 @@ def regauged(bands, phases):
 def all_states(bands):
     """Every state of ``bands`` as a BlochState record, in band-major order."""
     return [bands.state(n, l) for n in range(bands.band_count) for l in range(bands.n_cells)]
+
+
+def state_translation_defect(bands):
+    """BandStructure.translation_defect one state at a time: the largest norm of
+    T_a psi - exp(+i k_l a) psi, each difference a WaveFunction of its own."""
+    grid, worst = bands.grid, 0.0
+    for state in all_states(bands):
+        expected = np.exp(1j * state.wavevector * grid.cell_length)
+        psi = state.wavefunction.samples
+        diff = WaveFunction(grid, np.roll(psi, -grid.points_per_cell) - expected * psi)
+        worst = max(worst, diff.norm())
+    return worst
+
+
+def state_wannier(bands, band, site):
+    """build_wannier summed over the BlochState records of ``band``, one sector at a time."""
+    grid = bands.grid
+    acc = np.zeros(grid.total_points, dtype=complex)
+    shift = site * grid.cell_length
+    for l in range(grid.n_cells):
+        state = bands.state(band, l)
+        acc += np.exp(-1j * state.wavevector * shift) * state.wavefunction.samples
+    return WaveFunction(grid, acc / np.sqrt(grid.n_cells))
 
 
 def transport_profile(experiment, epsilon):

@@ -13,10 +13,9 @@ from blochlab import (
     materialize,
     selection_scan,
     solve_bands,
-    translate_by_cells,
 )
 from blochlab.lattice import commutator_norm
-from conftest import apply_kernel, inner_product
+from conftest import apply_kernel, inner_product, translate_by_cells
 
 
 def plane_wave(grid, winding):

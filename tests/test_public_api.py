@@ -32,6 +32,7 @@ def test_all_is_exactly_what_the_package_binds():
 
 @pytest.mark.parametrize("module, name", [
     ("grid", "inner_product"),
+    ("grid", "translate_by_cells"),
     ("observables", "apply_kernel"),
     ("observables", "_periodicity_defect"),
     ("superselection", "matrix_element"),
@@ -40,7 +41,8 @@ def test_all_is_exactly_what_the_package_binds():
 ])
 def test_removed_names_stay_removed(module, name):
     # Second routes to one entry of the scan table, its defect or the cell transport
-    # profile live in the tests' conftest; the gauge fix is private to the spectrum.
+    # profile, and the whole-cell shift of one wavefunction, live in the tests' conftest;
+    # the gauge fix is private to the spectrum.
     assert not hasattr(importlib.import_module(f"blochlab.{module}"), name)
     assert not hasattr(blochlab, name)
 

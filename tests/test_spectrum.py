@@ -15,6 +15,7 @@ from blochlab import (
     WaveFunction,
     build_hamiltonian,
     build_translation,
+    build_wannier,
     classify_by_translation,
     solve_bands,
     solve_sector,
@@ -22,7 +23,8 @@ from blochlab import (
 from blochlab import spectrum
 from blochlab.derivatives import SCHEMES
 from blochlab.spectrum import _CLUSTER_RTOL, _clusters, _fix_gauge
-from conftest import all_states, fourier_coefficient, inner_product, momentum_matrix, regauged
+from conftest import (all_states, fourier_coefficient, inner_product, momentum_matrix, regauged,
+                      state_translation_defect, state_wannier)
 
 
 def free_sector_energies(grid, sector, count):
@@ -247,6 +249,13 @@ def test_state_rejects_a_band_outside_the_table(ref_bands):
             ref_bands.state(band, 0)
 
 
+@pytest.mark.parametrize("sector", [True, 2.0, "1"])
+def test_state_rejects_a_sector_that_is_not_an_integer(ref_bands, sector):
+    # A bool would read as sector 1, a float would fail indexing, a str the modulo.
+    with pytest.raises(ValueError, match="sector must be an integer"):
+        ref_bands.state(0, sector)
+
+
 def test_state_matrix_is_a_copy_the_caller_may_overwrite(ref_bands):
     # The scan conjugates the state matrix in place; the band table must not move.
     before = [ref_bands.state(n, l) for n in range(4) for l in range(8)]
@@ -305,9 +314,9 @@ def solve_sector_and_coefficients(grid, potential, sector, band_count):
     captured = []
     tie_broken_order = spectrum._tie_broken_order
 
-    def recording(*args):
-        captured.append(tie_broken_order(*args))
-        return captured[-1]
+    def recording(energies, vectors, *args):
+        tie_broken_order(energies, vectors, *args)
+        captured.append((energies, vectors))
 
     with mock.patch.object(spectrum, "_tie_broken_order", recording):
         solved = solve_sector(grid, potential, sector, band_count)
@@ -627,9 +636,8 @@ def test_classifier_rotates_clusters_until_every_sector_is_full(monkeypatch):
 
 
 def full_tie_broken_order(energies, vectors, wavenumbers, count):
-    """_tie_broken_order rotating every degenerate cluster, ``count`` ignored.
+    """_tie_broken_order rotating every degenerate cluster in place, ``count`` ignored.
     Kept here only to check the solver's stop at ``count`` against."""
-    vectors = vectors.copy()
     for start, stop in _clusters(energies):
         if stop - start > 1:
             block = vectors[:, start:stop]
@@ -637,7 +645,6 @@ def full_tie_broken_order(energies, vectors, wavenumbers, count):
             q_round = np.rint(q_vals).astype(int)
             rank = np.lexsort((q_round < 0, np.abs(q_round)))
             vectors[:, start:stop] = (block @ q_vecs)[:, rank]
-    return energies, vectors
 
 
 @settings(max_examples=30, deadline=None)
@@ -680,3 +687,55 @@ def test_classifier_takes_a_zero_hamiltonian():
     assert np.all(classified.energies() == 0.0)
     assert classified.orthonormality_defect() <= 1e-12
     assert classified.translation_defect() <= 1e-12
+
+
+def both_routes(grid, potential, band_count, scheme="spectral"):
+    """The sector solver's and the classifier's band structure of one potential."""
+    hamiltonian = build_hamiltonian(grid, potential, scheme=scheme)
+    return (solve_bands(grid, potential, band_count),
+            classify_by_translation(hamiltonian, build_translation(grid), band_count))
+
+
+@pytest.mark.parametrize("n_cells, points", [(4, 8), (5, 9), (3, 12), (6, 11)])
+def test_both_routes_fill_contiguous_rows_in_the_gauge_convention(n_cells, points):
+    # The gauge pass reshapes waves and cells to rows; on an array that is not
+    # C-contiguous that reshape is a copy and the fix would be lost silently.
+    grid = RingGrid(n_cells, 1.0, points)
+    potential = PotentialSpec(0.2, ((1, 1.5, 0.4), (2, -0.3, 0.2)))
+    phases = np.exp(-1j * grid.wavevector(np.arange(n_cells)[:, None]) * grid.points)
+    for bands in both_routes(grid, potential, 3):
+        assert bands.waves.flags.c_contiguous and bands.cells.flags.c_contiguous
+        assert np.max(np.abs(bands.waves * phases - bands.cells)) < 1e-12
+        for u in bands.cells.reshape(-1, grid.total_points):
+            moduli = np.abs(u)
+            peak = u[np.argmax(moduli >= moduli.max() * (1.0 - 1e-9))]
+            assert peak.real > 0.0 and abs(peak.imag) <= 1e-15 * peak.real
+
+
+@pytest.mark.parametrize("factor, message", [
+    (1.01, "not on the unit circle"),
+    (np.exp(0.6j * np.pi / 8), "not an N-th root of unity"),
+], ids=["unit_circle", "root_of_unity"])
+def test_classifier_guards_each_translation_eigenvalue(monkeypatch, ref_hamiltonian,
+                                                        ref_translation, factor, message):
+    # The shift applied to each cluster scales R, so every eigenvalue of the first
+    # cluster leaves the unit circle, or turns by 0.3 of a sector off the N-th roots.
+    roll = np.roll
+    monkeypatch.setattr(np, "roll", lambda a, shift, axis=None: factor * roll(a, shift, axis))
+    with pytest.raises(ValueError, match=f"translation eigenvalue .* is {message}"):
+        classify_by_translation(ref_hamiltonian, ref_translation, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(8, 17), st.sampled_from(sorted(SCHEMES)),
+       st.sampled_from([0.0, 1e-7, 1e-3, 3.0]), st.integers(1, 3))
+def test_array_forms_keep_the_per_state_bits(n_cells, points, scheme, amplitude, band_count):
+    grid = RingGrid(n_cells, 1.0, points)
+    potential = PotentialSpec(0.0, ((1, amplitude, 0.4 * amplitude),
+                                    (3, -0.7 * amplitude, 0.2 * amplitude)))
+    for bands in both_routes(grid, potential, band_count, scheme):
+        assert bands.translation_defect() == state_translation_defect(bands)
+        for band in range(band_count):
+            for site in range(n_cells):
+                wannier = build_wannier(bands, band, site).samples
+                assert wannier.tobytes() == state_wannier(bands, band, site).samples.tobytes()

@@ -5,10 +5,9 @@ from blochlab import (
     WaveFunction,
     build_wannier,
     cell_probability,
-    translate_by_cells,
     wannier_projector,
 )
-from conftest import inner_product, matrix_element, regauged
+from conftest import inner_product, matrix_element, regauged, translate_by_cells
 
 
 def test_wannier_is_normalized(ref_bands):
