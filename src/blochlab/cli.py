@@ -221,13 +221,16 @@ def cmd_propagate(config: RunConfig, args: argparse.Namespace) -> dict:
     dyn = config.dynamics
     grid = config.grid()
     perturb_name = args.observable if args.observable is not None else dyn.perturbation
-    # R (zeros with no perturbation) is held nowhere else: H is added into it a slab of
-    # rows at a time, so H_m has the bits of H + R and is the one G x G array.  Every R
-    # is fresh but the one-cell shift, a read-only view that gets a private copy here.
-    if perturb_name is None:
+    obs = config.observable(perturb_name) if perturb_name is not None else None
+    # A projector stays rank one: the experiment takes its site state W and H goes into real
+    # zeros.  H is added into any other R (held nowhere else, and fresh but for the one-cell
+    # shift's read-only view, copied here) a slab at a time: the one G x G array is H + R.
+    projector = obs is not None and obs.kind == "wannier_projector"
+    site = build_wannier(_solve(config), obs.band, obs.site) if projector else None
+    if obs is None or projector:
         hamiltonian = OperatorMatrix(grid, np.zeros((grid.total_points,) * 2))
     else:
-        hamiltonian = _resolve_operator(config, config.observable(perturb_name))
+        hamiltonian = _resolve_operator(config, obs)
         hamiltonian.entries = np.require(hamiltonian.entries, requirements="W")
     _add_hamiltonian(hamiltonian.entries, grid, config.potential(), config.mass,
                      config.hbar, dyn.kinetic_scheme)
@@ -236,6 +239,7 @@ def cmd_propagate(config: RunConfig, args: argparse.Namespace) -> dict:
         source=grid.index_of_cell(dyn.source_cell),
         target=grid.index_of_cell(dyn.target_cell),
         hbar=config.hbar,
+        site=site,
     )
     amplitudes = np.array([exact_amplitude(experiment, eps) for eps in dyn.epsilons])
     summary = {

@@ -10,6 +10,7 @@ To first order in eps this is delta_{yz}/h - (i eps / hbar) H_{yz}/h, so the
 small-time growth rate of |amp| between distinct points measures the kernel
 entry connecting them: zero for a strictly banded H whenever the points are
 farther apart than the band, nonzero as soon as R has long-range entries.
+A projector R = h |W><W| stays rank one, kept as its site state W: no G x G R is formed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _integer, _number
+from .grid import WaveFunction, _integer, _number, _require_same_grid
 from .lattice import OperatorMatrix, _require_hermitian
 
 # Largest phase error, in radians, that one rounding of a Ritz value may cause.
@@ -27,13 +28,13 @@ _PHASE_TOL = 1e-8
 
 @dataclass
 class PropagationExperiment:
-    """Fixed generator H_m and a source/target pair.
+    """Fixed generator H_m = ``hamiltonian`` + h |site><site| and a source/target pair.
 
-    ``hamiltonian`` is H_m itself (a caller with a perturbation R passes H + R);
-    it is checked Hermitian tile by tile, with no G x G temporary.  ``source`` and
-    ``target`` are sample indices.  Column ``source`` of exp(-i eps H_m / hbar) comes
-    from a Lanczos basis grown from e_source on first use (Saad, SIAM J. Numer.
-    Anal. 29, 1992; Hochbruck & Lubich, ibid. 34, 1997), cached, and extended
+    ``hamiltonian`` is the dense part (H + R for a dense R), checked Hermitian tile by tile with
+    no G x G temporary; ``site``, if given, is the rank-one projector's state W, applied as
+    h W (W^dagger v).  ``source`` and ``target`` are sample indices.  Column ``source`` of
+    exp(-i eps H_m / hbar) comes from a Lanczos basis grown from e_source on first use (Saad,
+    SIAM J. Numer. Anal. 29, 1992; Hochbruck & Lubich, ibid. 34, 1997), cached, and extended
     only when a larger |epsilon| needs more vectors: no G x G diagonalization.
     """
 
@@ -41,24 +42,34 @@ class PropagationExperiment:
     source: int
     target: int
     hbar: float = 1.0
+    site: WaveFunction | None = None
 
     def __post_init__(self):
         g = self.hamiltonian.grid.total_points
         _integer(self.source, "source", minimum=0, maximum=g - 1)
         _integer(self.target, "target", minimum=0, maximum=g - 1)
         _number(self.hbar, "hbar", positive=True)
+        if self.site is not None:
+            _require_same_grid(self.hamiltonian, self.site)
         _require_hermitian(self.hamiltonian.entries, "total generator")
         self._alpha, self._beta = [], []
         # np.zeros leaves untouched pages unmapped: only filled rows cost memory.
-        self._basis = np.zeros((g, g), dtype=self.hamiltonian.entries.dtype)
+        dtype = complex if self.site is not None else self.hamiltonian.entries.dtype
+        self._basis = np.zeros((g, g), dtype)
         self._basis[0, self.source] = 1.0
 
     def ring_distance(self) -> float:
         return self.hamiltonian.grid.ring_distance(self.source, self.target)
 
     def kernel_entry(self) -> complex:
-        """Matrix entry H_m[target, source] that first-order theory probes."""
-        return complex(self.hamiltonian.entries[self.target, self.source])
+        """Matrix entry H_m[target, source] that first-order theory probes; the projector's
+        is wannier_projector's expression on two samples, so it has the bits of H + R."""
+        entry = self.hamiltonian.entries[self.target, self.source]
+        if self.site is not None:
+            w = self.site.samples
+            entry = entry + self.hamiltonian.grid.spacing * np.outer(
+                w[[self.target]], w[[self.source]].conj())[0, 0]
+        return complex(entry)
 
     def _extend(self, m: int) -> None:
         """Grow the basis to m vectors, or until its span is invariant
@@ -66,7 +77,12 @@ class PropagationExperiment:
         while len(self._alpha) < m and not (self._beta and self._beta[-1] == 0.0):
             j = len(self._alpha)
             basis = self._basis[: j + 1]
-            w = self.hamiltonian.entries @ basis[j]
+            v, a = basis[j], self.hamiltonian.entries
+            # A real H meets a complex v in two real GEMVs: float @ complex copies H as complex.
+            w = a @ v if a.dtype == v.dtype else a @ v.real + 1j * (a @ v.imag)
+            if self.site is not None:
+                site = self.site.samples
+                w += (self.hamiltonian.grid.spacing * np.vdot(site, v)) * site
             self._alpha.append(float(np.vdot(basis[j], w).real))
             for _ in range(2):  # full reorthogonalization; twice is enough
                 w -= basis.T @ (basis.conj() @ w)

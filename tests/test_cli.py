@@ -18,6 +18,7 @@ from blochlab import (
     LocalObservableSeries,
     PropagationExperiment,
     build_hamiltonian,
+    build_wannier,
     locality_report,
     materialize,
     selection_scan,
@@ -178,10 +179,11 @@ def test_propagate_solves_bands_only_for_a_projector(tmp_path, monkeypatch):
     assert main(["propagate", "--config", str(config), "--observable", "site0"]) == 3
 
 
-def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypatch):
-    # H is added into the perturbation's buffer: the experiment gets H_m with the
-    # bits of H + R, a real R keeps H_m real, and with no perturbation H_m is H.
-    # A writable R is that buffer itself, not a copy of it.
+def test_propagate_hands_the_experiment_h_and_a_rank_one_projector(tmp_path, monkeypatch):
+    # A projector is never resolved to a G x G matrix: the experiment gets the real H,
+    # with the bits of build_hamiltonian, and the site state W.  Any other perturbation's
+    # buffer R gets H added in place, so its dense part has the bits of H + R, and a real
+    # R keeps it real.  With no perturbation the dense part is H.
     config = write_config(tmp_path / "run.json")
     bare = write_config(tmp_path / "bare.json",
                         dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 6,
@@ -204,17 +206,24 @@ def test_propagate_hands_the_experiment_one_summed_generator(tmp_path, monkeypat
     monkeypatch.setattr("blochlab.cli.PropagationExperiment", Recorder)
     assert main(["propagate", "--config", str(config)]) == 0
     assert main(["propagate", "--config", str(config), "--observable", "h"]) == 0
+    assert main(["propagate", "--config", str(config), "--observable", "ring1"]) == 0
     assert main(["propagate", "--config", str(bare)]) == 0
-    site, real, plain = (experiment.hamiltonian.entries for experiment in seen)
-    assert len(resolved) == 2 and site is resolved[0] and real is resolved[1]
+    projector, real, series, plain = seen
+    assert len(resolved) == 2
+    assert real.hamiltonian.entries is resolved[0] and series.hamiltonian.entries is resolved[1]
     run = load_config(config)
     h = build_hamiltonian(run.grid(), run.potential(), scheme="fd4").entries
-    r = _resolve_operator(run, run.observable("site0")).entries
-    assert site.tobytes() == (h + r).tobytes()
-    r = _resolve_operator(run, run.observable("h")).entries
-    assert r.dtype == real.dtype == np.float64
-    assert real.tobytes() == (h + r).tobytes()
-    assert plain.tobytes() == h.tobytes()
+    assert projector.hamiltonian.entries.dtype == np.float64
+    assert projector.hamiltonian.entries.tobytes() == h.tobytes()
+    w = build_wannier(solve_bands(run.grid(), run.potential(), run.bands), 0, 0).samples
+    assert projector.site.samples.tobytes() == w.tobytes()
+    for experiment, name in ((real, "h"), (series, "ring1")):
+        assert experiment.site is None
+        r = _resolve_operator(run, run.observable(name)).entries
+        assert experiment.hamiltonian.entries.dtype == r.dtype
+        assert experiment.hamiltonian.entries.tobytes() == (h + r).tobytes()
+    assert real.hamiltonian.entries.dtype == np.float64
+    assert plain.site is None and plain.hamiltonian.entries.tobytes() == h.tobytes()
 
 
 def write_expected_scan_files(directory, run, observable, op):
@@ -327,6 +336,20 @@ def test_scan_holds_its_operator_and_one_copy_of_its_states(tmp_path, traced_pea
     with traced_peak() as peak:
         assert main(["scan", "--config", str(config), "--observable", "ring13"]) == 0
         assert peak() <= 1.22 * 2048**2 * 16
+
+
+def test_a_projector_propagate_holds_the_real_h_and_the_basis(tmp_path, traced_peak):
+    # 32 x 64 (G = 2048) under the site projector: the run holds the real H (32 MiB) and
+    # the Lanczos basis, whose np.zeros (64 MiB complex) tracemalloc counts in full.  The
+    # projector stays rank one, so no 64 MiB complex R is built.
+    config = write_config(tmp_path / "run.json",
+                          lattice={"n_cells": 32, "cell_length": 1.0, "points_per_cell": 64},
+                          dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 20,
+                                    "target_cell": 4, "kinetic_scheme": "fd4",
+                                    "perturbation": "site0"})
+    with traced_peak() as peak:
+        assert main(["propagate", "--config", str(config)]) == 0
+        assert peak() <= 1.1 * 2048**2 * 8 + 2048**2 * 16
 
 
 @pytest.mark.parametrize("hbar", [1e154, 1e200])

@@ -339,18 +339,86 @@ def test_lanczos_property(n_cells, points, harmonics, scheme, hbar, epsilon, per
 
 
 def test_experiment_holds_no_g_by_g_temporary(ref_potential, traced_peak):
-    # 32 x 64 (G = 2048): H_m = H + R, with R a 64 MiB complex projector.  The
-    # Lanczos basis's np.zeros counts in full here, though only filled rows
-    # become resident; beyond it the experiment holds nothing G x G.
+    # 32 x 64 (G = 2048): the real H (32 MiB) and the site projector kept rank one.  The
+    # Lanczos basis's np.zeros (64 MiB complex) counts in full here, though only filled
+    # rows become resident; beyond it the experiment holds nothing G x G, in particular
+    # no complex copy of H for its products with the complex Lanczos vectors.
     grid = RingGrid(32, 1.0, 64)
     hamiltonian = build_hamiltonian(grid, ref_potential, scheme="fd4")
-    r = wannier_projector(build_wannier(solve_bands(grid, ref_potential, 1), 0, 0))
-    r.entries += hamiltonian.entries
+    site = build_wannier(solve_bands(grid, ref_potential, 1), 0, 0)
     source, target = grid.index_of_cell(20), grid.index_of_cell(4)
     with traced_peak() as peak:
-        experiment = PropagationExperiment(r, source, target)
-        assert peak() <= 1.1 * r.entries.nbytes
-        assert experiment.hamiltonian.entries is r.entries
+        experiment = PropagationExperiment(hamiltonian, source, target, site=site)
+        for eps in (1e-4, 8e-4):
+            exact_amplitude(experiment, eps)
+            cell_transport_profile(experiment, eps)
+        assert peak() <= 2048**2 * 16 + 0.1 * hamiltonian.entries.nbytes
+        assert experiment.hamiltonian.entries is hamiltonian.entries
+
+
+def fit_bound(design, delta, values):
+    """Largest move of each least-squares coefficient over ``design`` when the fitted
+    values move by at most ``delta`` each: the fit is linear in them, so |pinv| @ delta,
+    plus 1e-12 |values| of rounding per value."""
+    return np.abs(np.linalg.pinv(design)) @ (delta + 1e-12 * np.abs(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_cells=st.integers(2, 7),
+    points=st.integers(8, 13),
+    harmonics=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        max_size=2, unique_by=lambda term: term[0],
+    ),
+    scheme=st.sampled_from(["spectral", "fd2", "fd4", "fd6", "fd8"]),
+    hbar=st.floats(0.5, 2.0),
+    mass=st.floats(0.8, 1.25),
+    eps0=st.floats(1e-4, 1e-3),
+    data=st.data(),
+)
+def test_rank_one_projector_matches_the_dense_generator(n_cells, points, harmonics, scheme,
+                                                         hbar, mass, eps0, data):
+    # Oracle: the same experiment on the dense H + wannier_projector(W).  The kernel entry
+    # keeps its bits; amplitudes and cell probabilities agree to roundoff (measured at most
+    # 7.1e-16 and 4.9e-15 over 900 seeded draws of this set-up); the fits are linear in
+    # what they fit, so they may move only as far as that roundoff moves them.
+    grid = RingGrid(n_cells, 1.0, points)
+    g = grid.total_points
+    potential = PotentialSpec(0.0, tuple(harmonics))
+    band_count = data.draw(st.integers(1, 3), label="band_count")
+    bands = solve_bands(grid, potential, band_count, mass=mass, hbar=hbar)
+    site = build_wannier(bands, data.draw(st.integers(0, band_count - 1), label="band"),
+                         data.draw(st.integers(0, n_cells - 1), label="site"))
+    source = data.draw(st.integers(0, g - 1), label="source")
+    target = (source + data.draw(st.integers(1, g - 1), label="offset")) % g
+    hamiltonian = build_hamiltonian(grid, potential, mass=mass, hbar=hbar, scheme=scheme)
+    rank_one = PropagationExperiment(hamiltonian, source, target, hbar, site=site)
+    dense = PropagationExperiment(
+        OperatorMatrix(grid, hamiltonian.entries + wannier_projector(site).entries),
+        source, target, hbar)
+    assert (np.complex128(rank_one.kernel_entry()).tobytes()
+            == np.complex128(dense.kernel_entry()).tobytes())
+
+    h, eps = grid.spacing, eps0 * np.arange(1.0, 5.0)
+    amps = np.array([exact_amplitude(rank_one, e) for e in eps])
+    oracle = np.array([exact_amplitude(dense, e) for e in eps])
+    moved = np.abs(amps - oracle)
+    assert np.max(moved) * h <= 1e-14
+    cells = cell_transport_profile(rank_one, eps[0])
+    assert np.max(np.abs(cells - cell_transport_profile(dense, eps[0]))) <= 3e-14
+
+    bound = fit_bound(np.column_stack([eps, eps**2]), moved, oracle)
+    fitted = np.subtract(linear_response_slope(rank_one, eps), linear_response_slope(dense, eps))
+    assert np.all(np.abs(fitted) <= bound)
+    # |exact - first order| moves by at most |amps - oracle|, so its log by -log1p(-x).
+    errors = np.abs(oracle - np.array([first_order_amplitude(dense, e) for e in eps]))
+    if np.all(moved < 0.5 * errors):
+        ratio = moved / errors
+        bound = fit_bound(np.column_stack([np.log(eps), np.ones(4)]), -np.log1p(-ratio),
+                          np.log(errors))[0]
+        exponent = first_order_error_exponent(rank_one, eps)
+        assert abs(exponent - first_order_error_exponent(dense, eps)) <= bound
 
 
 @pytest.mark.parametrize("shape", [(3, 131), (16, 64)])
