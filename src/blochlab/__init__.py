@@ -1,10 +1,10 @@
 """Numerical laboratory for quantum states on a finite periodic ring.
 
 The package discretizes a ring of N unit cells, solves the single-particle
-band problem sector by sector, builds localized lattice-site states from the
-band eigenfunctions, and provides the measurement tools used to study them:
-kernel locality reports, crystal-momentum selection scans, winding numbers,
-and short-time transition amplitudes.
+band problem in its crystal-momentum sectors, builds localized lattice-site
+states from the band eigenfunctions, and provides the measurement tools used
+to study them: kernel locality reports, crystal-momentum selection scans,
+winding numbers, and short-time transition amplitudes.
 """
 
 from .grid import (
@@ -23,7 +23,6 @@ from .spectrum import (
     BlochState,
     classify_by_translation,
     solve_bands,
-    solve_sector,
 )
 from .wannier import (
     build_wannier,
@@ -64,7 +63,6 @@ __all__ = [
     "BlochState",
     "classify_by_translation",
     "solve_bands",
-    "solve_sector",
     "build_wannier",
     "cell_probability",
     "wannier_projector",

@@ -87,15 +87,13 @@ def _solve(config: RunConfig) -> BandStructure:
 
 def _resolve_operator(config: RunConfig, obs: ObservableConfig,
                       site: WaveFunction | None = None) -> OperatorMatrix:
-    """The observable's matrix; a projector's state is ``site`` or made of bands dropped first."""
+    """The observable's matrix; a projector's is made of its Wannier state ``site``."""
     grid = config.grid()
     if obs.kind == "hamiltonian":
         return build_hamiltonian(grid, config.potential(), mass=config.mass, hbar=config.hbar)
     if obs.kind == "translation":
         return build_translation(grid)
     if obs.kind == "wannier_projector":
-        if site is None:
-            site = build_wannier(_solve(config), obs.band, obs.site)
         return wannier_projector(site)
     series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
     return materialize(series, grid, scheme=obs.scheme)

@@ -1,4 +1,4 @@
-"""Band structure of the ring: sector-by-sector solve and translation classifier.
+"""Band structure of the ring: stacked sector solve and translation classifier.
 
 On a ring of N cells the one-cell translation T commutes with a cell-periodic
 Hamiltonian, so the spectrum splits into N sectors labelled by l = 0..N-1
@@ -8,8 +8,8 @@ form psi(x) = u(x) exp(i k_l x) with u cell-periodic.
 Two independent routes to the same spectrum are provided and kept separate
 on purpose:
 
-* :func:`solve_sector` / :func:`solve_bands` work in the reduced plane-wave
-  basis of one sector, never touching the other sectors.
+* :func:`solve_bands` works in the reduced plane-wave basis of each sector:
+  the N sector blocks never couple, so one eigh diagonalizes them as a stack.
 * :func:`classify_by_translation` diagonalizes the dense Hamiltonian with no
   sector knowledge and reads each eigenvector's sector off the translation
   operator afterwards, with numpy's Hermitian eigensolver alone.
@@ -111,70 +111,6 @@ def _tie_broken_order(energies: np.ndarray, vectors: np.ndarray, wavenumbers: np
             vectors[:, start:stop] = rotated[:, rank]
 
 
-def solve_sector(grid: RingGrid, potential: PotentialSpec, sector: int,
-                 band_count: int, mass: float = 1.0,
-                 hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lowest ``band_count`` eigenstates of crystal momentum k_l, l = ``sector``.
-
-    Works entirely in the reduced basis of the P plane waves
-    exp(i kappa x)/sqrt(L) with kappa = (2 pi / L) q, q = l + N m folded into
-    [-G/2, G/2) as the grid's wavenumbers are, m running over the symmetric
-    window [-P/2, P/2).  The block is the kinetic diagonal kappa^2 plus the
-    Toeplitz block of V_hat(d), |d| < P.  It deviates from the grid H's sector
-    block only by the wrap-around coupling: a sampled potential also couples
-    m and m +- P through aliasing, and a harmonic h >= P couples only that
-    way, so the table leaves it out.  That coupling stays out because the
-    circulant block that has it makes the energies at P = 256 follow the BLAS
-    thread count, on potentials where the Toeplitz block's do not.
-
-    Each state is built from one cell.  On the samples x_j = j h,
-    exp(i kappa x_j) = exp(i k_l x_j) exp(2 pi i m j / P), so psi = exp(i k_l x) u
-    where u is (P / sqrt(L)) times the length-P inverse FFT of the coefficients
-    placed at m mod P, tiled over the N cells: u is cell-periodic bit for bit.
-
-    Returns the energies (band_count,) and the gauge-fixed psi and u rows
-    (band_count, G) of the lowest bands.
-    """
-    sector = _integer(sector, "sector", minimum=0, maximum=grid.n_cells - 1)
-    band_count = _integer(band_count, "band_count", minimum=1, maximum=grid.points_per_cell)
-    scale = _kinetic_scale(mass, hbar)
-
-    p = grid.points_per_cell
-    n_cells = grid.n_cells
-    length, g = grid.ring_length, grid.total_points
-    m_window = np.arange(-(p // 2), p - p // 2)
-    q = (sector + n_cells * m_window + g // 2) % g - g // 2   # folded wavenumber index
-    kappa = 2.0 * np.pi * q / length
-
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf = NaN: rejected below
-        kinetic = np.diag(scale * kappa**2).astype(complex)
-    # The potential couples plane waves differing by a reciprocal lattice
-    # vector: <kappa_i| V |kappa_j> = V_hat(i - j) up to aliasing, so the block
-    # is Toeplitz in i - j and one table of V_hat(d), d = 1-P .. P-1, fills it.
-    coeff = np.zeros(2 * p - 1, dtype=complex)
-    coeff[p - 1] = potential.constant
-    for h, alpha, beta in potential.harmonics:
-        if h < p:
-            c = 0.5 * complex(alpha, -beta)
-            coeff[p - 1 + h], coeff[p - 1 - h] = c, np.conj(c)
-    i = np.arange(p)
-    block = kinetic + coeff[i[:, None] - i[None, :] + p - 1]
-    if not np.all(np.isfinite(block)):
-        raise ValueError(f"sector {sector} block is not finite (hbar^2/2m = {scale!r})")
-
-    energies, coeffs = np.linalg.eigh(block)
-    if not np.all(np.isfinite(energies)):
-        raise ValueError(f"sector {sector} energies are not finite")
-    _tie_broken_order(energies, coeffs, q.astype(float), band_count)
-
-    # m_window is in FFT-shifted order, so ifftshift puts m at index m mod P.
-    cells = np.fft.ifft(np.fft.ifftshift(coeffs[:, :band_count], axes=0), axis=0)
-    cells = np.tile(cells.T * (p / np.sqrt(length)), n_cells)
-    waves = np.exp(1j * grid.wavevector(sector) * grid.points) * cells
-    _fix_gauge(waves, cells)
-    return energies[:band_count], waves, cells
-
-
 @dataclass
 class BandStructure:
     """All computed Bloch states as three arrays indexed by band n and sector l.
@@ -247,14 +183,67 @@ class BandStructure:
 
 def solve_bands(grid: RingGrid, potential: PotentialSpec, band_count: int,
                 mass: float = 1.0, hbar: float = 1.0) -> BandStructure:
-    """Solve every sector and fill the band-major arrays one sector column at a time."""
+    """Lowest ``band_count`` eigenstates of every crystal momentum k_l, l = 0..N-1.
+
+    Sector l works in the reduced basis of the P plane waves
+    exp(i kappa x)/sqrt(L) with kappa = (2 pi / L) q, q = l + N m folded into
+    [-G/2, G/2) as the grid's wavenumbers are, m running over the symmetric
+    window [-P/2, P/2).  Its block is the kinetic diagonal kappa^2 plus the
+    Toeplitz block of V_hat(d), |d| < P, which all N sectors share; the N
+    blocks go to one eigh as an (N, P, P) stack.  A block deviates from the
+    grid H's sector block only by the wrap-around coupling: a sampled
+    potential also couples m and m +- P through aliasing, and a harmonic
+    h >= P couples only that way, so the table leaves it out.  That coupling
+    stays out because the circulant block that has it makes the energies at
+    P = 256 follow the BLAS thread count, on potentials where the Toeplitz
+    block's do not.
+
+    Each state is built from one cell.  On the samples x_j = j h,
+    exp(i kappa x_j) = exp(i k_l x_j) exp(2 pi i m j / P), so psi = exp(i k_l x) u
+    where u is (P / sqrt(L)) times the length-P inverse FFT of the coefficients
+    placed at m mod P, tiled over the N cells: u is cell-periodic bit for bit.
+    """
     band_count = _integer(band_count, "band_count", minimum=1, maximum=grid.points_per_cell)
-    energy = np.empty((band_count, grid.n_cells))
-    waves, cells = (np.empty((*energy.shape, grid.total_points), complex) for _ in range(2))
-    for l in range(grid.n_cells):
-        energy[:, l], waves[:, l], cells[:, l] = solve_sector(
-            grid, potential, l, band_count, mass=mass, hbar=hbar)
-    return BandStructure(grid, energy, waves, cells)
+    scale = _kinetic_scale(mass, hbar)
+    p, n_cells = grid.points_per_cell, grid.n_cells
+    length, g = grid.ring_length, grid.total_points
+    m_window = np.arange(-(p // 2), p - p // 2)
+    sectors = np.arange(n_cells)[:, None]
+    q = (sectors + n_cells * m_window + g // 2) % g - g // 2   # (N, P) folded wavenumber indices
+    # exp(i k_l x), shape (N, G), made before the stack is freed: after glibc unmaps
+    # the stack it puts arrays of this size on its heap, which stays resident.
+    phases = 1j * grid.wavevector(sectors) * grid.points
+    np.exp(phases, out=phases)
+
+    # The potential couples plane waves differing by a reciprocal lattice
+    # vector: <kappa_i| V |kappa_j> = V_hat(i - j) up to aliasing, so the block
+    # is Toeplitz in i - j and one table of V_hat(d), d = 1-P .. P-1, fills it.
+    coeff = np.zeros(2 * p - 1, dtype=complex)
+    coeff[p - 1] = potential.constant
+    for h, alpha, beta in potential.harmonics:
+        if h < p:
+            c = 0.5 * complex(alpha, -beta)
+            coeff[p - 1 + h], coeff[p - 1 - h] = c, np.conj(c)
+    i = np.arange(p)
+    # + 0.0 makes every zero part +0.0: the bits of a zero block plus the table.
+    blocks = np.repeat(coeff[i[:, None] - i[None, :] + p - 1][None] + 0.0, n_cells, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf = NaN: rejected below
+        blocks[:, i, i] += scale * (2.0 * np.pi * q / length) ** 2
+    bad = np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"sector {bad[0]} block is not finite (hbar^2/2m = {scale!r})")
+    energies, coeffs = np.linalg.eigh(blocks)
+    del blocks   # the stack goes before the tie-break and the synthesis
+    for l in range(n_cells):
+        _tie_broken_order(energies[l], coeffs[l], q[l].astype(float), band_count)
+
+    # m_window is in FFT-shifted order, so ifftshift puts m at index m mod P.
+    cells = np.fft.ifft(np.fft.ifftshift(coeffs[:, :, :band_count], axes=1), axis=1)
+    del coeffs
+    cells = np.tile(cells.transpose(2, 0, 1) * (p / np.sqrt(length)), n_cells)
+    waves = phases * cells
+    _fix_gauge(waves, cells)
+    return BandStructure(grid, np.ascontiguousarray(energies[:, :band_count].T), waves, cells)
 
 
 def classify_by_translation(hamiltonian: OperatorMatrix, translation: OperatorMatrix,

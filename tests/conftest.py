@@ -17,8 +17,9 @@ from blochlab import (
     wannier_projector,
 )
 from blochlab.derivatives import _circulant, _momentum_column
-from blochlab.grid import _require_same_grid
-from blochlab.lattice import _BLOCK, _squared_norm
+from blochlab.grid import _integer, _require_same_grid
+from blochlab.lattice import _BLOCK, _kinetic_scale, _squared_norm
+from blochlab.spectrum import _fix_gauge, _tie_broken_order
 
 
 def momentum_matrix(grid, n, scheme="spectral"):
@@ -54,6 +55,62 @@ def fourier_coefficient(potential, h):
             c = 0.5 * complex(alpha, -beta)
             return c if h > 0 else np.conj(c)
     return 0j
+
+
+def solve_sector(grid, potential, sector, band_count, mass=1.0, hbar=1.0):
+    """Lowest ``band_count`` eigenstates of crystal momentum k_l, l = ``sector``, from
+    that sector's own P x P eigh: the per-sector route solve_bands took before it
+    stacked the N blocks, kept here only to check the stacked solve against.
+
+    Returns the energies (band_count,) and the gauge-fixed psi and u rows
+    (band_count, G) of the lowest bands.
+    """
+    sector = _integer(sector, "sector", minimum=0, maximum=grid.n_cells - 1)
+    band_count = _integer(band_count, "band_count", minimum=1, maximum=grid.points_per_cell)
+    scale = _kinetic_scale(mass, hbar)
+
+    p = grid.points_per_cell
+    n_cells = grid.n_cells
+    length, g = grid.ring_length, grid.total_points
+    m_window = np.arange(-(p // 2), p - p // 2)
+    q = (sector + n_cells * m_window + g // 2) % g - g // 2   # folded wavenumber index
+    kappa = 2.0 * np.pi * q / length
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf = NaN: rejected below
+        kinetic = np.diag(scale * kappa**2).astype(complex)
+    coeff = np.zeros(2 * p - 1, dtype=complex)
+    coeff[p - 1] = potential.constant
+    for h, alpha, beta in potential.harmonics:
+        if h < p:
+            c = 0.5 * complex(alpha, -beta)
+            coeff[p - 1 + h], coeff[p - 1 - h] = c, np.conj(c)
+    i = np.arange(p)
+    block = kinetic + coeff[i[:, None] - i[None, :] + p - 1]
+    if not np.all(np.isfinite(block)):
+        raise ValueError(f"sector {sector} block is not finite (hbar^2/2m = {scale!r})")
+
+    energies, coeffs = np.linalg.eigh(block)
+    if not np.all(np.isfinite(energies)):
+        raise ValueError(f"sector {sector} energies are not finite")
+    _tie_broken_order(energies, coeffs, q.astype(float), band_count)
+
+    cells = np.fft.ifft(np.fft.ifftshift(coeffs[:, :band_count], axes=0), axis=0)
+    cells = np.tile(cells.T * (p / np.sqrt(length)), n_cells)
+    waves = np.exp(1j * grid.wavevector(sector) * grid.points) * cells
+    _fix_gauge(waves, cells)
+    return energies[:band_count], waves, cells
+
+
+def per_sector_bands(grid, potential, band_count, mass=1.0, hbar=1.0):
+    """The band arrays filled one solve_sector column at a time: the oracle for
+    solve_bands' stacked solve, which must have its bits."""
+    band_count = _integer(band_count, "band_count", minimum=1, maximum=grid.points_per_cell)
+    energy = np.empty((band_count, grid.n_cells))
+    waves, cells = (np.empty((*energy.shape, grid.total_points), complex) for _ in range(2))
+    for l in range(grid.n_cells):
+        energy[:, l], waves[:, l], cells[:, l] = solve_sector(
+            grid, potential, l, band_count, mass=mass, hbar=hbar)
+    return BandStructure(grid, energy, waves, cells)
 
 
 def inner_product(bra, ket):

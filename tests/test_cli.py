@@ -261,14 +261,18 @@ def assert_same_files(actual, expected, names):
 def test_scan_files_match_the_public_scan_and_report(tmp_path, observable):
     # cmd_scan drops the bands and scans its own state matrix; its files must have
     # the bytes of files written from selection_scan(op, bands) and locality_report(op).
+    # A projector is resolved from its Wannier state, built here as cmd_scan builds it.
     config = write_config(tmp_path / "run.json")
     data = json.loads(config.read_text())
     data["observables"].append({"name": "shift", "kind": "translation"})
     config.write_text(json.dumps(data))
     assert main(["scan", "--config", str(config), "--observable", observable]) == 0
     run = load_config(config)
+    obs = run.observable(observable)
+    bands = solve_bands(run.grid(), run.potential(), run.bands, mass=run.mass, hbar=run.hbar)
+    site = build_wannier(bands, obs.band, obs.site) if obs.kind == "wannier_projector" else None
     write_expected_scan_files(tmp_path / "expected", run, observable,
-                              _resolve_operator(run, run.observable(observable)))
+                              _resolve_operator(run, obs, site))
     assert_same_files(tmp_path / "out", tmp_path / "expected",
                       ("scan.csv", "locality.csv", "scan_summary.json"))
 

@@ -37,12 +37,14 @@ def test_all_is_exactly_what_the_package_binds():
     ("observables", "_periodicity_defect"),
     ("superselection", "matrix_element"),
     ("spectrum", "fix_gauge"),
+    ("spectrum", "solve_sector"),
     ("dynamics", "transport_profile"),
 ])
 def test_removed_names_stay_removed(module, name):
     # Second routes to one entry of the scan table, its defect or the cell transport
     # profile, and the whole-cell shift of one wavefunction, live in the tests' conftest;
-    # the gauge fix is private to the spectrum.
+    # the gauge fix is private to the spectrum, and the per-sector solve is an oracle
+    # for the stacked one.
     assert not hasattr(importlib.import_module(f"blochlab.{module}"), name)
     assert not hasattr(blochlab, name)
 
@@ -56,3 +58,6 @@ def test_removed_operands_and_methods_stay_removed():
     assert list(inspect.signature(blochlab.cell_periodicity_defect).parameters) == ["op"]
     from blochlab.lattice import commutator_norm
     assert list(inspect.signature(commutator_norm).parameters) == ["a", "translation"]
+    # perfbench/shim.py binds solve_bands' arguments by these names.
+    assert list(inspect.signature(blochlab.solve_bands).parameters) == [
+        "grid", "potential", "band_count", "mass", "hbar"]

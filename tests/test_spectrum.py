@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,13 +19,12 @@ from blochlab import (
     build_wannier,
     classify_by_translation,
     solve_bands,
-    solve_sector,
 )
 from blochlab import spectrum
 from blochlab.derivatives import SCHEMES
 from blochlab.spectrum import _CLUSTER_RTOL, _clusters, _fix_gauge
-from conftest import (all_states, fourier_coefficient, inner_product, momentum_matrix, regauged,
-                      state_translation_defect, state_wannier)
+from conftest import (all_states, fourier_coefficient, inner_product, momentum_matrix,
+                      per_sector_bands, regauged, state_translation_defect, state_wannier)
 
 
 def free_sector_energies(grid, sector, count):
@@ -75,24 +75,31 @@ def test_weak_potential_perturbation_theory():
     # and each contributes (alpha/2)^2 over the gap.
     grid = RingGrid(8, 1.0, 32)
     alpha = 0.1 * (2.0 * np.pi) ** 2 / 2.0
-    energies, _, _ = solve_sector(grid, PotentialSpec(0.0, ((1, alpha, 0.0),)), 0, 1)
-    e0 = energies[0]
+    e0 = solve_bands(grid, PotentialSpec(0.0, ((1, alpha, 0.0),)), 1).energy[0, 0]
     predicted = -(alpha**2) / (4.0 * np.pi**2)
     assert abs(e0 - predicted) / abs(predicted) < 0.01
     assert e0 == pytest.approx(-0.09826817868971625, abs=1e-9)
 
 
-def test_solve_sector_validation(ref_grid, ref_potential):
-    with pytest.raises(ValueError):
-        solve_sector(ref_grid, ref_potential, 8, 1)
-    with pytest.raises(ValueError):
-        solve_sector(ref_grid, ref_potential, -1, 1)
-    with pytest.raises(ValueError):
-        solve_sector(ref_grid, ref_potential, 0, 0)
-    with pytest.raises(ValueError):
-        solve_sector(ref_grid, ref_potential, 0, 33)
-    with pytest.raises(ValueError):
-        solve_sector(ref_grid, ref_potential, 0, 1, mass=-2.0)
+def test_solve_bands_validation(ref_grid, ref_potential):
+    for band_count in (0, 33, 1.5, True):
+        with pytest.raises(ValueError, match="band_count"):
+            solve_bands(ref_grid, ref_potential, band_count)
+    with pytest.raises(ValueError, match="mass must be positive and finite"):
+        solve_bands(ref_grid, ref_potential, 1, mass=-2.0)
+    with pytest.raises(ValueError, match="hbar\\^2/2m overflows"):
+        solve_bands(ref_grid, ref_potential, 1, hbar=1e200)
+
+
+def test_a_non_finite_block_names_its_first_sector():
+    # N = 4, P = 9: the folded windows reach |q| = 16, 17, 18, 17 in sectors 0..3.  With
+    # L = 7.7e-153, kappa^2 = (2 pi q / L)^2 is finite at |q| = 16 and overflows from
+    # |q| = 17, so sector 0's block is finite and sectors 1..3 fail: the message names 1.
+    grid = RingGrid(4, 7.7e-153 / 4, 9)
+    message = r"^sector 1 block is not finite \(hbar\^2/2m = 0\.5\)$"
+    for solve in (solve_bands, per_sector_bands):
+        with pytest.raises(ValueError, match=message):
+            solve(grid, PotentialSpec(), 1)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
@@ -100,8 +107,6 @@ def test_mass_and_hbar_must_be_positive_and_finite(ref_grid, ref_potential, bad)
     # hbar enters the sector solve only squared, so a negative hbar used to
     # return the hbar = +1 energies and hbar = 0 dropped the kinetic term.
     for name in ("mass", "hbar"):
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            solve_sector(ref_grid, ref_potential, 0, 1, **{name: bad})
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             solve_bands(ref_grid, ref_potential, 1, **{name: bad})
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
@@ -113,7 +118,8 @@ def test_mass_and_hbar_must_be_positive_and_finite(ref_grid, ref_potential, bad)
 def test_zone_edge_degeneracy_resolved_deterministically(ref_grid):
     # Free particle, sector N/2: bands 0 and 1 are exactly degenerate plane
     # waves q = +-4.  The tie-break puts +4 first, both runs identical.
-    energies, waves, _ = solve_sector(ref_grid, PotentialSpec(), 4, 2)
+    bands = solve_bands(ref_grid, PotentialSpec(), 2)
+    energies, waves = bands.energy[:, 4], bands.waves[:, 4]
     assert energies[0] == pytest.approx(energies[1], rel=1e-12)
     x = ref_grid.points
     for band, q in enumerate((4, -4)):
@@ -123,9 +129,8 @@ def test_zone_edge_degeneracy_resolved_deterministically(ref_grid):
         )
         overlap = abs(inner_product(wave, WaveFunction(ref_grid, waves[band])))
         assert overlap == pytest.approx(1.0, abs=1e-10)
-    _, again, _ = solve_sector(ref_grid, PotentialSpec(), 4, 2)
-    for a, b in zip(waves, again, strict=True):
-        assert np.array_equal(a, b)
+    again = solve_bands(ref_grid, PotentialSpec(), 2)
+    assert again.waves.tobytes() == bands.waves.tobytes()
 
 
 def test_fix_gauge_idempotent_and_quotient(ref_bands, rng):
@@ -309,19 +314,20 @@ def exponential_table_states(grid, sector, energies, coeffs, band_count):
     return energies[:band_count], waves, cells
 
 
-def solve_sector_and_coefficients(grid, potential, sector, band_count):
-    """solve_sector's (energies, psi, u) plus the sector eigenpairs it synthesized them from."""
+def solve_sector_and_coefficients(grid, potential, band_count):
+    """solve_bands' band structure plus, for each sector l in order, the eigenpairs
+    (energies, coefficients) it synthesized column l from, as the tie-break left them."""
     captured = []
     tie_broken_order = spectrum._tie_broken_order
 
     def recording(energies, vectors, *args):
         tie_broken_order(energies, vectors, *args)
-        captured.append((energies, vectors))
+        captured.append((energies.copy(), vectors.copy()))
 
     with mock.patch.object(spectrum, "_tie_broken_order", recording):
-        solved = solve_sector(grid, potential, sector, band_count)
-    energies, coeffs = captured[0]
-    return solved, energies, coeffs
+        solved = solve_bands(grid, potential, band_count)
+    assert len(captured) == grid.n_cells
+    return solved, captured
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,9 +338,9 @@ def test_one_cell_synthesis_matches_the_exponential_table(n_cells, points, ampli
     potential = PotentialSpec(0.0, ((1, amplitude, 0.4 * amplitude),
                                     (3, -0.7 * amplitude, 0.2 * amplitude)))
     band_count = data.draw(st.integers(1, points))
-    for sector in range(n_cells):
-        solved, energies, coeffs = solve_sector_and_coefficients(
-            grid, potential, sector, band_count)
+    bands, captured = solve_sector_and_coefficients(grid, potential, band_count)
+    for sector, (energies, coeffs) in enumerate(captured):
+        solved = (bands.energy[:, sector], bands.waves[:, sector], bands.cells[:, sector])
         oracle = exponential_table_states(grid, sector, energies, coeffs, band_count)
         for energy, psi, u, ref_energy, ref_psi, _ in zip(*solved, *oracle, strict=True):
             assert energy == ref_energy
@@ -494,9 +500,10 @@ def scipy_toeplitz_sector_block(grid, potential, sector):
 ], ids=["reference", "sine_harmonics", "odd_folded"])
 def test_sector_solve_matches_the_toeplitz_oracle(grid, potential):
     p = grid.points_per_cell
+    bands = solve_bands(grid, potential, p)
     for sector in range(grid.n_cells):
         block, kappa = scipy_toeplitz_sector_block(grid, potential, sector)
-        energies, waves, _ = solve_sector(grid, potential, sector, p)
+        energies, waves = bands.energy[:, sector], bands.waves[:, sector]
         assert np.array_equal(energies, np.linalg.eigh(block)[0])
         # Equal energies do not fix the orientation of the Toeplitz block:
         # its transpose has the same spectrum.  The plane-wave coefficients
@@ -660,6 +667,62 @@ def test_solver_states_match_a_full_tie_break(n_cells, points, amplitude, band_c
     with mock.patch.object(spectrum, "_tie_broken_order", full_tie_broken_order):
         oracle = solve_bands(grid, potential, band_count)
     assert_same_bytes(solved, oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 12), st.integers(8, 40),
+       st.sampled_from([0.0, 1e-7, 1e-3, 0.5, 2.0]), st.floats(0.0, 2.0 * np.pi),
+       st.floats(0.5, 2.0).filter(lambda x: x != 1.0),
+       st.floats(0.5, 2.0).filter(lambda x: x != 1.0), st.integers(1, 40))
+@example(8, 256, 0.5, 0.3, 0.7, 1.3, 4)
+def test_stacked_solve_has_the_per_sector_bits(n_cells, points, amplitude, angle, mass, hbar,
+                                               band_count):
+    # One eigh of the (N, P, P) stack, one FFT and one gauge pass must give every
+    # column the bits of that sector's own solve, psi and u included.
+    grid = RingGrid(n_cells, 1.0, points)
+    potential = PotentialSpec(0.1 * amplitude, (
+        (1, amplitude * np.cos(angle), amplitude * np.sin(angle)),
+        (2, -0.7 * amplitude, 0.0),
+        (5, 0.3 * amplitude, -0.2 * amplitude),
+        (9, 0.2 * amplitude, 0.1 * amplitude)))   # h >= P at P = 8, 9: left out of the table
+    assume(band_count <= points)
+    solved = solve_bands(grid, potential, band_count, mass=mass, hbar=hbar)
+    assert_same_bytes(solved, per_sector_bands(grid, potential, band_count, mass=mass, hbar=hbar))
+
+
+def test_stacked_solve_frees_its_stack_before_the_tie_break(monkeypatch, traced_peak):
+    # 8 x 256 with 4 bands: the stack and its eigenvectors are two (N, P, P) complex
+    # arrays of 8 MiB each, the band arrays psi and u (B, N, G) 1 MiB each.  From the
+    # first tie-break on only the eigenvectors may stay beside the band arrays: a stack
+    # held through the tie-break and the synthesis adds 8 MiB there.
+    grid, band_count = RingGrid(8, 1.0, 256), 4
+    potential = PotentialSpec(0.0, ((1, 2.0, 0.5), (2, -0.3, 0.0)))
+    stack = grid.n_cells * grid.points_per_cell**2 * 16
+    band_arrays = 2 * band_count * grid.n_cells * grid.total_points * 16
+    eigh, tie_broken_order = np.linalg.eigh, spectrum._tie_broken_order
+    shapes, before_tie_break = [], []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def first_resets(*args):
+        if not before_tie_break:
+            before_tie_break.append(peak())
+            tracemalloc.reset_peak()
+        tie_broken_order(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(spectrum, "_tie_broken_order", first_resets)
+    with traced_peak() as peak:
+        bands = solve_bands(grid, potential, band_count)
+        after = peak()
+    assert bands.band_count == band_count
+    # One stacked eigh; any other is a tie-break's cluster block.
+    assert shapes[0] == (grid.n_cells, grid.points_per_cell, grid.points_per_cell)
+    assert all(len(shape) == 2 for shape in shapes[1:])
+    assert max(before_tie_break[0], after) <= 1.1 * (2 * stack + band_arrays)
+    assert after <= 1.1 * (stack + band_arrays)
 
 
 def test_classifier_commutator_bound_is_relative(ref_grid, ref_translation):
