@@ -20,7 +20,6 @@ from .lattice import (
 )
 from .spectrum import (
     BandStructure,
-    BlochState,
     classify_by_translation,
     solve_bands,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "build_hamiltonian",
     "build_translation",
     "BandStructure",
-    "BlochState",
     "classify_by_translation",
     "solve_bands",
     "build_wannier",

@@ -27,9 +27,11 @@ through ``grid._number`` or ``grid._integer``, and the lattice, the potential an
 series' terms are built as :class:`RingGrid`, :class:`PotentialSpec` and
 :class:`LocalObservableSeries`, whose checks name the field they reject.  This module
 adds only what JSON and the run file add: object shape with unknown and missing keys,
-lists, booleans, names and choices, and the rules that relate keys (bands <= P,
+lists, booleans, names and choices, the rules that relate keys (bands <= P,
 band < bands, cells < N, perturbation names, distinct observable names, target !=
-source).  A failure at a key raises :class:`ConfigError` as "config key 'PATH': problem".
+source), and two distinct times among two or more epsilons, which the fits in
+``dynamics`` also require.  A failure at a key raises :class:`ConfigError` as
+"config key 'PATH': problem".
 """
 
 from __future__ import annotations
@@ -203,7 +205,10 @@ class RunConfig:
 
 def _parse_epsilons(raw, path: str) -> tuple[float, ...]:
     raw = _as_list(raw, path, non_empty=True)
-    return tuple(_number(e, f"{path}[{i}]", positive=True) for i, e in enumerate(raw))
+    eps = tuple(_number(e, f"{path}[{i}]", positive=True) for i, e in enumerate(raw))
+    if len(set(eps)) < 2 <= len(eps):
+        _fail(path, "must hold two or more distinct times when more than one is given")
+    return eps
 
 
 def _parse_perturbation(raw, path: str, names: set[str]) -> str | None:

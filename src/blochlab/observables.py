@@ -103,10 +103,13 @@ class LocalityReport:
 
     def bandwidth_mass(self, width: float) -> float:
         """Mass fraction within physical ring distance <= width."""
-        if _number(width, "width") < 0.0:
+        width = _number(width, "width")
+        if width < 0.0:
             raise ValueError(f"width must be >= 0, got {width!r}")
-        w = int(np.floor(width / self.grid.spacing + 1e-12))
-        return float(self.cumulative[min(w, self.grid.total_points // 2)])
+        # Clamped before int(), which floors the positive quotient: width / spacing
+        # overflows to inf for a finite width near 1e308.
+        w = min(width / self.grid.spacing + 1e-12, self.grid.total_points // 2)
+        return float(self.cumulative[int(w)])
 
     def locality_width(self, threshold: float = 0.99) -> float:
         """Smallest physical width holding at least ``threshold`` of the mass."""

@@ -24,31 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RingGrid, WaveFunction, _integer, _require_same_grid
+from .grid import RingGrid, _integer, _require_same_grid
 from .lattice import (OperatorMatrix, PotentialSpec, _commutator_slabs, _kinetic_scale,
                       _require_hermitian, is_one_cell_shift)
 
 # Relative spectral-gap threshold below which eigh ordering inside a
 # degenerate cluster is not trustworthy and a deterministic rule takes over.
 _CLUSTER_RTOL = 1e-9
-
-
-@dataclass
-class BlochState:
-    """One band eigenstate: band n, counted from 0 upward in energy within its sector
-    l in {0..N-1} (translation eigenvalue exp(+i k_l a)), its energy, the normalized
-    wave psi = u(x) exp(i k_l x) and its cell-periodic factor u(x) = psi(x) exp(-i k_l x).
-    :meth:`BandStructure.state` builds one on demand from the band arrays."""
-
-    band: int
-    sector: int
-    energy: float
-    wavefunction: WaveFunction
-    cell_part: WaveFunction
-
-    @property
-    def wavevector(self) -> float:
-        return self.wavefunction.grid.wavevector(self.sector)
 
 
 def _fix_gauge(waves: np.ndarray, cells: np.ndarray) -> None:
@@ -118,7 +100,7 @@ class BandStructure:
     ``energy`` has shape (band_count, N); ``waves`` holds psi_{n l} and ``cells``
     its cell-periodic part u_{n l} = psi_{n l} exp(-i k_l x), each of shape
     (band_count, N, G).  Both routes fill them C-contiguous: one row per state.
-    The library reads the rows; :meth:`state` builds a :class:`BlochState` on demand.
+    The library reads the rows.
     """
 
     grid: RingGrid
@@ -142,14 +124,6 @@ class BandStructure:
     @property
     def n_cells(self) -> int:
         return self.grid.n_cells
-
-    def state(self, band: int, sector: int) -> BlochState:
-        """State of ``band`` in [0, band_count); the integer ``sector`` is taken mod N."""
-        band = _integer(band, "band", minimum=0, maximum=self.band_count - 1)
-        l = _integer(sector, "sector") % self.grid.n_cells
-        return BlochState(band, l, float(self.energy[band, l]),
-                          WaveFunction(self.grid, self.waves[band, l]),
-                          WaveFunction(self.grid, self.cells[band, l]))
 
     def energies(self) -> np.ndarray:
         """Array of shape (band_count, N) of eigenvalues."""

@@ -1,5 +1,6 @@
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -151,18 +152,45 @@ def regauged(bands, phases):
     return BandStructure(bands.grid, bands.energies(), factor * bands.waves, factor * bands.cells)
 
 
+@dataclass
+class BlochState:
+    """One band eigenstate: band n, counted from 0 upward in energy within its sector
+    l in {0..N-1} (translation eigenvalue exp(+i k_l a)), its energy, the normalized
+    wave psi = u(x) exp(i k_l x) and its cell-periodic factor u(x) = psi(x) exp(-i k_l x)."""
+
+    band: int
+    sector: int
+    energy: float
+    wavefunction: WaveFunction
+    cell_part: WaveFunction
+
+    @property
+    def wavevector(self):
+        return self.wavefunction.grid.wavevector(self.sector)
+
+
+def state(bands, band, sector):
+    """Row (band, sector mod N) of ``bands`` as a BlochState record: the per-state view
+    BandStructure.state gave before the library read the band rows only, kept here to
+    check the rows against."""
+    l = sector % bands.n_cells
+    return BlochState(band, l, float(bands.energy[band, l]),
+                      WaveFunction(bands.grid, bands.waves[band, l]),
+                      WaveFunction(bands.grid, bands.cells[band, l]))
+
+
 def all_states(bands):
     """Every state of ``bands`` as a BlochState record, in band-major order."""
-    return [bands.state(n, l) for n in range(bands.band_count) for l in range(bands.n_cells)]
+    return [state(bands, n, l) for n in range(bands.band_count) for l in range(bands.n_cells)]
 
 
 def state_translation_defect(bands):
     """BandStructure.translation_defect one state at a time: the largest norm of
     T_a psi - exp(+i k_l a) psi, each difference a WaveFunction of its own."""
     grid, worst = bands.grid, 0.0
-    for state in all_states(bands):
-        expected = np.exp(1j * state.wavevector * grid.cell_length)
-        psi = state.wavefunction.samples
+    for bloch in all_states(bands):
+        expected = np.exp(1j * bloch.wavevector * grid.cell_length)
+        psi = bloch.wavefunction.samples
         diff = WaveFunction(grid, np.roll(psi, -grid.points_per_cell) - expected * psi)
         worst = max(worst, diff.norm())
     return worst
@@ -174,8 +202,8 @@ def state_wannier(bands, band, site):
     acc = np.zeros(grid.total_points, dtype=complex)
     shift = site * grid.cell_length
     for l in range(grid.n_cells):
-        state = bands.state(band, l)
-        acc += np.exp(-1j * state.wavevector * shift) * state.wavefunction.samples
+        bloch = state(bands, band, l)
+        acc += np.exp(-1j * bloch.wavevector * shift) * bloch.wavefunction.samples
     return WaveFunction(grid, acc / np.sqrt(grid.n_cells))
 
 

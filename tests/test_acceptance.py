@@ -27,7 +27,7 @@ from blochlab import (
 )
 from blochlab.dynamics import first_order_error_exponent
 from blochlab.grid import WaveFunction
-from conftest import inner_product, matrix_element, momentum_matrix, regauged
+from conftest import inner_product, matrix_element, momentum_matrix, regauged, state
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:
@@ -77,7 +77,7 @@ def test_criterion_3_interference_moduli_in_any_gauge(ref_bands):
         projector = wannier_projector(build_wannier(bands, 0, 0))
         for i in range(8):
             for ip in range(8):
-                el = matrix_element(projector, bands.state(0, i), bands.state(0, ip))
+                el = matrix_element(projector, state(bands, 0, i), state(bands, 0, ip))
                 worst = max(worst, abs(abs(el) - 0.125))
     ok = worst <= 1e-8
     assert verdict(
@@ -107,7 +107,7 @@ def test_criterion_5_winding_numbers_of_band_zero(ref_grid):
     outcomes = []
     all_ok = True
     for l in range(8):
-        result = winding_number(bands.state(0, l).wavefunction)
+        result = winding_number(state(bands, 0, l).wavefunction)
         # "Equal to l" with the Brillouin-zone wrap: l or l - N.
         good = result.defined and result.value % 8 == l
         all_ok = all_ok and good
@@ -205,8 +205,8 @@ def test_criterion_8_independent_oracles_agree(
     overlap_gap = 0.0
     for n in range(4):
         for l in range(8):
-            ov = abs(inner_product(ref_bands.state(n, l).wavefunction,
-                                   classified.state(n, l).wavefunction))
+            ov = abs(inner_product(state(ref_bands, n, l).wavefunction,
+                                   state(classified, n, l).wavefunction))
             overlap_gap = max(overlap_gap, abs(ov - 1.0))
 
     free = solve_bands(ref_grid, PotentialSpec(), 4)

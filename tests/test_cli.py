@@ -617,6 +617,18 @@ def test_propagate_without_dynamics_exits_2(tmp_path, capsys):
     assert "dynamics" in capsys.readouterr().err
 
 
+def test_propagate_with_one_repeated_epsilon_exits_2(tmp_path, capsys):
+    # Three equal times give the fits one sample: a bad run file, not a fit.
+    config = write_config(tmp_path / "run.json")
+    data = json.loads(config.read_text())
+    data["dynamics"]["epsilons"] = [1e-4, 1e-4, 1e-4]
+    config.write_text(json.dumps(data))
+    assert main(["propagate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dynamics.epsilons" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path / "run.json")
 

@@ -125,6 +125,9 @@ def test_errors_name_the_offending_key(mutate, expected_key):
                      "dynamics.epsilons[0]", id="huge-epsilon"),
         pytest.param(lambda d: d["dynamics"].__setitem__("target_cell", 6),
                      "dynamics.target_cell", id="target-equals-source"),
+        pytest.param(lambda d: d["dynamics"].__setitem__("epsilons", [1e-4, 1e-4]),
+                     "dynamics.epsilons': must hold two or more distinct times",
+                     id="repeated-epsilon"),
     ],
 )
 def test_observable_and_dynamics_errors_name_keys(mutate, expected_key):

@@ -209,6 +209,16 @@ def test_error_exponent_sweep_validation(h_m, distant_pair, capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_fits_refuse_a_sweep_of_one_repeated_time(h_m, distant_pair, capfd):
+    # Three equal times are one sample: the fits would be rank deficient.
+    y, z = distant_pair
+    experiment = PropagationExperiment(h_m, source=z, target=y)
+    for fit in (linear_response_slope, first_order_error_exponent):
+        with pytest.raises(ValueError, match="two or more distinct times"):
+            fit(experiment, np.array([1e-4, 1e-4, 1e-4]))
+    assert capfd.readouterr().err == ""
+
+
 def test_exact_amplitude_rejects_nonfinite_time(banded_hamiltonian):
     experiment = PropagationExperiment(banded_hamiltonian, source=0, target=1)
     with pytest.raises(ValueError):

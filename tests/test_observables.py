@@ -21,7 +21,7 @@ from blochlab.derivatives import SCHEMES
 from blochlab import lattice, observables
 from blochlab.lattice import OperatorMatrix, _add_hamiltonian, _frobenius_norm
 from blochlab.observables import _harmonic_profiles
-from conftest import apply_kernel, momentum_matrix
+from conftest import apply_kernel, momentum_matrix, state
 
 
 def test_series_validation():
@@ -318,6 +318,15 @@ def test_bandwidth_mass_width_validation(site0_projector):
             report.bandwidth_mass(width)
 
 
+def test_bandwidth_mass_of_a_huge_finite_width_is_the_whole_mass(site0_projector):
+    # Half the ring (L/2 = 4) or more holds all the mass.  At 1e308 width / spacing
+    # overflows to inf, which must be clamped before it becomes an index.
+    report = locality_report(site0_projector)
+    for width in (4.0, 1e308, np.finfo(float).max):
+        assert report.bandwidth_mass(width) == report.cumulative[-1]
+    assert report.cumulative[-1] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_locality_width_threshold_validation(ref_grid, site0_projector):
     report = locality_report(site0_projector)
     with pytest.raises(ValueError):
@@ -360,8 +369,8 @@ def test_apply_kernel_identity_and_diagonal(ref_grid, rng):
 def test_apply_site_projector_to_bloch_state(ref_bands, site0_projector, ref_grid):
     # P_{W} psi_{0 l} = <W|psi> W = exp(+i k_l M a) W / sqrt(N); M = 0 here.
     for l in (0, 3, 6):
-        state = ref_bands.state(0, l)
-        out = apply_kernel(site0_projector, state.wavefunction)
+        bloch = state(ref_bands, 0, l)
+        out = apply_kernel(site0_projector, bloch.wavefunction)
         w = build_wannier(ref_bands, 0, 0).samples
         assert np.max(np.abs(out.samples - w / np.sqrt(8))) < 1e-8
 

@@ -4,6 +4,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blochlab
@@ -38,13 +39,14 @@ def test_all_is_exactly_what_the_package_binds():
     ("superselection", "matrix_element"),
     ("spectrum", "fix_gauge"),
     ("spectrum", "solve_sector"),
+    ("spectrum", "BlochState"),
     ("dynamics", "transport_profile"),
 ])
 def test_removed_names_stay_removed(module, name):
     # Second routes to one entry of the scan table, its defect or the cell transport
     # profile, and the whole-cell shift of one wavefunction, live in the tests' conftest;
-    # the gauge fix is private to the spectrum, and the per-sector solve is an oracle
-    # for the stacked one.
+    # the gauge fix is private to the spectrum, the per-sector solve is an oracle
+    # for the stacked one, and the per-state record is an oracle view of the band rows.
     assert not hasattr(importlib.import_module(f"blochlab.{module}"), name)
     assert not hasattr(blochlab, name)
 
@@ -52,6 +54,7 @@ def test_removed_names_stay_removed(module, name):
 def test_removed_operands_and_methods_stay_removed():
     assert not hasattr(blochlab.BandStructure, "regauged")
     assert not hasattr(blochlab.BandStructure, "all_states")
+    assert not hasattr(blochlab.BandStructure, "state")
     fields = [field.name for field in dataclasses.fields(blochlab.BandStructure)]
     assert fields == ["grid", "energy", "waves", "cells"]
     assert list(inspect.signature(blochlab.winding_number).parameters) == ["psi"]
@@ -61,3 +64,16 @@ def test_removed_operands_and_methods_stay_removed():
     # perfbench/shim.py binds solve_bands' arguments by these names.
     assert list(inspect.signature(blochlab.solve_bands).parameters) == [
         "grid", "potential", "band_count", "mass", "hbar"]
+
+
+def test_readme_quick_start_runs_as_its_comments_say(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert float(printed[0]) == pytest.approx(np.sqrt(2), abs=1e-12)   # ~1.41
+    assert np.allclose(namespace["scan"].moduli()[0, :, 0, :], 0.125, rtol=0, atol=1e-14)
+    assert float(printed[-2]) < 100 * np.finfo(float).eps              # roundoff
+    assert printed[-1] == "3"

@@ -24,7 +24,8 @@ from blochlab import spectrum
 from blochlab.derivatives import SCHEMES
 from blochlab.spectrum import _CLUSTER_RTOL, _clusters, _fix_gauge
 from conftest import (all_states, fourier_coefficient, inner_product, momentum_matrix,
-                      per_sector_bands, regauged, state_translation_defect, state_wannier)
+                      per_sector_bands, regauged, state, state_translation_defect,
+                      state_wannier)
 
 
 def free_sector_energies(grid, sector, count):
@@ -58,7 +59,7 @@ def test_reference_band_structure_invariants(ref_bands):
 
 def test_reference_ground_state_energy(ref_bands):
     # Frozen regression for the reference configuration.
-    assert ref_bands.state(0, 0).energy == pytest.approx(-0.1008703635776808, abs=1e-9)
+    assert state(ref_bands, 0, 0).energy == pytest.approx(-0.1008703635776808, abs=1e-9)
 
 
 def test_band_energies_sorted_within_sector(ref_bands):
@@ -177,8 +178,8 @@ def test_classifier_matches_sector_solver(ref_bands, ref_hamiltonian, ref_transl
     assert np.max(np.abs(classified.energies() - ref_bands.energies())) < 1e-8
     for n in range(4):
         for l in range(8):
-            a = ref_bands.state(n, l).wavefunction
-            b = classified.state(n, l).wavefunction
+            a = state(ref_bands, n, l).wavefunction
+            b = state(classified, n, l).wavefunction
             assert abs(inner_product(a, b)) == pytest.approx(1.0, abs=1e-8)
             # With both gauges fixed the samples themselves agree.
             assert np.max(np.abs(a.samples - b.samples)) < 1e-6
@@ -242,32 +243,18 @@ def same_state(a, b):
 
 
 def test_state_indexing_wraps_sectors(ref_bands):
-    # state() builds a record on demand, so a wrapped sector reads the same row.
-    assert same_state(ref_bands.state(0, 8), ref_bands.state(0, 0))
-    assert same_state(ref_bands.state(2, -1), ref_bands.state(2, 7))
-
-
-def test_state_rejects_a_band_outside_the_table(ref_bands):
-    # Python indexing would wrap band -1 to the last band.
-    for band in (-1, 4):
-        with pytest.raises(ValueError, match="band must lie in"):
-            ref_bands.state(band, 0)
-
-
-@pytest.mark.parametrize("sector", [True, 2.0, "1"])
-def test_state_rejects_a_sector_that_is_not_an_integer(ref_bands, sector):
-    # A bool would read as sector 1, a float would fail indexing, a str the modulo.
-    with pytest.raises(ValueError, match="sector must be an integer"):
-        ref_bands.state(0, sector)
+    # The oracle builds a record on demand, so a wrapped sector reads the same row.
+    assert same_state(state(ref_bands, 0, 8), state(ref_bands, 0, 0))
+    assert same_state(state(ref_bands, 2, -1), state(ref_bands, 2, 7))
 
 
 def test_state_matrix_is_a_copy_the_caller_may_overwrite(ref_bands):
     # The scan conjugates the state matrix in place; the band table must not move.
-    before = [ref_bands.state(n, l) for n in range(4) for l in range(8)]
+    before = [state(ref_bands, n, l) for n in range(4) for l in range(8)]
     m = ref_bands.state_matrix()
     assert m.flags.c_contiguous and m.shape == (256, 32)
     np.conj(m, out=m)
-    after = [ref_bands.state(n, l) for n in range(4) for l in range(8)]
+    after = [state(ref_bands, n, l) for n in range(4) for l in range(8)]
     assert all(same_state(a, b) for a, b in zip(before, after, strict=True))
     assert np.array_equal(m.conj(), ref_bands.state_matrix())
 
@@ -291,10 +278,10 @@ def test_band_structure_rejects_misshaped_and_nonfinite_arrays(ref_bands, ref_gr
 
 
 def test_cell_part_definition(ref_bands, ref_grid):
-    state = ref_bands.state(1, 5)
-    phase = np.exp(1j * state.wavevector * ref_grid.points)
-    rebuilt = state.cell_part.samples * phase
-    assert np.max(np.abs(rebuilt - state.wavefunction.samples)) < 1e-12
+    bloch = state(ref_bands, 1, 5)
+    phase = np.exp(1j * bloch.wavevector * ref_grid.points)
+    rebuilt = bloch.cell_part.samples * phase
+    assert np.max(np.abs(rebuilt - bloch.wavefunction.samples)) < 1e-12
 
 
 def exponential_table_states(grid, sector, energies, coeffs, band_count):
@@ -399,10 +386,10 @@ def schur_classifier_oracle(hamiltonian, translation, band_count):
 def test_classifier_matches_the_dense_translation_oracle(ref_grid, ref_translation, amplitude):
     h = build_hamiltonian(ref_grid, PotentialSpec(0.0, ((1, amplitude, 0.0),)))
     classified = classify_by_translation(h, ref_translation, 4)
-    for state in all_states(classified):
-        psi = state.wavefunction.samples
+    for bloch in all_states(classified):
+        psi = bloch.wavefunction.samples
         lam = ref_grid.spacing * (psi.conj() @ ref_translation.entries @ psi)
-        assert abs(lam - np.exp(2j * np.pi * state.sector / 8)) < 1e-10
+        assert abs(lam - np.exp(2j * np.pi * bloch.sector / 8)) < 1e-10
     oracle = schur_classifier_oracle(h, ref_translation, 4)
     assert np.max(np.abs(classified.energies() - oracle.energies())) < 1e-10
 
@@ -423,11 +410,11 @@ def assert_classifier_matches_the_schur_oracle(hamiltonian, band_count, solved=N
     for reference in (oracle, solved or oracle):
         assert np.max(np.abs(classified.energies() - reference.energies())) <= 1e-12 * scale
     assert classified.orthonormality_defect() <= 1e-12
-    for state, expected in zip(all_states(classified), all_states(oracle), strict=True):
-        assert (state.band, state.sector) == (expected.band, expected.sector)
-        psi = state.wavefunction.samples
+    for bloch, expected in zip(all_states(classified), all_states(oracle), strict=True):
+        assert (bloch.band, bloch.sector) == (expected.band, expected.sector)
+        psi = bloch.wavefunction.samples
         lam = grid.spacing * np.vdot(psi, np.roll(psi, -grid.points_per_cell))
-        assert abs(lam - np.exp(1j * state.wavevector * grid.cell_length)) <= 1e-10
+        assert abs(lam - np.exp(1j * bloch.wavevector * grid.cell_length)) <= 1e-10
     return classified
 
 

@@ -16,7 +16,7 @@ from blochlab import (
     winding_number,
 )
 from blochlab.superselection import SelectionScan, _scan
-from conftest import matrix_element, one_gemm_table
+from conftest import matrix_element, one_gemm_table, state
 
 
 def ring_wave(grid, winding, envelope=None):
@@ -44,14 +44,14 @@ def test_sector_reductions_match_the_broadcast_formulas(n, b, rng):
 def test_matrix_element_reproduces_energies(ref_bands, ref_hamiltonian):
     for n in range(4):
         for l in range(8):
-            state = ref_bands.state(n, l)
-            el = matrix_element(ref_hamiltonian, state, state)
-            assert el.real == pytest.approx(state.energy, abs=1e-8)
+            bloch = state(ref_bands, n, l)
+            el = matrix_element(ref_hamiltonian, bloch, bloch)
+            assert el.real == pytest.approx(bloch.energy, abs=1e-8)
             assert abs(el.imag) < 1e-10
 
 
 def test_matrix_element_vanishes_between_bands(ref_bands, ref_hamiltonian):
-    el = matrix_element(ref_hamiltonian, ref_bands.state(0, 2), ref_bands.state(1, 2))
+    el = matrix_element(ref_hamiltonian, state(ref_bands, 0, 2), state(ref_bands, 1, 2))
     assert abs(el) < 1e-10
 
 
@@ -63,7 +63,7 @@ def test_scan_of_hamiltonian_is_diagonal(ref_bands, ref_hamiltonian):
     for n in range(4):
         for l in range(8):
             assert scan.table[n, l, n, l].real == pytest.approx(
-                ref_bands.state(n, l).energy, abs=1e-8
+                state(ref_bands, n, l).energy, abs=1e-8
             )
 
 
@@ -94,7 +94,7 @@ def test_scan_of_ring_harmonic_couples_adjacent_sectors(ref_grid, ref_bands):
 def test_scan_moduli_table_matches_elementwise(ref_bands, site0_projector):
     scan = selection_scan(site0_projector, ref_bands)
     for n, l, np_, lp in ((0, 0, 0, 5), (0, 3, 1, 3), (2, 1, 0, 6)):
-        direct = matrix_element(site0_projector, ref_bands.state(n, l), ref_bands.state(np_, lp))
+        direct = matrix_element(site0_projector, state(ref_bands, n, l), state(ref_bands, np_, lp))
         assert scan.table[n, l, np_, lp] == pytest.approx(direct, abs=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_scan_raises_on_theorem_violation(ref_grid, ref_potential, ref_hamiltoni
     bands = solve_bands(ref_grid, ref_potential, 2)
     mixed = WaveFunction(
         ref_grid,
-        (bands.state(0, 1).wavefunction.samples + bands.state(0, 2).wavefunction.samples)
+        (state(bands, 0, 1).wavefunction.samples + state(bands, 0, 2).wavefunction.samples)
         / np.sqrt(2.0),
     )
     waves = bands.waves.copy()
@@ -199,11 +199,11 @@ def test_band0_windings_track_sector_with_zone_edge_exception(ref_grid):
     bands = solve_bands(ref_grid, PotentialSpec(0.0, ((1, 0.5, 0.0),)), 1)
     expected = {0: 0, 1: 1, 2: 2, 3: 3, 5: -3, 6: -2, 7: -1}
     for l, want in expected.items():
-        result = winding_number(bands.state(0, l).wavefunction)
+        result = winding_number(state(bands, 0, l).wavefunction)
         assert result.defined, f"sector {l} unexpectedly undefined"
         assert result.value == want
         assert result.min_modulus > 0.3
-    edge = winding_number(bands.state(0, 4).wavefunction)
+    edge = winding_number(state(bands, 0, 4).wavefunction)
     assert not edge.defined
     assert edge.min_modulus < 1e-12
 

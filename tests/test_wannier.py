@@ -7,7 +7,7 @@ from blochlab import (
     cell_probability,
     wannier_projector,
 )
-from conftest import inner_product, matrix_element, regauged, translate_by_cells
+from conftest import inner_product, matrix_element, regauged, state, translate_by_cells
 
 
 def test_wannier_is_normalized(ref_bands):
@@ -21,9 +21,9 @@ def test_wannier_bloch_coefficients(ref_bands, ref_grid):
     site = 3
     w = build_wannier(ref_bands, 0, site)
     for l in range(8):
-        state = ref_bands.state(0, l)
-        coeff = inner_product(state.wavefunction, w)
-        expected = np.exp(-1j * state.wavevector * site * ref_grid.cell_length) / np.sqrt(8)
+        bloch = state(ref_bands, 0, l)
+        coeff = inner_product(bloch.wavefunction, w)
+        expected = np.exp(-1j * bloch.wavevector * site * ref_grid.cell_length) / np.sqrt(8)
         assert abs(coeff - expected) < 1e-12
 
 
@@ -52,7 +52,7 @@ def test_wannier_band_resolution(ref_bands):
         w = build_wannier(ref_bands, 1, m).samples
         site_sum += np.outer(w, w.conj())
     for l in range(8):
-        psi = ref_bands.state(1, l).wavefunction.samples
+        psi = state(ref_bands, 1, l).wavefunction.samples
         sector_sum += np.outer(psi, psi.conj())
     assert np.max(np.abs(site_sum - sector_sum)) < 1e-10
 
@@ -89,14 +89,14 @@ def test_projector_same_band_moduli_equal_inverse_cell_count(ref_bands, site0_pr
     # band every matrix element has modulus exactly 1/N, sectors mixed or not.
     for l in range(8):
         for lp in range(8):
-            el = matrix_element(site0_projector, ref_bands.state(0, l), ref_bands.state(0, lp))
+            el = matrix_element(site0_projector, state(ref_bands, 0, l), state(ref_bands, 0, lp))
             assert abs(abs(el) - 0.125) < 1e-10
 
 
 def test_projector_annihilates_other_bands(ref_bands, site0_projector):
     for n in (1, 2, 3):
         for l in range(8):
-            el = matrix_element(site0_projector, ref_bands.state(n, l), ref_bands.state(n, l))
+            el = matrix_element(site0_projector, state(ref_bands, n, l), state(ref_bands, n, l))
             assert abs(el) < 1e-10
 
 
@@ -105,7 +105,7 @@ def test_projector_moduli_survive_regauging(ref_bands, rng):
     proj = wannier_projector(build_wannier(rotated, 0, 0))
     for l in range(8):
         for lp in range(8):
-            el = matrix_element(proj, rotated.state(0, l), rotated.state(0, lp))
+            el = matrix_element(proj, state(rotated, 0, l), state(rotated, 0, lp))
             assert abs(abs(el) - 0.125) < 1e-10
 
 
