@@ -40,10 +40,10 @@ from .dynamics import (
 )
 from .grid import WaveFunction
 from .lattice import OperatorMatrix, _add_hamiltonian, build_hamiltonian, build_translation
-from .observables import LocalObservableSeries, locality_report, materialize
+from .observables import LocalObservableSeries, _projector_locality, locality_report, materialize
 from .spectrum import BandStructure, solve_bands
-from .superselection import _scan, winding_number
-from .wannier import build_wannier, cell_probability, wannier_projector
+from .superselection import _projector_scan, _scan, winding_number
+from .wannier import build_wannier, cell_probability
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,16 +85,13 @@ def _solve(config: RunConfig) -> BandStructure:
     )
 
 
-def _resolve_operator(config: RunConfig, obs: ObservableConfig,
-                      site: WaveFunction | None = None) -> OperatorMatrix:
-    """The observable's matrix; a projector's is made of its Wannier state ``site``."""
+def _resolve_operator(config: RunConfig, obs: ObservableConfig) -> OperatorMatrix:
+    """The matrix of an observable that is not a projector: a projector stays rank one."""
     grid = config.grid()
     if obs.kind == "hamiltonian":
         return build_hamiltonian(grid, config.potential(), mass=config.mass, hbar=config.hbar)
     if obs.kind == "translation":
         return build_translation(grid)
-    if obs.kind == "wannier_projector":
-        return wannier_projector(site)
     series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
     return materialize(series, grid, scheme=obs.scheme)
 
@@ -161,13 +158,13 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> dict:
     bands = _solve(config)
     site = build_wannier(bands, obs.band, obs.site) if obs.kind == "wannier_projector" else None
     psis, band_count = bands.state_matrix(), bands.band_count
-    # The states go before the G x G operator is built: psis is their one copy, and the
-    # scan only reads it, holding one 128-row slab of A psis beside it.
-    del bands
-    op = _resolve_operator(config, obs, site)
-    scan = _scan(op, psis, band_count)
-    report = locality_report(op)
-    del op  # the G x G operator goes before the output text is built
+    del bands  # psis is the states' one copy, and the scans only read it
+    if site is not None:  # h |W><W| stays rank one: the scan and report read W and psis
+        scan, report = _projector_scan(site, psis, band_count), _projector_locality(site)
+    else:  # A is built once the bands are gone, and goes before the output text is built
+        op = _resolve_operator(config, obs)
+        scan, report = _scan(op, psis, band_count), locality_report(op)
+        del op
     labels = np.indices(scan.table.shape).reshape(4, -1)
     elements = scan.table.ravel()
     return {

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .derivatives import _circulant, _momentum_column
-from .grid import RingGrid, _integer, _number
+from .grid import RingGrid, WaveFunction, _integer, _number
 from .lattice import _SLAB, OperatorMatrix, _commutator_norm, _frobenius_norm, _harmonic_profiles
 
 
@@ -149,8 +150,19 @@ def locality_report(op: OperatorMatrix) -> LocalityReport:
     total = float(mass.sum())
     if total == 0.0:
         raise ValueError("cannot report locality of the zero operator")
-    cumulative = np.cumsum(mass) / total
-    return LocalityReport(op.grid, cumulative)
+    return LocalityReport(op.grid, np.cumsum(mass) / total)
+
+
+def _projector_locality(site: WaveFunction) -> LocalityReport:
+    """:func:`locality_report` of h |W><W| from W alone, nothing G x G.  With rho = |W|^2 /
+    max |W|^2, |S_ij|^2 is rho_i rho_j times h^2 max |W|^4, so the mass at ring distance d is
+    rho's circular autocorrelation at lags d and G - d.  einsum's own loop sums each lag's G
+    nonnegative products, so every bin and partial sum is within about 2G u of it, relative."""
+    modulus, g = np.abs(site.samples), site.grid.total_points
+    rho, d = np.square(modulus / modulus.max()), np.arange(g // 2 + 1)
+    lags = np.einsum("ki,i->k", sliding_window_view(np.concatenate((rho, rho[:g // 2])), g), rho)
+    mass = np.where((d > 0) & (2 * d < g), 2.0, 1.0) * lags  # lag G - d holds lag d's sum
+    return LocalityReport(site.grid, np.cumsum(mass) / mass.sum())
 
 
 def cell_periodicity_defect(op: OperatorMatrix) -> float:
@@ -163,3 +175,4 @@ def cell_periodicity_defect(op: OperatorMatrix) -> float:
     # A - T A T^dagger is [A, T] with its columns moved: the same values, the same norm.
     a = op.entries
     return _commutator_norm(a, op.grid.points_per_cell) / max(_frobenius_norm(a), 1e-300)
+

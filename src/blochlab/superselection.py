@@ -107,8 +107,28 @@ def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionSca
         slab = np.matmul(a[rows], rhs, out=buffer[: g - start]).view(complex)
         flat += psis[rows].T.conj() @ slab
     flat *= op.grid.spacing
-    scan = SelectionScan(flat.reshape(band_count, op.grid.n_cells, band_count, -1), defect)
-    largest = float(np.max(scan.moduli()))
+    return _guarded(SelectionScan(flat.reshape(band_count, op.grid.n_cells, band_count, -1),
+                                  defect), a)
+
+
+def _projector_scan(site: WaveFunction, psis: np.ndarray, band_count: int) -> SelectionScan:
+    """:func:`_scan` of h |W><W| from its site state W alone, nothing G x G.  The table is
+    c c^dagger for c = h Psi^dagger W; the defect is sqrt(2 (1 - |<W^, T W^>|^2)) for
+    W^ = W / ||W|| (scaled by max |W| first, so no unit overflows) and its one-cell roll
+    T W^.  einsum's own loops take the sums, so no bit follows the BLAS thread count."""
+    grid, w = site.grid, site.samples / np.abs(site.samples).max()
+    w /= np.sqrt(np.einsum("i,i->", w.conj(), w).real)
+    overlap = np.einsum("i,i->", w.conj(), np.roll(w, grid.points_per_cell))
+    defect = float(np.sqrt(max(2.0 * (1.0 - abs(overlap) ** 2), 0.0)))
+    c = grid.spacing * np.einsum("gk,g->k", psis, site.samples.conj()).conj()
+    table = np.multiply.outer(c, c.conj()).reshape(band_count, grid.n_cells, band_count, -1)
+    return _guarded(SelectionScan(table, defect), None)
+
+
+def _guarded(scan: SelectionScan, kernel: np.ndarray | None) -> SelectionScan:
+    """``scan``, unless it shows a cell-periodic kernel's leakage or a Hermitian one's rounding
+    noise; A's entries ``kernel`` (None: a projector) are checked only if the table fails."""
+    defect, largest = scan.periodicity_defect, float(np.max(scan.moduli()))
     if defect <= _PERIODIC_TOL and scan.off_sector_max() > _LEAK_RTOL * largest:
         raise RuntimeError(
             "cell-periodic kernel shows off-sector matrix elements (defect "
@@ -118,7 +138,7 @@ def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionSca
         )
     asymmetry = scan.hermitian_symmetry_defect()
     if asymmetry > _HERMITIAN_RTOL * largest:
-        herm_defect, max_abs = _hermitian_check(a)  # paid only by a table that fails
+        herm_defect, max_abs = (0.0, 1.0) if kernel is None else _hermitian_check(kernel)
         if herm_defect <= 1e-10 * max_abs:
             raise RuntimeError(
                 f"Hermitian kernel gives a table {asymmetry:.3e} from Hermitian, with largest "

@@ -23,9 +23,11 @@ from blochlab import (
     materialize,
     selection_scan,
     solve_bands,
+    wannier_projector,
 )
 from blochlab.cli import _resolve_operator, main, write_csv, write_json
 from blochlab.config import load_config
+from blochlab.superselection import _guarded
 from conftest import dense_translation
 
 ROOT = str(Path(__file__).resolve().parent.parent)
@@ -257,11 +259,47 @@ def assert_same_files(actual, expected, names):
         assert (actual / name).read_bytes() == (expected / name).read_bytes(), name
 
 
+def assert_rank_one_scan_files_close(actual, expected, total_points):
+    """A projector scan's files against the dense projector's: the labels, distances and
+    config keep their bytes, and every number lies within 2 G u of its scale (the largest
+    modulus, the defect, the total mass), the bound of the rank-one route's oracle property
+    in test_superselection.py."""
+    bound = 2 * total_points * np.finfo(float).eps
+    header, rows = read_csv(actual / "scan.csv")
+    want_header, want_rows = read_csv(expected / "scan.csv")
+    got, want = np.array(rows, dtype=float), np.array(want_rows, dtype=float)
+    largest = float(np.max(want[:, 6]))
+    assert header == want_header and np.array_equal(got[:, :4], want[:, :4])
+    assert np.max(np.abs(got[:, 4:] - want[:, 4:])) <= bound * largest
+    header, rows = read_csv(actual / "locality.csv")
+    want_header, want_rows = read_csv(expected / "locality.csv")
+    assert header == want_header and [r[0] for r in rows] == [r[0] for r in want_rows]
+    mass = np.array([float(r[1]) for r in rows])
+    want_mass = np.array([float(r[1]) for r in want_rows])
+    assert np.max(np.abs(mass - want_mass)) <= bound
+    summary = json.loads((actual / "scan_summary.json").read_text())
+    want = json.loads((expected / "scan_summary.json").read_text())
+    assert summary.keys() == want.keys()
+    assert (summary["config"], summary["observable"]) == (want["config"], want["observable"])
+    defect = want["periodicity_defect"]
+    assert abs(summary["periodicity_defect"] - defect) <= bound * defect
+    for key in ("off_sector_max", "hermitian_symmetry_defect"):
+        assert abs(summary[key] - want[key]) <= bound * largest, key
+    assert np.max(np.abs(np.subtract(summary["sector_difference_profile"],
+                                     want["sector_difference_profile"]))) <= bound * largest
+    assert abs(summary["bandwidth_mass_one_cell"] - want["bandwidth_mass_one_cell"]) <= bound
+    # The 99 % width is where the mass crosses 0.99: no mass lies within the bound of it.
+    assert np.min(np.abs(want_mass - 0.99)) > bound
+    assert summary["locality_width_99"] == want["locality_width_99"]
+
+
 @pytest.mark.parametrize("observable", ["site0", "ring1", "h", "shift"])
 def test_scan_files_match_the_public_scan_and_report(tmp_path, observable):
     # cmd_scan drops the bands and scans its own state matrix; its files must have
     # the bytes of files written from selection_scan(op, bands) and locality_report(op).
-    # A projector is resolved from its Wannier state, built here as cmd_scan builds it.
+    # A projector stays rank one in cmd_scan, so its files match those of the dense
+    # wannier_projector of the Wannier state, built here as cmd_scan builds it, within
+    # the rank-one route's bound.
     config = write_config(tmp_path / "run.json")
     data = json.loads(config.read_text())
     data["observables"].append({"name": "shift", "kind": "translation"})
@@ -269,12 +307,50 @@ def test_scan_files_match_the_public_scan_and_report(tmp_path, observable):
     assert main(["scan", "--config", str(config), "--observable", observable]) == 0
     run = load_config(config)
     obs = run.observable(observable)
+    names = ("scan.csv", "locality.csv", "scan_summary.json")
+    if obs.kind != "wannier_projector":
+        write_expected_scan_files(tmp_path / "expected", run, observable,
+                                  _resolve_operator(run, obs))
+        assert_same_files(tmp_path / "out", tmp_path / "expected", names)
+        return
     bands = solve_bands(run.grid(), run.potential(), run.bands, mass=run.mass, hbar=run.hbar)
-    site = build_wannier(bands, obs.band, obs.site) if obs.kind == "wannier_projector" else None
     write_expected_scan_files(tmp_path / "expected", run, observable,
-                              _resolve_operator(run, obs, site))
-    assert_same_files(tmp_path / "out", tmp_path / "expected",
-                      ("scan.csv", "locality.csv", "scan_summary.json"))
+                              wannier_projector(build_wannier(bands, obs.band, obs.site)))
+    assert_rank_one_scan_files_close(tmp_path / "out", tmp_path / "expected",
+                                     run.grid().total_points)
+
+
+def test_a_projector_scan_reads_the_site_state_and_holds_no_g_by_g_array(tmp_path,
+                                                                        traced_peak):
+    # 32 x 64 (G = 2048) with 2 bands: the dense h W W^dagger would be a 64 MiB complex
+    # array.  The scan reads W and the state matrix, and beside the states it holds
+    # nothing near G x G; its files are the dense projector's within the rank-one bound.
+    config = write_config(tmp_path / "run.json", bands=2,
+                          lattice={"n_cells": 32, "cell_length": 1.0, "points_per_cell": 64})
+    with traced_peak() as peak:
+        assert main(["scan", "--config", str(config), "--observable", "site0"]) == 0
+        assert peak() <= 0.25 * 2048**2 * 8
+    run = load_config(config)
+    bands = solve_bands(run.grid(), run.potential(), run.bands, mass=run.mass, hbar=run.hbar)
+    write_expected_scan_files(tmp_path / "expected", run, "site0",
+                              wannier_projector(build_wannier(bands, 0, 0)))
+    assert_rank_one_scan_files_close(tmp_path / "out", tmp_path / "expected", 2048)
+
+
+def test_both_scan_routes_pass_the_table_guards(tmp_path, monkeypatch):
+    # The leakage and rounding-noise guards are one helper: the rank-one route calls it
+    # with no kernel (a projector is Hermitian by construction), the dense route with A.
+    kernels = []
+
+    def guarded(scan, kernel):
+        kernels.append(kernel)
+        return _guarded(scan, kernel)
+
+    monkeypatch.setattr("blochlab.superselection._guarded", guarded)
+    config = write_config(tmp_path / "run.json")
+    for name in ("site0", "h"):
+        assert main(["scan", "--config", str(config), "--observable", name]) == 0
+    assert kernels[0] is None and kernels[1].shape == (256, 256)
 
 
 def test_a_translation_scan_has_the_dense_shifts_bytes_and_no_g_by_g_array(tmp_path,
@@ -957,12 +1033,23 @@ def write_16x64_config(path):
 
 @pytest.mark.parametrize("observable", ["h", "ring13", "site0"])
 def test_scan_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, observable):
-    # G = 1024 at P = 64: the real H multiplies the states viewed as floats, the
-    # odd-power series and the projector (built from the Wannier state after the
-    # bands are dropped) the complex states, one 128-row slab of A at a time.
+    # G = 1024 at P = 64: the real H multiplies the states viewed as floats and the
+    # odd-power series the complex states, one 128-row slab of A at a time; the
+    # projector's rank-one route sums W against the states in einsum's own loops.
     config = write_16x64_config(tmp_path / "run.json")
     outputs = outputs_at_one_and_two_threads(
         tmp_path, ["scan", "--config", str(config), "--observable", observable],
+        ("scan.csv", "locality.csv", "scan_summary.json"))
+    assert outputs[0] == outputs[1]
+
+
+def test_a_projector_scan_at_the_benchmark_shape_does_not_depend_on_the_blas_thread_count(
+        tmp_path):
+    # 32 x 64 (G = 2048) with 4 bands, the shape of scan_large's projector scan.
+    config = write_config(tmp_path / "run.json",
+                          lattice={"n_cells": 32, "cell_length": 1.0, "points_per_cell": 64})
+    outputs = outputs_at_one_and_two_threads(
+        tmp_path, ["scan", "--config", str(config), "--observable", "site0"],
         ("scan.csv", "locality.csv", "scan_summary.json"))
     assert outputs[0] == outputs[1]
 
