@@ -22,6 +22,7 @@ or 3 no file is written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -39,10 +40,11 @@ from .dynamics import (
     linear_response_slope,
 )
 from .grid import WaveFunction
-from .lattice import OperatorMatrix, _add_hamiltonian, build_hamiltonian, build_translation
-from .observables import LocalObservableSeries, _projector_locality, locality_report, materialize
+from .lattice import (OperatorMatrix, _add_hamiltonian, _hamiltonian_rows, _matrix_rows,
+                      build_hamiltonian, build_translation)
+from .observables import LocalObservableSeries, _projector_locality, _series_rows, materialize
 from .spectrum import BandStructure, solve_bands
-from .superselection import _projector_scan, _scan, winding_number
+from .superselection import _projector_scan, _streamed_scan, winding_number
 from .wannier import build_wannier, cell_probability
 
 EXIT_OK = 0
@@ -50,7 +52,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _atomic_write(path: Path, text: str) -> None:
+# write_csv formats and writes this many rows at a time.
+_CSV_ROWS = 4096
+
+
+def _atomic_write(path: Path, parts) -> None:
+    """Write the strings ``parts`` in turn to a temporary file beside ``path``, then
+    replace ``path`` with it; on any failure the temporary file goes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -59,7 +67,7 @@ def _atomic_write(path: Path, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,15 +76,22 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, columns: dict) -> None:
-    """One row per index of the equal-length named columns.  Numpy columns go
-    through ``tolist()``, so every cell is ``str`` of a Python scalar (a float's repr)."""
-    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns.values()]
-    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One row per index of the equal-length named columns, formatted and written
+    _CSV_ROWS rows at a time.  Numpy columns go through ``tolist()`` a chunk at a time,
+    so every cell is ``str`` of a Python scalar (a float's repr)."""
+    def cells(c):
+        if not isinstance(c, np.ndarray):
+            return map(str, c)
+        return (str(v) for i in range(0, len(c), _CSV_ROWS) for v in c[i:i + _CSV_ROWS].tolist())
+
+    lines = map(",".join, zip(*map(cells, columns.values()), strict=True))
+    chunks = iter(lambda: list(itertools.islice(lines, _CSV_ROWS)), [])
+    _atomic_write(path, itertools.chain([",".join(columns) + "\n"],
+                                        ("\n".join(chunk) + "\n" for chunk in chunks)))
 
 
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _solve(config: RunConfig) -> BandStructure:
@@ -86,7 +101,8 @@ def _solve(config: RunConfig) -> BandStructure:
 
 
 def _resolve_operator(config: RunConfig, obs: ObservableConfig) -> OperatorMatrix:
-    """The matrix of an observable that is not a projector: a projector stays rank one."""
+    """The matrix of an observable that is not a projector, for propagate: a projector
+    stays rank one, and a scan streams the rows of :func:`_row_source`."""
     grid = config.grid()
     if obs.kind == "hamiltonian":
         return build_hamiltonian(grid, config.potential(), mass=config.mass, hbar=config.hbar)
@@ -94,6 +110,19 @@ def _resolve_operator(config: RunConfig, obs: ObservableConfig) -> OperatorMatri
         return build_translation(grid)
     series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
     return materialize(series, grid, scheme=obs.scheme)
+
+
+def _row_source(config: RunConfig, obs: ObservableConfig) -> tuple:
+    """(dtype, rows, hermitian) of the observable ``_resolve_operator`` builds: its row source
+    for ``_streamed_scan``, and whether it is Hermitian bit for bit by construction."""
+    grid = config.grid()
+    if obs.kind == "hamiltonian":
+        return float, _hamiltonian_rows(grid, config.potential(), config.mass, config.hbar,
+                                        "spectral"), True
+    if obs.kind == "translation":  # the shift's read-only view, read by slicing
+        return float, _matrix_rows(build_translation(grid).entries), False
+    series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
+    return (*_series_rows(series, grid, obs.scheme), series.symmetrize)
 
 
 def _require_band(config: RunConfig, band: int) -> None:
@@ -161,10 +190,9 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> dict:
     del bands  # psis is the states' one copy, and the scans only read it
     if site is not None:  # h |W><W| stays rank one: the scan and report read W and psis
         scan, report = _projector_scan(site, psis, band_count), _projector_locality(site)
-    else:  # A is built once the bands are gone, and goes before the output text is built
-        op = _resolve_operator(config, obs)
-        scan, report = _scan(op, psis, band_count), locality_report(op)
-        del op
+    else:  # any other A streams past psis, a slab of rows at a time, and is never whole
+        scan, report = _streamed_scan(config.grid(), *_row_source(config, obs), psis,
+                                      band_count)
     labels = np.indices(scan.table.shape).reshape(4, -1)
     elements = scan.table.ravel()
     return {

@@ -87,11 +87,16 @@ class OperatorMatrix:
         g = self.grid.total_points
         if entries.shape != (g, g):
             raise ValueError(f"entries must have shape ({g}, {g}), got {entries.shape}")
-        # min and max carry any NaN or inf with no G x G mask; complex is viewed as floats.
-        values = entries[..., None].view(float) if np.iscomplexobj(entries) else entries
-        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise ValueError("operator entries must be finite")
-        self.entries = entries
+        self.entries = _require_finite(entries)
+
+
+def _require_finite(entries: np.ndarray) -> np.ndarray:
+    """``entries``, unless some entry is NaN or inf: the rule for a whole operator or a slab."""
+    # min and max carry any NaN or inf with no G x G mask; complex is viewed as floats.
+    values = entries[..., None].view(float) if np.iscomplexobj(entries) else entries
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError("operator entries must be finite")
+    return entries
 
 
 def _kinetic_scale(mass: float, hbar: float) -> float:
@@ -131,25 +136,51 @@ def _add_hamiltonian(entries: np.ndarray, grid: RingGrid, potential: PotentialSp
                      mass: float, hbar: float, scheme: str) -> None:
     """entries += H in place, one _SLAB-row slab of H at a time, so H is never G x G.
 
-    A slab is the kinetic circulant's rows times s = hbar^2/2m, plus 0.0 (the fd
-    stencils' off-band -0.0 become +0.0), with s k_ii + V_i on its diagonal: the
-    bits of H's rows, so the sum has the bits of entries + H.  An overflow is left
-    as inf, for the caller's finiteness or Hermitian check to reject.
+    The slabs are :func:`_hamiltonian_rows`', the bits of H's rows, so the sum has the
+    bits of entries + H.  An overflow is left as inf, for the caller's finiteness or
+    Hermitian check to reject.
     """
+    rows, g = _hamiltonian_rows(grid, potential, mass, hbar, scheme), grid.total_points
+    buffer = np.empty((min(_SLAB, g), g))  # reused, so one slab is alive beside entries
+    for start in range(0, g, _SLAB):
+        slab = buffer[: min(_SLAB, g - start)]
+        rows(slab, start)
+        with np.errstate(over="ignore"):
+            entries[start:start + _SLAB] += slab
+
+
+def _hamiltonian_rows(grid: RingGrid, potential: PotentialSpec, mass: float, hbar: float,
+                      scheme: str):
+    """H's row formula: ``rows(out, start, adjoint)`` writes rows start, start + 1, ... of
+    H into ``out``, and into ``adjoint`` if given: H is real symmetric bit for bit.  A row
+    is the kinetic circulant's row times s = hbar^2/2m, plus 0.0 (the fd stencils' off-band
+    -0.0 become +0.0), with s k_ii + V_i on its diagonal.  An overflow is left as inf."""
     scale = _kinetic_scale(mass, hbar)
     kinetic = _circulant(_momentum_column(grid, 2, scheme))
-    g = grid.total_points
-    buffer = np.empty((min(_SLAB, g), g))  # reused, so one slab is alive beside entries
     with np.errstate(over="ignore"):
         diagonal = scale * kinetic[0, 0] + potential.sample(grid)
-        for start in range(0, g, _SLAB):
-            rows = slice(start, start + _SLAB)
-            slab = buffer[: len(diagonal[rows])]
-            np.multiply(kinetic[rows], scale, out=slab)
-            slab += 0.0
-            i = np.arange(len(slab))
-            slab[i, start + i] = diagonal[rows]
-            entries[rows] += slab
+
+    def rows(out: np.ndarray, start: int, adjoint: np.ndarray | None = None) -> None:
+        i = np.arange(len(out))
+        with np.errstate(over="ignore"):
+            np.multiply(kinetic[start:start + len(out)], scale, out=out)
+            out += 0.0
+        out[i, start + i] = diagonal[start:start + len(out)]
+        if adjoint is not None:
+            adjoint[...] = out
+
+    return rows
+
+
+def _matrix_rows(a: np.ndarray):
+    """The row source of a matrix held whole (or a view): ``rows(out, start, adjoint)``
+    copies rows start, start + 1, ... of A into ``out`` and, given ``adjoint``, A^dagger's."""
+    def rows(out: np.ndarray, start: int, adjoint: np.ndarray | None = None) -> None:
+        out[...] = a[start:start + len(out)]
+        if adjoint is not None:
+            np.conjugate(a[:, start:start + len(adjoint)].T, out=adjoint)
+
+    return rows
 
 
 def build_translation(grid: RingGrid) -> OperatorMatrix:
@@ -187,8 +218,9 @@ def commutator_norm(a: OperatorMatrix, translation: OperatorMatrix) -> float:
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
-    """sqrt(sum |a_ij|^2), the sum as in :func:`_squared_norm`."""
-    return float(np.sqrt(_squared_norm(a)))
+    """sqrt(sum |a_ij|^2), adding the squared sums of a's _BLOCK-row slabs in row order,
+    as :func:`_commutator_norm` adds [A, T]'s: a row-streamed pass gets the same bits."""
+    return float(np.sqrt(sum(_squared_norm(a[i:i + _BLOCK]) for i in range(0, len(a), _BLOCK))))
 
 
 def _squared_norm(a: np.ndarray) -> float:
@@ -198,23 +230,29 @@ def _squared_norm(a: np.ndarray) -> float:
     return float(sum(np.einsum("ij,ij->", part, part) for part in parts))
 
 
+def _shift_difference(rows: np.ndarray, below: np.ndarray, p: int) -> np.ndarray:
+    """Rows of [A, T] = A T - T A, T the shift by p samples, in place of ``below``: entry
+    (i, j) is A[i, j - p] - A[i + p, j], indices mod G, from A's rows ``rows`` and the
+    rows p below them, ``below``."""
+    q = rows.shape[1] - p
+    np.subtract(rows[:, :q], below[:, p:], out=below[:, p:])
+    np.subtract(rows[:, q:], below[:, :p], out=below[:, :p])
+    return below
+
+
 def _commutator_slabs(a: np.ndarray, p: int):
-    """The _BLOCK-row slabs, in row order, of [A, T] = A T - T A for the shift T by p
-    samples: entry (i, j) is A[i, j - p] - A[i + p, j], indices mod G.  The slabs share
-    one buffer, so each is overwritten by the next and nothing is G x G.  The shifted
-    rows are gathered by at most two row slices, so a strided view of A is read in
-    place, never copied whole.  [A, T] is A - T A T^dagger with its columns moved by p,
-    so the two share every value."""
-    g, q = len(a), len(a) - p
+    """The _BLOCK-row slabs, in row order, of [A, T] for the shift T by p samples.  The
+    slabs share one buffer, so each is overwritten by the next and nothing is G x G.
+    The shifted rows are gathered by at most two row slices, so a strided view of A is
+    read in place, never copied whole.  [A, T] is A - T A T^dagger with its columns
+    moved by p, so the two share every value."""
+    g = len(a)
     buffer = np.empty((min(_BLOCK, g), g), dtype=a.dtype)
     for start in range(0, g, _BLOCK):
-        rows = slice(start, start + _BLOCK)
         slab, lo = buffer[: min(_BLOCK, g - start)], (start + p) % g
         top = min(len(slab), g - lo)
         slab[:top], slab[top:] = a[lo:lo + top], a[: len(slab) - top]
-        np.subtract(a[rows, :q], slab[:, p:], out=slab[:, p:])
-        np.subtract(a[rows, q:], slab[:, :p], out=slab[:, :p])
-        yield slab
+        yield _shift_difference(a[start:start + _BLOCK], slab, p)
 
 
 def _commutator_norm(a: np.ndarray, p: int) -> float:

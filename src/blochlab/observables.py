@@ -51,43 +51,60 @@ class LocalObservableSeries:
 
 def materialize(series: LocalObservableSeries, grid: RingGrid,
                 scheme: str = "spectral") -> OperatorMatrix:
-    """Dense matrix of the series on the grid.
-
-    Term t is a real profile f_t times a momentum-power circulant K_t of the
-    requested derivative scheme, and K_t is Hermitian bit for bit, so A^dagger
-    = sum_t K_t f_t.  One walk over _SLAB-row slabs sums the rows of A and of
-    A^dagger in term order, from strided views over each circulant column, and
-    writes each slab of the result once: nothing but it is G x G.  Each row is
-    summed on its own, so the bits do not depend on the slab height.  The
-    matrix is real when every momentum power is even, and complex otherwise.
-    """
+    """Dense matrix of the series on the grid, written a _SLAB-row slab at a time by
+    :func:`_series_rows`: nothing but the result is G x G.  The matrix is real when
+    every momentum power is even, and complex otherwise."""
+    dtype, rows = _series_rows(series, grid, scheme)
     g = grid.total_points
+    acc = np.empty((g, g), dtype=dtype)
+    for start in range(0, g, _SLAB):
+        rows(acc[start:start + _SLAB], start)
+    return OperatorMatrix(grid, acc)
+
+
+def _series_rows(series: LocalObservableSeries, grid: RingGrid, scheme: str):
+    """(dtype, rows): the series' row formula.  ``rows(out, start, adjoint)`` writes rows
+    start, start + 1, ... of the materialized A into ``out`` and, given ``adjoint``, those
+    of B^dagger for B the unsymmetrized series.
+
+    Term t is a real profile f_t times a momentum-power circulant K_t of the requested
+    derivative scheme, and K_t is Hermitian bit for bit, so B^dagger = sum_t K_t f_t.  The
+    rows of B and of B^dagger are summed in term order from strided views over each
+    circulant column, and each row on its own, so a row's bits do not depend on the slab.
+    A symmetrized A = (B + B^dagger)/2 is Hermitian bit for bit.
+    """
     even = all(n % 2 == 0 for _, n, _, _ in series.terms)
-    acc = np.zeros((g, g), dtype=float if even else complex)
     terms = []
     for m, n, c, d in series.terms:
         cos_prof, sin_prof = _harmonic_profiles(grid, m)
         kernel = _circulant(_momentum_column(grid, n, scheme)) if n else None
         terms.append((c * cos_prof + d * sin_prof, kernel))
-    # Reused slabs: rows of A^dagger, and one term's product.
-    adjoint, product = (np.empty((min(_SLAB, g), g), dtype=acc.dtype) for _ in range(2))
-    for start in range(0, g, _SLAB):
-        rows = slice(start, start + _SLAB)
-        diag = np.arange(start, min(start + _SLAB, g))
-        adj, prod = adjoint[: len(diag)], product[: len(diag)]
-        adj.fill(0.0)
+    # Reused slabs as high as the highest ask: one term's product, and the rows of B^dagger.
+    buffers = []
+
+    def rows(out: np.ndarray, start: int, adjoint: np.ndarray | None = None) -> None:
+        if not buffers or len(buffers[0]) < len(out):
+            buffers[:] = [np.empty_like(out) for _ in range(2)]
+        stop, diag = start + len(out), np.arange(start, start + len(out))
+        prod, own = (buffer[: len(out)] for buffer in buffers)
+        adj = own if series.symmetrize else adjoint
+        for slab in (out, adj):
+            if slab is not None:
+                slab.fill(0.0)
         for profile, kernel in terms:
             if kernel is None:
-                acc[diag, diag] += profile[diag]
-                adj[diag - start, diag] += profile[diag]
+                out[diag - start, diag] += profile[diag]
+                if adj is not None:
+                    adj[diag - start, diag] += profile[diag]
             else:
-                acc[rows] += np.multiply(profile[rows, None], kernel[rows], out=prod)
-                if series.symmetrize:
-                    adj += np.multiply(kernel[rows], profile, out=prod)
+                out += np.multiply(profile[start:stop, None], kernel[start:stop], out=prod)
+                if adj is not None:
+                    adj += np.multiply(kernel[start:stop], profile, out=prod)
         if series.symmetrize:
-            acc[rows] += adj
-            acc[rows] *= 0.5
-    return OperatorMatrix(grid, acc)
+            out += adj
+            out *= 0.5
+
+    return float if even else complex, rows
 
 
 @dataclass
@@ -132,25 +149,39 @@ def locality_report(op: OperatorMatrix) -> LocalityReport:
     but A is G x G.
     """
     a, g = op.entries, op.grid.total_points
-    k = np.arange(g)
-    dist = _circulant(np.minimum(k, g - k))
-    mass = np.zeros(g // 2 + 1)
-    # Reused slabs of S = (conj(A[:, rows]).T + A[rows]) / 2 (addition commutes) and |S|^2.
-    part, squares = np.empty((min(_SLAB, g), g), dtype=a.dtype), np.empty((min(_SLAB, g), g))
-    # add.at sums in the same row-major order as one bincount over the matrix,
-    # whatever the slab height.
+    mass, dist = np.zeros(g // 2 + 1), _ring_distances(g)
+    # A reused slab of S = (conj(A[:, rows]).T + A[rows]) / 2 (addition commutes).
+    part = np.empty((min(_SLAB, g), g), dtype=a.dtype)
     for start in range(0, g, _SLAB):
         rows = slice(start, start + _SLAB)
-        s, weights = part[: g - start], squares[: g - start]
+        s = part[: g - start]
         np.conjugate(a[:, rows], out=s.T)
         s += a[rows]
         s *= 0.5
-        np.square(np.abs(s, out=weights), out=weights)
-        np.add.at(mass, dist[rows].ravel(), weights.ravel())
+        _bin_mass(mass, s, dist[rows])
+    return _locality(op.grid, mass)
+
+
+def _ring_distances(g: int) -> np.ndarray:
+    """The read-only G x G view of ring distances min(|i - j|, G - |i - j|)."""
+    k = np.arange(g)
+    return _circulant(np.minimum(k, g - k))
+
+
+def _bin_mass(mass: np.ndarray, s: np.ndarray, distances: np.ndarray) -> None:
+    """Add |S_ij|^2 of S's rows ``s`` into ``mass`` by their ``distances``.  add.at sums in
+    the same row-major order as one bincount over the matrix, whatever the slab height."""
+    weights = np.abs(s)
+    np.square(weights, out=weights)
+    np.add.at(mass, distances.ravel(), weights.ravel())
+
+
+def _locality(grid: RingGrid, mass: np.ndarray) -> LocalityReport:
+    """The report of the binned mass |S_ij|^2 per ring distance."""
     total = float(mass.sum())
     if total == 0.0:
         raise ValueError("cannot report locality of the zero operator")
-    return LocalityReport(op.grid, np.cumsum(mass) / total)
+    return LocalityReport(grid, np.cumsum(mass) / total)
 
 
 def _projector_locality(site: WaveFunction) -> LocalityReport:

@@ -14,13 +14,16 @@ the ring, and a kernel that leaves windings intact cannot connect sectors.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import WaveFunction, _require_same_grid
-from .lattice import _BLOCK, OperatorMatrix, _hermitian_check
-from .observables import cell_periodicity_defect
+from .grid import RingGrid, WaveFunction, _require_same_grid
+from .lattice import (_BLOCK, OperatorMatrix, _hermitian_check, _require_finite,
+                      _shift_difference, _squared_norm)
+from .observables import (LocalityReport, _bin_mass, _locality, _ring_distances,
+                          cell_periodicity_defect)
 from .spectrum import BandStructure
 
 # A kernel this close to cell-periodic must show no off-sector leakage
@@ -32,6 +35,9 @@ _LEAK_RTOL = 1e-11
 # relative to its largest modulus, holds the product's rounding noise, not matrix
 # elements (every element is zero but for roundoff), and the scan raises.
 _HERMITIAN_RTOL = 1e-9
+# A streamed scan asks its row source for this many rows of A at a time, so the
+# source's buffers stay small beside the slab.
+_ROWS = 8
 
 
 @dataclass
@@ -108,7 +114,83 @@ def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionSca
         flat += psis[rows].T.conj() @ slab
     flat *= op.grid.spacing
     return _guarded(SelectionScan(flat.reshape(band_count, op.grid.n_cells, band_count, -1),
-                                  defect), a)
+                                  defect), lambda: _hermitian_check(a))
+
+
+def _streamed_scan(grid: RingGrid, dtype: type, rows, hermitian: bool, psis: np.ndarray,
+                   band_count: int) -> tuple[SelectionScan, LocalityReport]:
+    """:func:`_scan` and :func:`locality_report` of the A whose rows ``rows(out, start,
+    adjoint)`` writes (``_series_rows``, ``_hamiltonian_rows`` or ``_matrix_rows``), bit for
+    bit, in one pass over A's _BLOCK-row slabs: nothing is G x G.  Each slab is written
+    _ROWS rows at a time and checked finite, feeds the table and ||A||^2 as _scan's slabs
+    do, then turns into its slab of [A, T] with the rows p below it, written again.
+    S = (A + A^dagger)/2 is A for a ``hermitian`` source (Hermitian bit for bit); else S
+    and max |A - A^dagger| come from A^dagger's rows.  A step's first floating-point error
+    ends that step and is raised after the pass, in the dense route's order: the defect,
+    the table, the guards, the locality."""
+    g, p = grid.total_points, grid.points_per_cell
+    block = np.empty((min(_BLOCK, g), g), dtype=dtype)
+    adjoint = None if hermitian else np.empty((min(_ROWS, g), g), dtype=dtype)
+    mass, dist, results, errors = np.zeros(g // 2 + 1), _ring_distances(g), defaultdict(list), {}
+    flat = np.full((psis.shape[1],) * 2, complex(-0.0, -0.0))  # as in _scan
+    rhs = psis if np.iscomplexobj(block) else psis.view(float)
+
+    def run(step, fn, *args):
+        if step not in errors:
+            try:
+                results[step].append(fn(*args))
+            except FloatingPointError as exc:
+                errors[step] = exc
+
+    def read(step):
+        if step in errors:
+            raise errors[step]
+        return results[step]
+
+    def write(a, start):  # rows start.. of A into a, checked, binned and held to A^dagger
+        adj = None if hermitian else adjoint[: len(a)]
+        rows(a, start, adj)
+        _require_finite(a)
+        if adj is not None:
+            run("hermitian", lambda: (float(np.max(np.abs(a - adj))), float(np.max(np.abs(a)))))
+        run("locality", locality, a, adj, start)
+
+    def locality(a, adj, start):
+        if adj is not None:  # S = (A^dagger + A) / 2, as locality_report adds it
+            a = np.add(adj, a, out=adj)
+            a *= 0.5
+        _bin_mass(mass, a, dist[start:start + len(a)])
+
+    def table(a, start):
+        slab = np.matmul(a, rhs).view(complex)
+        np.add(flat, psis[start:start + len(a)].T.conj() @ slab, out=flat)
+
+    def commutator(a, start):  # a's rows of [A, T] in its place, as _commutator_slabs'
+        below = np.empty((min(_ROWS, len(a)), g), dtype=dtype)
+        for lo in range(0, len(a), _ROWS):
+            sub, first = a[lo:lo + _ROWS], (start + lo + p) % g
+            top = min(len(sub), g - first)
+            rows(below[:top], first)
+            if top < len(sub):
+                rows(below[top:len(sub)], 0)
+            sub[...] = _shift_difference(sub, below[: len(sub)], p)
+        return _squared_norm(a)
+
+    for start in range(0, g, _BLOCK):
+        a = block[: min(_BLOCK, g - start)]
+        for lo in range(0, len(a), _ROWS):
+            write(a[lo:lo + _ROWS], start + lo)
+        run("table", table, a, start)
+        run("norm", _squared_norm, a)
+        run("commutator", commutator, a, start)
+    norms = [float(np.sqrt(sum(read(step)))) for step in ("commutator", "norm")]
+    read("table")
+    flat *= grid.spacing
+    scan = _guarded(SelectionScan(flat.reshape(band_count, grid.n_cells, band_count, -1),
+                                  norms[0] / max(norms[1], 1e-300)),
+                    None if hermitian else lambda: tuple(map(max, zip(*read("hermitian")))))
+    read("locality")
+    return scan, _locality(grid, mass)
 
 
 def _projector_scan(site: WaveFunction, psis: np.ndarray, band_count: int) -> SelectionScan:
@@ -125,9 +207,10 @@ def _projector_scan(site: WaveFunction, psis: np.ndarray, band_count: int) -> Se
     return _guarded(SelectionScan(table, defect), None)
 
 
-def _guarded(scan: SelectionScan, kernel: np.ndarray | None) -> SelectionScan:
+def _guarded(scan: SelectionScan, kernel_check) -> SelectionScan:
     """``scan``, unless it shows a cell-periodic kernel's leakage or a Hermitian one's rounding
-    noise; A's entries ``kernel`` (None: a projector) are checked only if the table fails."""
+    noise.  ``kernel_check()`` gives (max |A - A^dagger|, max |A|) and is asked only if the
+    table fails; None skips it, for a kernel Hermitian by construction."""
     defect, largest = scan.periodicity_defect, float(np.max(scan.moduli()))
     if defect <= _PERIODIC_TOL and scan.off_sector_max() > _LEAK_RTOL * largest:
         raise RuntimeError(
@@ -138,7 +221,7 @@ def _guarded(scan: SelectionScan, kernel: np.ndarray | None) -> SelectionScan:
         )
     asymmetry = scan.hermitian_symmetry_defect()
     if asymmetry > _HERMITIAN_RTOL * largest:
-        herm_defect, max_abs = (0.0, 1.0) if kernel is None else _hermitian_check(kernel)
+        herm_defect, max_abs = (0.0, 1.0) if kernel_check is None else kernel_check()
         if herm_defect <= 1e-10 * max_abs:
             raise RuntimeError(
                 f"Hermitian kernel gives a table {asymmetry:.3e} from Hermitian, with largest "

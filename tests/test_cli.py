@@ -27,7 +27,8 @@ from blochlab import (
 )
 from blochlab.cli import _resolve_operator, main, write_csv, write_json
 from blochlab.config import load_config
-from blochlab.superselection import _guarded
+from blochlab.lattice import _SLAB, OperatorMatrix, _hermitian_check
+from blochlab.superselection import _guarded, _scan
 from conftest import dense_translation
 
 ROOT = str(Path(__file__).resolve().parent.parent)
@@ -293,16 +294,19 @@ def assert_rank_one_scan_files_close(actual, expected, total_points):
     assert summary["locality_width_99"] == want["locality_width_99"]
 
 
-@pytest.mark.parametrize("observable", ["site0", "ring1", "h", "shift"])
+@pytest.mark.parametrize("observable", ["site0", "ring1", "h", "shift", "raw"])
 def test_scan_files_match_the_public_scan_and_report(tmp_path, observable):
-    # cmd_scan drops the bands and scans its own state matrix; its files must have
-    # the bytes of files written from selection_scan(op, bands) and locality_report(op).
-    # A projector stays rank one in cmd_scan, so its files match those of the dense
+    # cmd_scan drops the bands and streams A's rows past its own state matrix; its files
+    # must have the bytes of files written from selection_scan(op, bands) and
+    # locality_report(op) of the whole A, unsymmetrized series included.  A projector
+    # stays rank one in cmd_scan, so its files match those of the dense
     # wannier_projector of the Wannier state, built here as cmd_scan builds it, within
     # the rank-one route's bound.
     config = write_config(tmp_path / "run.json")
     data = json.loads(config.read_text())
-    data["observables"].append({"name": "shift", "kind": "translation"})
+    data["observables"] += [{"name": "shift", "kind": "translation"},
+                            {"name": "raw", "kind": "series", "symmetrize": False,
+                             "scheme": "fd6", "terms": [[3, 1, 1.0, 0.4], [9, 2, 0.2, 0.0]]}]
     config.write_text(json.dumps(data))
     assert main(["scan", "--config", str(config), "--observable", observable]) == 0
     run = load_config(config)
@@ -338,19 +342,31 @@ def test_a_projector_scan_reads_the_site_state_and_holds_no_g_by_g_array(tmp_pat
 
 
 def test_both_scan_routes_pass_the_table_guards(tmp_path, monkeypatch):
-    # The leakage and rounding-noise guards are one helper: the rank-one route calls it
-    # with no kernel (a projector is Hermitian by construction), the dense route with A.
-    kernels = []
+    # The leakage and rounding-noise guards are one helper.  A projector, H and a
+    # symmetrized series are Hermitian by construction, so their kernel check is skipped;
+    # an unsymmetrized series and the shift pass the check their streamed pass measured,
+    # which gives the dense matrix's max |A - A^dagger| and max |A|.
+    checks = []
 
-    def guarded(scan, kernel):
-        kernels.append(kernel)
-        return _guarded(scan, kernel)
+    def guarded(scan, kernel_check):
+        checks.append(kernel_check)
+        return _guarded(scan, kernel_check)
 
     monkeypatch.setattr("blochlab.superselection._guarded", guarded)
     config = write_config(tmp_path / "run.json")
-    for name in ("site0", "h"):
+    data = json.loads(config.read_text())
+    data["observables"] += [{"name": "raw", "kind": "series", "symmetrize": False,
+                             "terms": [[3, 1, 1.0, 0.4], [1, 0, 0.5, 0.0]]},
+                            {"name": "shift", "kind": "translation"}]
+    config.write_text(json.dumps(data))
+    names = ("site0", "h", "ring1", "raw", "shift")
+    for name in names:
         assert main(["scan", "--config", str(config), "--observable", name]) == 0
-    assert kernels[0] is None and kernels[1].shape == (256, 256)
+    assert checks[:3] == [None, None, None]
+    run = load_config(config)
+    for name, check in zip(names[3:], checks[3:]):
+        dense = _hermitian_check(_resolve_operator(run, run.observable(name)).entries)
+        assert check() == dense and dense[0] > 0.0, name
 
 
 def test_a_translation_scan_has_the_dense_shifts_bytes_and_no_g_by_g_array(tmp_path,
@@ -403,19 +419,32 @@ def test_the_shift_is_not_a_hermitian_perturbation_at_three_cells(tmp_path, caps
     assert not out.exists()
 
 
-def test_scan_holds_its_operator_and_one_copy_of_its_states(tmp_path, traced_peak):
-    # 128 x 16 (G = 2048), 2 bands: a 64 MiB complex series and 256 states.  Beyond
-    # the operator the scan holds the 8 MiB state matrix and a few row slabs.
+@pytest.mark.parametrize("observable, shape, bands", [("ring13", (128, 16), 2),
+                                                      ("h", (32, 64), 4)], ids=["series", "h"])
+def test_a_streamed_scan_holds_no_g_by_g_array_beside_its_states(tmp_path, traced_peak,
+                                                                 monkeypatch, observable,
+                                                                 shape, bands):
+    # G = 2048: the series would be a 64 MiB complex matrix and H a 32 MiB real one.  From
+    # the pass on, beside the state matrix (8 and 4 MiB), the scan holds a 128-row slab
+    # of A, the table and a few row slabs, and it writes its files in chunks.
     config = write_config(
-        tmp_path / "run.json", bands=2,
-        lattice={"n_cells": 128, "cell_length": 1.0, "points_per_cell": 16},
+        tmp_path / "run.json", bands=bands,
+        lattice={"n_cells": shape[0], "cell_length": 1.0, "points_per_cell": shape[1]},
         observables=[{"name": "ring13", "kind": "series", "scheme": "fd4",
-                      "terms": [[1, 1, 1.0, 0.3], [3, 2, 0.5, -0.2]]}],
+                      "terms": [[1, 1, 1.0, 0.3], [3, 2, 0.5, -0.2]]},
+                     {"name": "h", "kind": "hamiltonian"}],
         dynamics={"epsilons": [1e-4], "source_cell": 6, "target_cell": 2,
                   "perturbation": "ring13"})
+    streamed_scan = blochlab.cli._streamed_scan
+
+    def from_the_pass_on(*args):
+        peak.reset()
+        return streamed_scan(*args)
+
+    monkeypatch.setattr("blochlab.cli._streamed_scan", from_the_pass_on)
     with traced_peak() as peak:
-        assert main(["scan", "--config", str(config), "--observable", "ring13"]) == 0
-        assert peak() <= 1.22 * 2048**2 * 16
+        assert main(["scan", "--config", str(config), "--observable", observable]) == 0
+        assert peak() <= 0.25 * 2048**2 * 8
 
 
 def test_a_projector_propagate_holds_the_real_h_and_the_basis(tmp_path, traced_peak):
@@ -606,6 +635,27 @@ def test_every_csv_is_independent_of_the_energy_unit(k, shape):
                     assert got == want, (args, name, column)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_write_csv_writes_in_chunks_the_bytes_of_the_whole_text(tmp_path, rows):
+    # Rows are formatted and written 4096 at a time; the file has the bytes of the whole
+    # text built at once, for numpy, list and iterator columns alike.
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+    columns = {"index": np.arange(rows), "x": values, "label": [f"r{i}" for i in range(rows)],
+               "modulus": map(abs, values.tolist())}
+    write_csv(tmp_path / "out.csv", columns)
+    cells = [map(str, np.arange(rows).tolist()), map(str, values.tolist()),
+             (f"r{i}" for i in range(rows)), map(str, map(abs, values.tolist()))]
+    lines = ["index,x,label,modulus", *map(",".join, zip(*cells))]
+    assert (tmp_path / "out.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_write_csv_refuses_unequal_columns_and_leaves_no_file(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "out.csv", {"a": np.arange(5000), "b": list(range(4999))})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_modulus_and_density_are_scalar_abs_of_the_written_parts(tmp_path):
     # With a sine term the states are complex enough that numpy's vectorized
     # abs differs from the scalar abs in the last bit on about a third of them.
@@ -760,7 +810,7 @@ def test_failed_propagate_leaves_no_output(tmp_path, monkeypatch, capsys):
 _LATE_VALUES = {
     "solve": ("blochlab.cli.BandStructure.translation_defect", ["solve"]),
     "wannier": ("blochlab.cli.cell_probability", ["wannier", "--band", "0", "--site", "1"]),
-    "scan": ("blochlab.cli.locality_report", ["scan", "--observable", "ring1"]),
+    "scan": ("blochlab.superselection._locality", ["scan", "--observable", "ring1"]),
     "winding": ("blochlab.cli.winding_number", ["winding", "--band", "0"]),
     "propagate": ("blochlab.cli.cell_transport_profile", ["propagate"]),
 }
@@ -1127,3 +1177,55 @@ def test_every_command_at_extreme_magnitudes_passes_its_check_or_fails_cleanly(
     with tempfile.TemporaryDirectory() as tmp:
         assert run_extreme_draw(Path(tmp), n_cells, points, bands, observable, seed,
                                 scales) == []
+
+
+def dense_scan(grid, dtype, rows, hermitian, psis, band_count):
+    """The dense route of cmd_scan: A built whole from its row source in _SLAB-row slabs,
+    as materialize builds it, then _scan and locality_report."""
+    g = grid.total_points
+    a = np.empty((g, g), dtype=dtype)
+    for start in range(0, g, _SLAB):
+        rows(a[start:start + _SLAB], start)
+    op = OperatorMatrix(grid, a)
+    return _scan(op, psis, band_count), locality_report(op)
+
+
+_AMPLITUDE = st.floats(-300.0, 308.0).map(lambda e: 10.0**e)
+_UNIT = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@given(n_cells=st.integers(2, 6), points=st.integers(8, 24), bands=st.integers(1, 3),
+       observable=st.sampled_from(["wave", "cell", "raw", "h", "shift"]),
+       seed=st.integers(0, 2**32 - 1), series=_AMPLITUDE,
+       scales=st.lists(_UNIT, min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_a_streamed_scan_exits_and_writes_as_the_dense_route(tmp_path_factory, n_cells, points,
+                                                             bands, observable, seed, series,
+                                                             scales):
+    # Series amplitudes log-uniform in [1e-300, 1e308], with cell length, mass, hbar and
+    # potential in [1e-3, 1e3] so that the bands solve and the scan runs: the one pass
+    # defers each step's floating-point error to the dense route's order, so the exit
+    # code, the stderr line and every file's bytes are those of the dense route.
+    rng = random.Random(seed)
+    config = workloads.run_file(rng, n_cells, points, bands)
+    length, mass, hbar, potential = scales
+    config["lattice"].update(cell_length=length, mass=mass, hbar=hbar)
+    config["potential"]["harmonics"] = [[h, potential * c, potential * s]
+                                        for h, c, s in config["potential"]["harmonics"]]
+    for obs in config["observables"]:
+        if obs["kind"] == "series":
+            obs["terms"] = [[m, n, series * c, series * d] for m, n, c, d in obs["terms"]]
+    config["observables"] += [{**config["observables"][1], "name": "raw", "symmetrize": False},
+                              {"name": "shift", "kind": "translation"}]
+    root = tmp_path_factory.mktemp("draw")
+    (root / "run.json").write_text(json.dumps(config))
+    results = []
+    for route in (blochlab.cli._streamed_scan, dense_scan):
+        out, err = root / route.__name__, io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+            patch.setattr("blochlab.cli._streamed_scan", route)
+            code = main(["scan", "--config", str(root / "run.json"), "--observable", observable,
+                         "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        results.append((code, err.getvalue(), files))
+    assert results[0] == results[1]

@@ -15,9 +15,11 @@ from blochlab import (
 )
 from blochlab.derivatives import SCHEMES, _circulant
 from blochlab.lattice import (
+    _SLAB,
     _add_hamiltonian,
     _commutator_slabs,
     _frobenius_norm,
+    _hamiltonian_rows,
     _require_hermitian,
     commutator_norm,
     is_one_cell_shift,
@@ -208,6 +210,32 @@ def test_add_hamiltonian_has_the_bits_of_r_plus_h(scheme, n_cells, points, compl
     _add_hamiltonian(r, grid, potential, mass, hbar, scheme)
     assert r.dtype == expected.dtype
     assert r.tobytes() == expected.tobytes()
+
+
+@given(scheme=st.sampled_from(sorted(SCHEMES)), n_cells=st.integers(2, 7),
+       points=st.integers(8, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(scheme="fd4", n_cells=7, points=37, seed=0, data=None)  # G = 259
+@settings(max_examples=60, deadline=None)
+def test_hamiltonian_rows_have_the_bits_of_build_hamiltonian(scheme, n_cells, points, seed,
+                                                             data):
+    # H's row formula, asked for any run of at most _SLAB rows from any start, writes the
+    # bytes of those rows of build_hamiltonian's H, and the same into an adjoint buffer.
+    grid = RingGrid(n_cells, 1.0, points)
+    g = grid.total_points
+    rng = np.random.default_rng(seed)
+    potential = PotentialSpec(rng.normal(), ((1, rng.normal(), rng.normal()),
+                                             (3, rng.normal(), 0.0)))
+    mass, hbar = rng.uniform(0.5, 2.0, size=2)
+    expected = build_hamiltonian(grid, potential, mass=mass, hbar=hbar, scheme=scheme).entries
+    rows = _hamiltonian_rows(grid, potential, mass, hbar, scheme)
+    if data is None:
+        start, height = max(g - 40, 0), min(_SLAB, g)  # rows 219-250 of 259 cross 224
+    else:
+        start = data.draw(st.integers(0, g - 1))
+        height = data.draw(st.integers(1, min(_SLAB, g - start)))
+    out, adjoint = np.full((2, height, g), np.nan)  # every entry is written
+    rows(out, start, adjoint)
+    assert out.tobytes() == adjoint.tobytes() == expected[start:start + height].tobytes()
 
 
 def test_add_hamiltonian_holds_no_g_by_g_temporary(traced_peak):

@@ -19,8 +19,8 @@ from blochlab import (
 )
 from blochlab.derivatives import SCHEMES
 from blochlab import lattice, observables
-from blochlab.lattice import OperatorMatrix, _add_hamiltonian, _frobenius_norm
-from blochlab.observables import _harmonic_profiles
+from blochlab.lattice import _SLAB, OperatorMatrix, _add_hamiltonian, _frobenius_norm
+from blochlab.observables import _harmonic_profiles, _series_rows
 from conftest import apply_kernel, momentum_matrix, state
 
 
@@ -303,6 +303,40 @@ def test_row_walks_keep_their_bytes_at_any_slab_height(monkeypatch, rng, height)
     monkeypatch.setattr(lattice, "_SLAB", height)
     monkeypatch.setattr(observables, "_SLAB", height)
     assert outputs() == expected
+
+
+_TERMS = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 8), st.floats(-2.0, 2.0),
+                            st.floats(-2.0, 2.0)), min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme=st.sampled_from(sorted(SCHEMES)), terms=_TERMS, symmetrize=st.booleans(),
+       n_cells=st.integers(2, 7), points=st.integers(8, 40), data=st.data())
+@example(scheme="fd8", terms=[(3, 8, 1.0, -0.5), (0, 0, 0.3, 0.0)], symmetrize=True,
+         n_cells=7, points=37, data=None)  # G = 259
+@example(scheme="spectral", terms=[(5, 1, 1.0, 0.2)], symmetrize=False, n_cells=2,
+         points=8, data=None)
+def test_series_rows_have_the_bits_of_materialize(scheme, terms, symmetrize, n_cells, points,
+                                                  data):
+    # The series' row formula, asked for any run of at most _SLAB rows from any start,
+    # writes the bytes of those rows of materialize's matrix, and for a bare series the
+    # rows of its adjoint (equal as values: conj turns a +0.0 imaginary part to -0.0).
+    grid = RingGrid(n_cells, 1.0, points)
+    g = grid.total_points
+    series = LocalObservableSeries(tuple(terms), symmetrize=symmetrize)
+    expected = materialize(series, grid, scheme=scheme).entries
+    dtype, rows = _series_rows(series, grid, scheme)
+    assert np.dtype(dtype) == expected.dtype
+    if data is None:
+        start, height = max(g - 40, 0), min(_SLAB, g)  # rows 219-250 of 259 cross 224
+    else:
+        start = data.draw(st.integers(0, g - 1))
+        height = data.draw(st.integers(1, min(_SLAB, g - start)))
+    out, adjoint = np.full((2, height, g), np.nan, dtype=dtype)  # every entry is written
+    rows(out, start, None if symmetrize else adjoint)
+    assert out.tobytes() == expected[start:start + height].tobytes()
+    if not symmetrize:
+        assert np.array_equal(adjoint, expected.conj().T[start:start + height])
 
 
 def test_locality_report_rejects_the_zero_operator(ref_grid):

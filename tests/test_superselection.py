@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blochlab import (
@@ -20,8 +20,10 @@ from blochlab import (
     wannier_projector,
     winding_number,
 )
-from blochlab.observables import _projector_locality
-from blochlab.superselection import SelectionScan, _projector_scan, _scan
+from blochlab.derivatives import SCHEMES
+from blochlab.lattice import _hamiltonian_rows, _matrix_rows, build_translation
+from blochlab.observables import _projector_locality, _series_rows
+from blochlab.superselection import SelectionScan, _projector_scan, _scan, _streamed_scan
 from conftest import matrix_element, one_gemm_table, state
 
 
@@ -336,3 +338,58 @@ def test_the_rank_one_projector_route_matches_the_dense_projector(
     assert abs(rank_one.periodicity_defect - defect) <= bound * defect
     cumulative = _projector_locality(w).cumulative
     assert np.max(np.abs(cumulative - locality_report(projector).cumulative)) <= bound
+
+
+def outcome(compute):
+    """compute()'s value, or the type and message of what it raised."""
+    try:
+        return compute()
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["series", "hamiltonian", "translation", "dense"]),
+       n_cells=st.integers(2, 6), points=st.integers(8, 140), band_count=st.integers(1, 3),
+       scheme=st.sampled_from(sorted(SCHEMES)), symmetrize=st.booleans(),
+       terms=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 8), st.floats(-2.0, 2.0),
+                                st.floats(-2.0, 2.0)), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example("series", 2, 140, 2, "fd4", False, [(3, 1, 1.0, 0.4)], 0)  # P > _BLOCK: the rows
+@example("series", 5, 61, 1, "spectral", True, [(5, 2, 0.7, 0.0)], 1)  # below wrap round
+@example("translation", 3, 50, 2, "fd2", True, [(0, 0, 1.0, 0.0)], 2)
+@example("hamiltonian", 6, 53, 3, "spectral", True, [(0, 0, 1.0, 0.0)], 3)
+def test_the_streamed_scan_has_the_bits_of_the_dense_scan_and_report(
+        ref_potential, kind, n_cells, points, band_count, scheme, symmetrize, terms, seed):
+    # One pass over a row source gives the table, defect and locality of _scan and
+    # locality_report of the matrix held whole, bit for bit, or fails as they fail.
+    assume(n_cells * points <= 320)
+    grid = RingGrid(n_cells, 1.0, points)
+    g = grid.total_points
+    bands = solve_bands(grid, ref_potential, band_count)
+    if kind == "series":
+        series = LocalObservableSeries(tuple(terms), symmetrize=symmetrize)
+        op = materialize(series, grid, scheme=scheme)
+        source = (*_series_rows(series, grid, scheme), symmetrize)
+    elif kind == "hamiltonian":
+        op = build_hamiltonian(grid, ref_potential, mass=0.9, hbar=1.1)
+        source = (float, _hamiltonian_rows(grid, ref_potential, 0.9, 1.1, "spectral"), True)
+    else:
+        rng = np.random.default_rng(seed)
+        a = (build_translation(grid).entries if kind == "translation"
+             else rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g)))
+        op = OperatorMatrix(grid, a)
+        source = (op.entries.dtype.type, _matrix_rows(op.entries), False)
+    psis = bands.state_matrix()
+
+    def dense():
+        scan, report = _scan(op, psis, band_count), locality_report(op)
+        return scan.table.tobytes(), scan.periodicity_defect, report.cumulative.tobytes()
+
+    def streamed():
+        scan, report = _streamed_scan(grid, *source, psis, band_count)
+        return scan.table.tobytes(), scan.periodicity_defect, report.cumulative.tobytes()
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert outcome(streamed) == outcome(dense)
+    assert psis.tobytes() == bands.state_matrix().tobytes()

@@ -1,4 +1,4 @@
-"""Print the largest peak RSS of every distinct job of one benchmark workload.
+"""Print the peak RSS and median wall time of every distinct job of one benchmark workload.
 
     python tools/job_rss.py --root DIR --workload scan_large --seeds 21 22 --repeat 3
 
@@ -8,32 +8,38 @@ times, one at a time, as a subprocess on that checkout's source, exactly as
 ``tools/output_digest.py`` runs it, BLAS thread count included.  One line is
 printed per job and seed:
 
-    workload seed job-key exit=CODE max_rss_mib=PEAK
+    workload seed job-key exit=CODE max_rss_mib=PEAK median_wall_s=WALL
 
 PEAK is the largest ``ru_maxrss`` of the job's runs, in MiB, as the benchmark
-reads it for ``peak_rss_mib``: a memory change can be sized job by job without
-a full benchmark run.  EXIT is the exit code of the last run.
+reads it for ``peak_rss_mib``, and WALL the median wall time of its runs, in
+seconds, from start to exit, interpreter start and import included: a memory
+or speed change can be sized job by job without a full benchmark run.  EXIT is
+the exit code of the last run.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from output_digest import checkout_env, command, prepare, workloads_of
 
 
-def _peak_rss_mib(job, configs: Path, out: Path, env: dict[str, str]) -> tuple[int, float]:
-    """Run one job into ``out``; return its exit code and ``ru_maxrss`` in MiB."""
+def _run(job, configs: Path, out: Path, env: dict[str, str]) -> tuple[int, float, float]:
+    """Run one job into ``out``; return its exit code, ``ru_maxrss`` in MiB and wall time."""
+    start = time.perf_counter()
     proc = subprocess.Popen(command(job, configs, out), env=env, cwd=configs,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024.0
+    return proc.returncode, usage.ru_maxrss / 1024.0, wall
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,11 +62,12 @@ def main(argv: list[str] | None = None) -> int:
             configs = Path(scratch, str(seed))
             for i, (key, job) in enumerate(prepare(workloads, args.workload, seed,
                                                    configs).items()):
-                runs = [_peak_rss_mib(job, configs, configs / f"out_{i}_{r}", env)
+                runs = [_run(job, configs, configs / f"out_{i}_{r}", env)
                         for r in range(args.repeat)]
-                peak = max(rss for _, rss in runs)
-                print(f"{args.workload} {seed} {key} exit={runs[-1][0]} max_rss_mib={peak:.2f}",
-                      flush=True)
+                peak = max(rss for _, rss, _ in runs)
+                wall = statistics.median(w for _, _, w in runs)
+                print(f"{args.workload} {seed} {key} exit={runs[-1][0]} max_rss_mib={peak:.2f} "
+                      f"median_wall_s={wall:.3f}", flush=True)
     return 0
 
 
