@@ -40,9 +40,8 @@ from .dynamics import (
     linear_response_slope,
 )
 from .grid import WaveFunction
-from .lattice import (OperatorMatrix, _add_hamiltonian, _hamiltonian_rows, _matrix_rows,
-                      build_hamiltonian, build_translation)
-from .observables import LocalObservableSeries, _projector_locality, _series_rows, materialize
+from .lattice import OperatorMatrix, _add_rows, _hamiltonian_rows, _matrix_rows, build_translation
+from .observables import LocalObservableSeries, _projector_locality, _series_rows
 from .spectrum import BandStructure, solve_bands
 from .superselection import _projector_scan, _streamed_scan, winding_number
 from .wannier import build_wannier, cell_probability
@@ -100,21 +99,10 @@ def _solve(config: RunConfig) -> BandStructure:
     )
 
 
-def _resolve_operator(config: RunConfig, obs: ObservableConfig) -> OperatorMatrix:
-    """The matrix of an observable that is not a projector, for propagate: a projector
-    stays rank one, and a scan streams the rows of :func:`_row_source`."""
-    grid = config.grid()
-    if obs.kind == "hamiltonian":
-        return build_hamiltonian(grid, config.potential(), mass=config.mass, hbar=config.hbar)
-    if obs.kind == "translation":
-        return build_translation(grid)
-    series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
-    return materialize(series, grid, scheme=obs.scheme)
-
-
 def _row_source(config: RunConfig, obs: ObservableConfig) -> tuple:
-    """(dtype, rows, hermitian) of the observable ``_resolve_operator`` builds: its row source
-    for ``_streamed_scan``, and whether it is Hermitian bit for bit by construction."""
+    """(dtype, rows, hermitian) of an observable that is not a projector: its row source,
+    which ``_streamed_scan`` streams and ``_add_rows`` writes, and whether it is Hermitian
+    bit for bit by construction.  A projector stays rank one, kept as its site state."""
     grid = config.grid()
     if obs.kind == "hamiltonian":
         return float, _hamiltonian_rows(grid, config.potential(), config.mass, config.hbar,
@@ -245,18 +233,20 @@ def cmd_propagate(config: RunConfig, args: argparse.Namespace) -> dict:
     grid = config.grid()
     perturb_name = args.observable if args.observable is not None else dyn.perturbation
     obs = config.observable(perturb_name) if perturb_name is not None else None
-    # A projector stays rank one: the experiment takes its site state W and H goes into real
-    # zeros.  H is added into any other R (held nowhere else, and fresh but for the one-cell
-    # shift's read-only view, copied here) a slab at a time: the one G x G array is H + R.
+    # A projector stays rank one: the experiment takes its site state W, and H goes into
+    # real zeros.  Any other R is added into zeros of its dtype from its row source and
+    # checked finite, and only then is H's source made and H added into R, a slab at a
+    # time: the one G x G array is H + R.
     projector = obs is not None and obs.kind == "wannier_projector"
     site = build_wannier(_solve(config), obs.band, obs.site) if projector else None
-    if obs is None or projector:
-        hamiltonian = OperatorMatrix(grid, np.zeros((grid.total_points,) * 2))
-    else:
-        hamiltonian = _resolve_operator(config, obs)
-        hamiltonian.entries = np.require(hamiltonian.entries, requirements="W")
-    _add_hamiltonian(hamiltonian.entries, grid, config.potential(), config.mass,
-                     config.hbar, dyn.kinetic_scheme)
+    dtype, rows, _ = (float, None, None) if obs is None or projector else _row_source(config, obs)
+    entries = np.zeros((grid.total_points,) * 2, dtype)
+    if rows is not None:
+        _add_rows(entries, dtype, rows)
+    del rows  # and the source's buffers, before the Lanczos basis is allocated
+    hamiltonian = OperatorMatrix(grid, entries)  # R is checked finite before H is made
+    _add_rows(entries, float, _hamiltonian_rows(grid, config.potential(), config.mass,
+                                                config.hbar, dyn.kinetic_scheme))
     experiment = PropagationExperiment(
         hamiltonian=hamiltonian,
         source=grid.index_of_cell(dyn.source_cell),

@@ -124,24 +124,27 @@ def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.
 
     The kinetic part is a circulant (invariant under any sample shift) and
     the potential diagonal is an exact tiling of one cell, so H commutes
-    with the one-cell translation bit for bit.  H is added into zeros by
-    :func:`_add_hamiltonian`, so it is the one G x G array built.
+    with the one-cell translation bit for bit.  :func:`_add_rows` adds H's
+    rows into zeros, so H is the one G x G array built.
     """
     entries = np.zeros((grid.total_points,) * 2)
-    _add_hamiltonian(entries, grid, potential, mass, hbar, scheme)
+    _add_rows(entries, float, _hamiltonian_rows(grid, potential, mass, hbar, scheme))
     return OperatorMatrix(grid, entries)
 
 
-def _add_hamiltonian(entries: np.ndarray, grid: RingGrid, potential: PotentialSpec,
-                     mass: float, hbar: float, scheme: str) -> None:
-    """entries += H in place, one _SLAB-row slab of H at a time, so H is never G x G.
+def _add_rows(entries: np.ndarray, dtype: type, rows) -> None:
+    """entries += A in place, A the operator of the row source ``rows(out, start)``
+    (:func:`_hamiltonian_rows`, :func:`_matrix_rows` or ``_series_rows``, whose rows have
+    ``dtype``), one _SLAB-row slab of A at a time, so A is never G x G.
 
-    The slabs are :func:`_hamiltonian_rows`', the bits of H's rows, so the sum has the
-    bits of entries + H.  An overflow is left as inf, for the caller's finiteness or
-    Hermitian check to reject.
+    The sum has the bits of entries + A: into -0.0 it has A's bits, and into +0.0 those
+    but for a -0.0, which becomes +0.0.  An overflow of the sum is left as inf, for the
+    caller's finiteness or Hermitian check to reject; the rows are written outside that,
+    so an overflow in them is left as inf by H's source and raised by a series' under the
+    caller's errstate.
     """
-    rows, g = _hamiltonian_rows(grid, potential, mass, hbar, scheme), grid.total_points
-    buffer = np.empty((min(_SLAB, g), g))  # reused, so one slab is alive beside entries
+    g = len(entries)
+    buffer = np.empty((min(_SLAB, g), g), dtype=dtype)  # reused, so one slab is alive
     for start in range(0, g, _SLAB):
         slab = buffer[: min(_SLAB, g - start)]
         rows(slab, start)

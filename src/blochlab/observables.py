@@ -20,7 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .derivatives import _circulant, _momentum_column
 from .grid import RingGrid, WaveFunction, _integer, _number
-from .lattice import _SLAB, OperatorMatrix, _commutator_norm, _frobenius_norm, _harmonic_profiles
+from .lattice import (_SLAB, OperatorMatrix, _add_rows, _commutator_norm, _frobenius_norm,
+                      _harmonic_profiles)
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,15 @@ class LocalObservableSeries:
 
 def materialize(series: LocalObservableSeries, grid: RingGrid,
                 scheme: str = "spectral") -> OperatorMatrix:
-    """Dense matrix of the series on the grid, written a _SLAB-row slab at a time by
-    :func:`_series_rows`: nothing but the result is G x G.  The matrix is real when
-    every momentum power is even, and complex otherwise."""
+    """Dense matrix of the series on the grid: :func:`_add_rows` adds the rows of
+    :func:`_series_rows` into -0.0, so nothing but the result is G x G.  The matrix is
+    real when every momentum power is even, and complex otherwise."""
     dtype, rows = _series_rows(series, grid, scheme)
-    g = grid.total_points
-    acc = np.empty((g, g), dtype=dtype)
-    for start in range(0, g, _SLAB):
-        rows(acc[start:start + _SLAB], start)
-    return OperatorMatrix(grid, acc)
+    # -0.0 is the exact additive identity, so the result has every bit of the rows: a
+    # symmetrized series halves an entry of -2^-1074 to -0.0, which +0.0 would absorb.
+    entries = np.full((grid.total_points,) * 2, -0.0 if dtype is float else complex(-0.0, -0.0))
+    _add_rows(entries, dtype, rows)
+    return OperatorMatrix(grid, entries)
 
 
 def _series_rows(series: LocalObservableSeries, grid: RingGrid, scheme: str):

@@ -18,6 +18,7 @@ from blochlab import (
     LocalObservableSeries,
     PropagationExperiment,
     build_hamiltonian,
+    build_translation,
     build_wannier,
     locality_report,
     materialize,
@@ -25,9 +26,9 @@ from blochlab import (
     solve_bands,
     wannier_projector,
 )
-from blochlab.cli import _resolve_operator, main, write_csv, write_json
+from blochlab.cli import main, write_csv, write_json
 from blochlab.config import load_config
-from blochlab.lattice import _SLAB, OperatorMatrix, _hermitian_check
+from blochlab.lattice import OperatorMatrix, _add_rows, _hermitian_check, _matrix_rows
 from blochlab.superselection import _guarded, _scan
 from conftest import dense_translation
 
@@ -183,10 +184,10 @@ def test_propagate_solves_bands_only_for_a_projector(tmp_path, monkeypatch):
 
 
 def test_propagate_hands_the_experiment_h_and_a_rank_one_projector(tmp_path, monkeypatch):
-    # A projector is never resolved to a G x G matrix: the experiment gets the real H,
-    # with the bits of build_hamiltonian, and the site state W.  Any other perturbation's
-    # buffer R gets H added in place, so its dense part has the bits of H + R, and a real
-    # R keeps it real.  With no perturbation the dense part is H.
+    # A projector is never made a G x G matrix: the experiment gets the real H, with the
+    # bits of build_hamiltonian, and the site state W.  Any other perturbation R is written
+    # and gets H added in place, so the dense part has the bits of H + R for R from the
+    # public builders, and a real R keeps it real.  With no perturbation the dense part is H.
     config = write_config(tmp_path / "run.json")
     bare = write_config(tmp_path / "bare.json",
                         dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 6,
@@ -198,22 +199,12 @@ def test_propagate_hands_the_experiment_h_and_a_rank_one_projector(tmp_path, mon
             seen.append(self)
             super().__post_init__()
 
-    resolved = []
-
-    def resolve(*args):
-        op = _resolve_operator(*args)
-        resolved.append(op.entries)
-        return op
-
-    monkeypatch.setattr("blochlab.cli._resolve_operator", resolve)
     monkeypatch.setattr("blochlab.cli.PropagationExperiment", Recorder)
     assert main(["propagate", "--config", str(config)]) == 0
     assert main(["propagate", "--config", str(config), "--observable", "h"]) == 0
     assert main(["propagate", "--config", str(config), "--observable", "ring1"]) == 0
     assert main(["propagate", "--config", str(bare)]) == 0
     projector, real, series, plain = seen
-    assert len(resolved) == 2
-    assert real.hamiltonian.entries is resolved[0] and series.hamiltonian.entries is resolved[1]
     run = load_config(config)
     h = build_hamiltonian(run.grid(), run.potential(), scheme="fd4").entries
     assert projector.hamiltonian.entries.dtype == np.float64
@@ -222,11 +213,22 @@ def test_propagate_hands_the_experiment_h_and_a_rank_one_projector(tmp_path, mon
     assert projector.site.samples.tobytes() == w.tobytes()
     for experiment, name in ((real, "h"), (series, "ring1")):
         assert experiment.site is None
-        r = _resolve_operator(run, run.observable(name)).entries
+        r = dense_operator(run, run.observable(name)).entries
         assert experiment.hamiltonian.entries.dtype == r.dtype
         assert experiment.hamiltonian.entries.tobytes() == (h + r).tobytes()
     assert real.hamiltonian.entries.dtype == np.float64
     assert plain.site is None and plain.hamiltonian.entries.tobytes() == h.tobytes()
+
+
+def dense_operator(run, obs):
+    """The G x G matrix of an observable that is not a projector, from the public builders."""
+    grid = run.grid()
+    if obs.kind == "hamiltonian":
+        return build_hamiltonian(grid, run.potential(), mass=run.mass, hbar=run.hbar)
+    if obs.kind == "translation":
+        return build_translation(grid)
+    series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
+    return materialize(series, grid, scheme=obs.scheme)
 
 
 def write_expected_scan_files(directory, run, observable, op):
@@ -314,7 +316,7 @@ def test_scan_files_match_the_public_scan_and_report(tmp_path, observable):
     names = ("scan.csv", "locality.csv", "scan_summary.json")
     if obs.kind != "wannier_projector":
         write_expected_scan_files(tmp_path / "expected", run, observable,
-                                  _resolve_operator(run, obs))
+                                  dense_operator(run, obs))
         assert_same_files(tmp_path / "out", tmp_path / "expected", names)
         return
     bands = solve_bands(run.grid(), run.potential(), run.bands, mass=run.mass, hbar=run.hbar)
@@ -365,7 +367,7 @@ def test_both_scan_routes_pass_the_table_guards(tmp_path, monkeypatch):
     assert checks[:3] == [None, None, None]
     run = load_config(config)
     for name, check in zip(names[3:], checks[3:]):
-        dense = _hermitian_check(_resolve_operator(run, run.observable(name)).entries)
+        dense = _hermitian_check(dense_operator(run, run.observable(name)).entries)
         assert check() == dense and dense[0] > 0.0, name
 
 
@@ -459,6 +461,25 @@ def test_a_projector_propagate_holds_the_real_h_and_the_basis(tmp_path, traced_p
     with traced_peak() as peak:
         assert main(["propagate", "--config", str(config)]) == 0
         assert peak() <= 1.1 * 2048**2 * 8 + 2048**2 * 16
+
+
+@pytest.mark.parametrize("power, itemsize, bound", [(1, 16, 2.02), (0, 8, 2.03)],
+                         ids=["complex", "real"])
+def test_a_dense_propagate_holds_h_plus_r_and_the_basis(tmp_path, traced_peak, power, itemsize,
+                                                        bound):
+    # 32 x 64 (G = 2048) under a series R, complex for an odd momentum power: the run holds
+    # H + R and the Lanczos basis of R's dtype, whose np.zeros tracemalloc counts in full.
+    # R's row source and its slabs are freed before the basis is allocated: the source's
+    # two 32-row buffers alone would add 0.03 of G^2 entries.
+    config = write_config(
+        tmp_path / "run.json", lattice={"n_cells": 32, "cell_length": 1.0, "points_per_cell": 64},
+        observables=[{"name": "ring", "kind": "series", "scheme": "fd4",
+                      "terms": [[1, power, 1.0, 0.3], [3, 0, 0.5, -0.2]]}],
+        dynamics={"epsilons": [1e-4, 2e-4, 4e-4, 8e-4], "source_cell": 20, "target_cell": 4,
+                  "kinetic_scheme": "fd4", "perturbation": "ring"})
+    with traced_peak() as peak:
+        assert main(["propagate", "--config", str(config)]) == 0
+        assert peak() <= bound * 2048**2 * itemsize
 
 
 @pytest.mark.parametrize("hbar", [1e154, 1e200])
@@ -779,6 +800,18 @@ def test_overflowing_generator_fails_the_hermitian_gate(tmp_path, capsys):
     assert main(["propagate", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert err == "numerical failure: total generator is not Hermitian (defect nan)\n"
+
+
+def test_an_overflowing_h_alone_fails_the_hermitian_gate(tmp_path, capsys):
+    # No perturbation: V = 1e308 (1 + cos) overflows to inf on H's diagonal.  The walker
+    # leaves the inf in the generator, and the Hermitian gate rejects it (inf - inf).
+    config = write_config(
+        tmp_path / "run.json", potential={"constant": 1e308, "harmonics": [[1, 1e308, 0.0]]},
+        dynamics={"epsilons": [1e-4, 2e-4], "source_cell": 6, "target_cell": 2})
+    assert main(["propagate", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: total generator is not Hermitian (defect nan)\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_scan_leaves_no_output(tmp_path, capsys):
@@ -1180,12 +1213,10 @@ def test_every_command_at_extreme_magnitudes_passes_its_check_or_fails_cleanly(
 
 
 def dense_scan(grid, dtype, rows, hermitian, psis, band_count):
-    """The dense route of cmd_scan: A built whole from its row source in _SLAB-row slabs,
-    as materialize builds it, then _scan and locality_report."""
-    g = grid.total_points
-    a = np.empty((g, g), dtype=dtype)
-    for start in range(0, g, _SLAB):
-        rows(a[start:start + _SLAB], start)
+    """The dense route of cmd_scan: A built whole by the row walker from -0.0, as
+    materialize builds it, then _scan and locality_report."""
+    a = np.full((grid.total_points,) * 2, -0.0 if dtype is float else complex(-0.0, -0.0))
+    _add_rows(a, dtype, rows)
     op = OperatorMatrix(grid, a)
     return _scan(op, psis, band_count), locality_report(op)
 
@@ -1226,6 +1257,60 @@ def test_a_streamed_scan_exits_and_writes_as_the_dense_route(tmp_path_factory, n
             patch.setattr("blochlab.cli._streamed_scan", route)
             code = main(["scan", "--config", str(root / "run.json"), "--observable", observable,
                          "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        results.append((code, err.getvalue(), files))
+    assert results[0] == results[1]
+
+
+def whole_source(config, obs):
+    """The oracle's observable dispatch: R built whole by the public builders, which check
+    it finite, and read back by slicing."""
+    r = dense_operator(config, obs).entries
+    return r.dtype.type, _matrix_rows(r), None
+
+
+def add_whole(entries, dtype, rows):
+    """The oracle's adder: entries += A in place, A written whole by one call of its rows."""
+    a = np.empty(entries.shape, dtype=dtype)
+    rows(a, 0)
+    with np.errstate(over="ignore"):
+        entries += a
+
+
+@given(n_cells=st.integers(2, 4), points=st.integers(8, 16), bands=st.integers(1, 3),
+       perturbation=st.sampled_from(["wave", "cell", "h", "shift", "site", None]),
+       seed=st.integers(0, 2**32 - 1),
+       scales=st.lists(st.one_of(_UNIT, _MAGNITUDE), min_size=6, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_propagate_exits_and_writes_as_the_public_builders(tmp_path_factory, n_cells, points,
+                                                           bands, perturbation, seed, scales):
+    # Cell length, mass, hbar, potential and series amplitudes and time steps each in
+    # [1e-3, 1e3] or log-uniform in [1e-300, 1e300].  Propagate's dense part, R written by
+    # its row source and checked finite, then H added a slab at a time, exits and writes
+    # as the oracle does: R from materialize, build_hamiltonian or build_translation, and
+    # H's rows added in place whole.  A projector or no perturbation adds H into zeros.
+    rng = random.Random(seed)
+    config = workloads.run_file(rng, n_cells, points, bands)
+    length, mass, hbar, potential, series, epsilon = scales
+    config["lattice"].update(cell_length=length, mass=mass, hbar=hbar)
+    config["potential"]["harmonics"] = [[h, potential * c, potential * s]
+                                        for h, c, s in config["potential"]["harmonics"]]
+    for obs in config["observables"]:
+        if obs["kind"] == "series":
+            obs["terms"] = [[m, n, series * c, series * d] for m, n, c, d in obs["terms"]]
+    config["observables"].append({"name": "shift", "kind": "translation"})
+    config["dynamics"]["epsilons"] = [epsilon * e for e in config["dynamics"]["epsilons"]]
+    config["dynamics"]["perturbation"] = perturbation
+    root = tmp_path_factory.mktemp("draw")
+    (root / "run.json").write_text(json.dumps(config))
+    results = []
+    for route in ("walker", "oracle"):
+        out, err = root / route, io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+            if route == "oracle":
+                patch.setattr("blochlab.cli._row_source", whole_source)
+                patch.setattr("blochlab.cli._add_rows", add_whole)
+            code = main(["propagate", "--config", str(root / "run.json"), "--out", str(out)])
         files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
         results.append((code, err.getvalue(), files))
     assert results[0] == results[1]

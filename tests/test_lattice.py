@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from blochlab import (
     GridMismatchError,
+    LocalObservableSeries,
     OperatorMatrix,
     PotentialSpec,
     RingGrid,
@@ -12,18 +13,21 @@ from blochlab import (
     build_translation,
     cell_periodicity_defect,
     classify_by_translation,
+    materialize,
 )
 from blochlab.derivatives import SCHEMES, _circulant
 from blochlab.lattice import (
     _SLAB,
-    _add_hamiltonian,
+    _add_rows,
     _commutator_slabs,
     _frobenius_norm,
     _hamiltonian_rows,
+    _matrix_rows,
     _require_hermitian,
     commutator_norm,
     is_one_cell_shift,
 )
+from blochlab.observables import _series_rows
 from conftest import dense_translation, fourier_coefficient, momentum_matrix
 
 
@@ -188,28 +192,56 @@ def _signed_zeros_and_normals(rng, shape):
     return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, rng.normal(size=shape)))
 
 
-@given(scheme=st.sampled_from(sorted(SCHEMES)), n_cells=st.integers(2, 7),
-       points=st.integers(8, 15), complex_r=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example("fd2", 3, 131, False, 0)  # G = 393: three full row slabs and a short one
-@example("fd4", 3, 131, True, 1)
+@given(source=st.sampled_from(["h", "shift", "series"]),
+       scheme=st.sampled_from(sorted(SCHEMES)), n_cells=st.integers(2, 7),
+       points=st.integers(8, 15), into=st.sampled_from(["real", "complex", "+0.0", "-0.0"]),
+       seed=st.integers(0, 2**32 - 1))
+@example("h", "fd2", 3, 131, "real", 0)  # G = 393: three full row slabs and a short one
+@example("h", "fd4", 3, 131, "complex", 1)
+@example("series", "fd6", 3, 131, "+0.0", 2)
 @settings(max_examples=60, deadline=None)
-def test_add_hamiltonian_has_the_bits_of_r_plus_h(scheme, n_cells, points, complex_r, seed):
-    # Oracle: R + H with H built whole.  R holds +0.0 and -0.0 in every part, so
-    # the fd stencils' off-band -0.0 must be +0.0 in H, and V must be on H's
-    # diagonal before H meets R.
+def test_add_rows_has_the_bits_of_r_plus_a(source, scheme, n_cells, points, into, seed):
+    # Oracle: R + A with A built whole: H from its kinetic matrix and its diagonal, T as
+    # the dense shift (its source reads build_translation's read-only view), a series by
+    # one call of its row source over all G rows.  R holds +0.0 and -0.0 in every part,
+    # so H's off-band -0.0 must be +0.0 and V must be on H's diagonal before H meets R.
+    # From zeros of either sign (build_hamiltonian's and materialize's starts) the sum is
+    # A, which the public builders return bit for bit.
     grid = RingGrid(n_cells, 1.0, points)
     g = grid.total_points
     rng = np.random.default_rng(seed)
-    potential = PotentialSpec(rng.normal(), ((1, rng.normal(), rng.normal()),))
-    mass, hbar = rng.uniform(0.5, 2.0, size=2)
-    r = _signed_zeros_and_normals(rng, (g, g))
-    if complex_r:
-        r = r + 1j * _signed_zeros_and_normals(rng, (g, g))
-    kinetic = hbar**2 / (2.0 * mass) * momentum_matrix(grid, 2, scheme)
-    expected = r + (kinetic + np.diag(potential.sample(grid)))
-    _add_hamiltonian(r, grid, potential, mass, hbar, scheme)
+    if source == "h":
+        potential = PotentialSpec(rng.normal(), ((1, rng.normal(), rng.normal()),))
+        mass, hbar = rng.uniform(0.5, 2.0, size=2)
+        dtype, rows = float, _hamiltonian_rows(grid, potential, mass, hbar, scheme)
+        kinetic = hbar**2 / (2.0 * mass) * momentum_matrix(grid, 2, scheme)
+        a = kinetic + np.diag(potential.sample(grid))
+        built = build_hamiltonian(grid, potential, mass=mass, hbar=hbar, scheme=scheme).entries
+    elif source == "shift":
+        built = build_translation(grid).entries
+        dtype, rows, a = float, _matrix_rows(built), dense_translation(grid).entries
+    else:
+        series = LocalObservableSeries(((1, int(rng.integers(0, 4)), *rng.normal(size=2)),
+                                        (3, 2, *rng.normal(size=2)), (0, 0, rng.normal(), 0.0)),
+                                       symmetrize=bool(rng.integers(2)))
+        dtype, rows = _series_rows(series, grid, scheme)
+        a = np.full((g, g), np.nan, dtype=dtype)  # every entry is written
+        rows(a, 0)
+        built = materialize(series, grid, scheme=scheme).entries
+    if into in ("+0.0", "-0.0"):
+        zero = float(into)
+        r = np.full((g, g), zero if dtype is float else complex(zero, zero))
+    else:
+        r = _signed_zeros_and_normals(rng, (g, g))
+        if into == "complex" or np.dtype(dtype) == complex:
+            r = r + 1j * _signed_zeros_and_normals(rng, (g, g))
+    expected = r + a
+    _add_rows(r, dtype, rows)
     assert r.dtype == expected.dtype
     assert r.tobytes() == expected.tobytes()
+    assert np.asarray(built).tobytes() == a.tobytes()
+    if into in ("+0.0", "-0.0"):
+        assert r.tobytes() == a.tobytes()
 
 
 @given(scheme=st.sampled_from(sorted(SCHEMES)), n_cells=st.integers(2, 7),
@@ -238,12 +270,13 @@ def test_hamiltonian_rows_have_the_bits_of_build_hamiltonian(scheme, n_cells, po
     assert out.tobytes() == adjoint.tobytes() == expected[start:start + height].tobytes()
 
 
-def test_add_hamiltonian_holds_no_g_by_g_temporary(traced_peak):
+def test_add_rows_holds_no_g_by_g_temporary(traced_peak):
     # One 32-row slab of H at a time: well under a MiB beside a 64 MiB complex R.
     grid = RingGrid(32, 1.0, 64)
     r = np.zeros((grid.total_points,) * 2, dtype=complex)
     with traced_peak() as peak:
-        _add_hamiltonian(r, grid, PotentialSpec(0.0, ((1, 2.0, 0.0),)), 1.0, 1.0, "fd4")
+        _add_rows(r, float, _hamiltonian_rows(grid, PotentialSpec(0.0, ((1, 2.0, 0.0),)), 1.0,
+                                              1.0, "fd4"))
         assert peak() <= 0.02 * r.nbytes
 
 

@@ -19,7 +19,8 @@ from blochlab import (
 )
 from blochlab.derivatives import SCHEMES
 from blochlab import lattice, observables
-from blochlab.lattice import _SLAB, OperatorMatrix, _add_hamiltonian, _frobenius_norm
+from blochlab.lattice import (_SLAB, OperatorMatrix, _add_rows, _frobenius_norm,
+                              _hamiltonian_rows)
 from blochlab.observables import _harmonic_profiles, _series_rows
 from conftest import apply_kernel, momentum_matrix, state
 
@@ -280,8 +281,9 @@ def test_scan_operator_memory_bounds(traced_peak):
 
 @pytest.mark.parametrize("height", [1, 7, 32, 128, 261])
 def test_row_walks_keep_their_bytes_at_any_slab_height(monkeypatch, rng, height):
-    # materialize, locality_report and _add_hamiltonian treat each row on its own
-    # (the report's add.at runs in row-major order), so the slab height moves no bit.
+    # The row walker (materialize's, and H's added into R) and locality_report treat each
+    # row on its own (the report's add.at runs in row-major order), so the slab height
+    # moves no bit.
     # G = 261 leaves a short last slab at every height but 1 and G.
     grid = RingGrid(9, 1.0, 29)
     g = grid.total_points
@@ -294,7 +296,7 @@ def test_row_walks_keep_their_bytes_at_any_slab_height(monkeypatch, rng, height)
     def outputs():
         ops = [materialize(s, grid, scheme="fd4") for s in series]
         filled = r.copy()
-        _add_hamiltonian(filled, grid, potential, 0.9, 1.1, "fd6")
+        _add_rows(filled, float, _hamiltonian_rows(grid, potential, 0.9, 1.1, "fd6"))
         return ([op.entries.tobytes() for op in ops]
                 + [locality_report(op).cumulative.tobytes() for op in ops]
                 + [filled.tobytes()])
@@ -316,6 +318,10 @@ _TERMS = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 8), st.floats(-2.
          n_cells=7, points=37, data=None)  # G = 259
 @example(scheme="spectral", terms=[(5, 1, 1.0, 0.2)], symmetrize=False, n_cells=2,
          points=8, data=None)
+# Subnormal profiles: symmetrizing halves an entry of -2^-1074 to -0.0, which a start
+# from +0.0 would turn to +0.0.
+@example(scheme="fd6", terms=[(1, 2, 5e-324, 0.0)], symmetrize=True, n_cells=2, points=8,
+         data=None)
 def test_series_rows_have_the_bits_of_materialize(scheme, terms, symmetrize, n_cells, points,
                                                   data):
     # The series' row formula, asked for any run of at most _SLAB rows from any start,

@@ -41,12 +41,16 @@ def test_all_is_exactly_what_the_package_binds():
     ("spectrum", "solve_sector"),
     ("spectrum", "BlochState"),
     ("dynamics", "transport_profile"),
+    ("lattice", "_add_hamiltonian"),
+    ("cli", "_resolve_operator"),
 ])
 def test_removed_names_stay_removed(module, name):
     # Second routes to one entry of the scan table, its defect or the cell transport
     # profile, and the whole-cell shift of one wavefunction, live in the tests' conftest;
     # the gauge fix is private to the spectrum, the per-sector solve is an oracle
     # for the stacked one, and the per-state record is an oracle view of the band rows.
+    # One row walker writes every dense operator, and the CLI's one observable dispatch
+    # is its row source, so H's own adder and propagate's operator builder are gone.
     assert not hasattr(importlib.import_module(f"blochlab.{module}"), name)
     assert not hasattr(blochlab, name)
 
