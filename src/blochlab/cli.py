@@ -100,17 +100,18 @@ def _solve(config: RunConfig) -> BandStructure:
 
 
 def _row_source(config: RunConfig, obs: ObservableConfig) -> tuple:
-    """(dtype, rows, hermitian) of an observable that is not a projector: its row source,
-    which ``_streamed_scan`` streams and ``_add_rows`` writes, and whether it is Hermitian
-    bit for bit by construction.  A projector stays rank one, kept as its site state."""
+    """(dtype, rows, adjoint) of an observable that is not a projector: the row sources of A,
+    which ``_streamed_scan`` streams and ``_add_rows`` writes, and of A^dagger, None for H
+    and a symmetrized series.  A projector stays rank one, kept as its site state."""
     grid = config.grid()
     if obs.kind == "hamiltonian":
         return float, _hamiltonian_rows(grid, config.potential(), config.mass, config.hbar,
-                                        "spectral"), True
-    if obs.kind == "translation":  # the shift's read-only view, read by slicing
-        return float, _matrix_rows(build_translation(grid).entries), False
-    series = LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize)
-    return (*_series_rows(series, grid, obs.scheme), series.symmetrize)
+                                        "spectral"), None
+    if obs.kind == "translation":  # the shift's read-only view, read by slicing; T^dagger = T^T
+        shift = build_translation(grid).entries
+        return float, _matrix_rows(shift), _matrix_rows(shift.T)
+    return _series_rows(LocalObservableSeries(obs.terms, symmetrize=obs.symmetrize), grid,
+                        obs.scheme)
 
 
 def _require_band(config: RunConfig, band: int) -> None:
@@ -174,8 +175,10 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> dict:
     obs = config.observable(args.observable)
     bands = _solve(config)
     site = build_wannier(bands, obs.band, obs.site) if obs.kind == "wannier_projector" else None
-    psis, band_count = bands.state_matrix(), bands.band_count
-    del bands  # psis is the states' one copy, and the scans only read it
+    waves, band_count = bands.waves, bands.band_count
+    del bands  # and u with it, which no scan reads, before psi is copied
+    psis = waves.reshape(-1, waves.shape[-1]).T.copy()  # state_matrix(), the scans' one copy
+    del waves
     if site is not None:  # h |W><W| stays rank one: the scan and report read W and psis
         scan, report = _projector_scan(site, psis, band_count), _projector_locality(site)
     else:  # any other A streams past psis, a slab of rows at a time, and is never whole

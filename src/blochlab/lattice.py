@@ -133,8 +133,8 @@ def build_hamiltonian(grid: RingGrid, potential: PotentialSpec, mass: float = 1.
 
 
 def _add_rows(entries: np.ndarray, dtype: type, rows) -> None:
-    """entries += A in place, A the operator of the row source ``rows(out, start)``
-    (:func:`_hamiltonian_rows`, :func:`_matrix_rows` or ``_series_rows``, whose rows have
+    """entries += A in place, A the operator whose rows the row source ``rows(out, start)``
+    writes (:func:`_hamiltonian_rows`, :func:`_matrix_rows` or ``_series_rows``, rows of
     ``dtype``), one _SLAB-row slab of A at a time, so A is never G x G.
 
     The sum has the bits of entries + A: into -0.0 it has A's bits, and into +0.0 those
@@ -154,8 +154,8 @@ def _add_rows(entries: np.ndarray, dtype: type, rows) -> None:
 
 def _hamiltonian_rows(grid: RingGrid, potential: PotentialSpec, mass: float, hbar: float,
                       scheme: str):
-    """H's row formula: ``rows(out, start, adjoint)`` writes rows start, start + 1, ... of
-    H into ``out``, and into ``adjoint`` if given: H is real symmetric bit for bit.  A row
+    """H's row source: ``rows(out, start)`` writes rows start, start + 1, ... of H into
+    ``out``.  H is real symmetric bit for bit, so it needs no source for H^dagger.  A row
     is the kinetic circulant's row times s = hbar^2/2m, plus 0.0 (the fd stencils' off-band
     -0.0 become +0.0), with s k_ii + V_i on its diagonal.  An overflow is left as inf."""
     scale = _kinetic_scale(mass, hbar)
@@ -163,25 +163,21 @@ def _hamiltonian_rows(grid: RingGrid, potential: PotentialSpec, mass: float, hba
     with np.errstate(over="ignore"):
         diagonal = scale * kinetic[0, 0] + potential.sample(grid)
 
-    def rows(out: np.ndarray, start: int, adjoint: np.ndarray | None = None) -> None:
+    def rows(out: np.ndarray, start: int) -> None:
         i = np.arange(len(out))
         with np.errstate(over="ignore"):
             np.multiply(kinetic[start:start + len(out)], scale, out=out)
             out += 0.0
         out[i, start + i] = diagonal[start:start + len(out)]
-        if adjoint is not None:
-            adjoint[...] = out
 
     return rows
 
 
 def _matrix_rows(a: np.ndarray):
-    """The row source of a matrix held whole (or a view): ``rows(out, start, adjoint)``
-    copies rows start, start + 1, ... of A into ``out`` and, given ``adjoint``, A^dagger's."""
-    def rows(out: np.ndarray, start: int, adjoint: np.ndarray | None = None) -> None:
+    """The row source of a matrix held whole (or a view): ``rows(out, start)`` copies rows
+    start, start + 1, ... of A into ``out``.  A^dagger's source is that of conj(A).T."""
+    def rows(out: np.ndarray, start: int) -> None:
         out[...] = a[start:start + len(out)]
-        if adjoint is not None:
-            np.conjugate(a[:, start:start + len(adjoint)].T, out=adjoint)
 
     return rows
 

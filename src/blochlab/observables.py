@@ -14,6 +14,7 @@ ring distance of the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,7 +56,7 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
     """Dense matrix of the series on the grid: :func:`_add_rows` adds the rows of
     :func:`_series_rows` into -0.0, so nothing but the result is G x G.  The matrix is
     real when every momentum power is even, and complex otherwise."""
-    dtype, rows = _series_rows(series, grid, scheme)
+    dtype, rows, _ = _series_rows(series, grid, scheme)
     # -0.0 is the exact additive identity, so the result has every bit of the rows: a
     # symmetrized series halves an entry of -2^-1074 to -0.0, which +0.0 would absorb.
     entries = np.full((grid.total_points,) * 2, -0.0 if dtype is float else complex(-0.0, -0.0))
@@ -64,48 +65,48 @@ def materialize(series: LocalObservableSeries, grid: RingGrid,
 
 
 def _series_rows(series: LocalObservableSeries, grid: RingGrid, scheme: str):
-    """(dtype, rows): the series' row formula.  ``rows(out, start, adjoint)`` writes rows
-    start, start + 1, ... of the materialized A into ``out`` and, given ``adjoint``, those
-    of B^dagger for B the unsymmetrized series.
+    """(dtype, rows, adjoint): the series' row sources.  ``rows(out, start)`` writes rows
+    start, start + 1, ... of the materialized A into ``out``, and ``adjoint`` those of
+    A^dagger; it is None for a symmetrized A = (B + B^dagger)/2, Hermitian bit for bit.
 
     Term t is a real profile f_t times a momentum-power circulant K_t of the requested
-    derivative scheme, and K_t is Hermitian bit for bit, so B^dagger = sum_t K_t f_t.  The
-    rows of B and of B^dagger are summed in term order from strided views over each
-    circulant column, and each row on its own, so a row's bits do not depend on the slab.
-    A symmetrized A = (B + B^dagger)/2 is Hermitian bit for bit.
-    """
-    even = all(n % 2 == 0 for _, n, _, _ in series.terms)
+    derivative scheme, and K_t is Hermitian bit for bit, so the bare series B = sum_t f_t K_t
+    has B^dagger = sum_t K_t f_t.  The rows of B and of B^dagger are summed in term order
+    from strided views over each circulant column, and each row on its own, so a row's bits
+    do not depend on the slab."""
+    dtype = float if all(n % 2 == 0 for _, n, _, _ in series.terms) else complex
     terms = []
     for m, n, c, d in series.terms:
         cos_prof, sin_prof = _harmonic_profiles(grid, m)
         kernel = _circulant(_momentum_column(grid, n, scheme)) if n else None
         terms.append((c * cos_prof + d * sin_prof, kernel))
-    # Reused slabs as high as the highest ask: one term's product, and the rows of B^dagger.
-    buffers = []
+    buffers = []  # reused slabs as high as the highest ask: a term's product, B^dagger's rows
 
-    def rows(out: np.ndarray, start: int, adjoint: np.ndarray | None = None) -> None:
+    def summed(daggers: tuple, out: np.ndarray, start: int) -> None:
+        """Rows start, start + 1, ... of B into ``out``, or of B^dagger if daggers[0]; with
+        daggers (False, True), B^dagger's into the own slab too, and (B + B^dagger)/2."""
         if not buffers or len(buffers[0]) < len(out):
             buffers[:] = [np.empty_like(out) for _ in range(2)]
         stop, diag = start + len(out), np.arange(start, start + len(out))
         prod, own = (buffer[: len(out)] for buffer in buffers)
-        adj = own if series.symmetrize else adjoint
-        for slab in (out, adj):
-            if slab is not None:
-                slab.fill(0.0)
+        slabs = list(zip((out, own), daggers))
+        for slab, _ in slabs:
+            slab.fill(0.0)
         for profile, kernel in terms:
-            if kernel is None:
-                out[diag - start, diag] += profile[diag]
-                if adj is not None:
-                    adj[diag - start, diag] += profile[diag]
-            else:
-                out += np.multiply(profile[start:stop, None], kernel[start:stop], out=prod)
-                if adj is not None:
-                    adj += np.multiply(kernel[start:stop], profile, out=prod)
-        if series.symmetrize:
-            out += adj
+            for slab, dagger in slabs:
+                if kernel is None:
+                    slab[diag - start, diag] += profile[diag]
+                elif dagger:
+                    slab += np.multiply(kernel[start:stop], profile, out=prod)
+                else:
+                    slab += np.multiply(profile[start:stop, None], kernel[start:stop], out=prod)
+        if len(slabs) == 2:
+            out += own
             out *= 0.5
 
-    return float if even else complex, rows
+    if series.symmetrize:
+        return dtype, partial(summed, (False, True)), None
+    return dtype, partial(summed, (False,)), partial(summed, (True,))
 
 
 @dataclass
@@ -194,7 +195,7 @@ def _projector_locality(site: WaveFunction) -> LocalityReport:
     rho, d = np.square(modulus / modulus.max()), np.arange(g // 2 + 1)
     lags = np.einsum("ki,i->k", sliding_window_view(np.concatenate((rho, rho[:g // 2])), g), rho)
     mass = np.where((d > 0) & (2 * d < g), 2.0, 1.0) * lags  # lag G - d holds lag d's sum
-    return LocalityReport(site.grid, np.cumsum(mass) / mass.sum())
+    return _locality(site.grid, mass)
 
 
 def cell_periodicity_defect(op: OperatorMatrix) -> float:

@@ -117,20 +117,20 @@ def _scan(op: OperatorMatrix, psis: np.ndarray, band_count: int) -> SelectionSca
                                   defect), lambda: _hermitian_check(a))
 
 
-def _streamed_scan(grid: RingGrid, dtype: type, rows, hermitian: bool, psis: np.ndarray,
+def _streamed_scan(grid: RingGrid, dtype: type, rows, adjoint, psis: np.ndarray,
                    band_count: int) -> tuple[SelectionScan, LocalityReport]:
-    """:func:`_scan` and :func:`locality_report` of the A whose rows ``rows(out, start,
-    adjoint)`` writes (``_series_rows``, ``_hamiltonian_rows`` or ``_matrix_rows``), bit for
+    """:func:`_scan` and :func:`locality_report` of the A whose rows the source ``rows(out,
+    start)`` writes (``_series_rows``, ``_hamiltonian_rows`` or ``_matrix_rows``), bit for
     bit, in one pass over A's _BLOCK-row slabs: nothing is G x G.  Each slab is written
     _ROWS rows at a time and checked finite, feeds the table and ||A||^2 as _scan's slabs
-    do, then turns into its slab of [A, T] with the rows p below it, written again.
-    S = (A + A^dagger)/2 is A for a ``hermitian`` source (Hermitian bit for bit); else S
-    and max |A - A^dagger| come from A^dagger's rows.  A step's first floating-point error
-    ends that step and is raised after the pass, in the dense route's order: the defect,
-    the table, the guards, the locality."""
+    do, then turns into its slab of [A, T] with the rows p below it, written again.  S = (A
+    + A^dagger)/2 and max |A - A^dagger| come from the rows of A^dagger that ``adjoint``
+    writes, or S is A if ``adjoint`` is None: A is Hermitian bit for bit.  A step's first
+    floating-point error ends that step and is raised after the pass, in the dense route's
+    order: the defect, the table, the guards, the locality."""
     g, p = grid.total_points, grid.points_per_cell
     block = np.empty((min(_BLOCK, g), g), dtype=dtype)
-    adjoint = None if hermitian else np.empty((min(_ROWS, g), g), dtype=dtype)
+    dagger = None if adjoint is None else np.empty((min(_ROWS, g), g), dtype=dtype)
     mass, dist, results, errors = np.zeros(g // 2 + 1), _ring_distances(g), defaultdict(list), {}
     flat = np.full((psis.shape[1],) * 2, complex(-0.0, -0.0))  # as in _scan
     rhs = psis if np.iscomplexobj(block) else psis.view(float)
@@ -148,16 +148,16 @@ def _streamed_scan(grid: RingGrid, dtype: type, rows, hermitian: bool, psis: np.
         return results[step]
 
     def write(a, start):  # rows start.. of A into a, checked, binned and held to A^dagger
-        adj = None if hermitian else adjoint[: len(a)]
-        rows(a, start, adj)
+        rows(a, start)
         _require_finite(a)
-        if adj is not None:
+        if adjoint is not None:
+            adjoint(adj := dagger[: len(a)], start)
             run("hermitian", lambda: (float(np.max(np.abs(a - adj))), float(np.max(np.abs(a)))))
-        run("locality", locality, a, adj, start)
+        run("locality", locality, a, start)
 
-    def locality(a, adj, start):
-        if adj is not None:  # S = (A^dagger + A) / 2, as locality_report adds it
-            a = np.add(adj, a, out=adj)
+    def locality(a, start):
+        if adjoint is not None:  # S = (A^dagger + A) / 2, as locality_report adds it
+            a = np.add(dagger[: len(a)], a, out=dagger[: len(a)])
             a *= 0.5
         _bin_mass(mass, a, dist[start:start + len(a)])
 
@@ -188,7 +188,7 @@ def _streamed_scan(grid: RingGrid, dtype: type, rows, hermitian: bool, psis: np.
     flat *= grid.spacing
     scan = _guarded(SelectionScan(flat.reshape(band_count, grid.n_cells, band_count, -1),
                                   norms[0] / max(norms[1], 1e-300)),
-                    None if hermitian else lambda: tuple(map(max, zip(*read("hermitian")))))
+                    None if adjoint is None else lambda: tuple(map(max, zip(*read("hermitian")))))
     read("locality")
     return scan, _locality(grid, mass)
 

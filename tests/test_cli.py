@@ -428,7 +428,9 @@ def test_a_streamed_scan_holds_no_g_by_g_array_beside_its_states(tmp_path, trace
                                                                  shape, bands):
     # G = 2048: the series would be a 64 MiB complex matrix and H a 32 MiB real one.  From
     # the pass on, beside the state matrix (8 and 4 MiB), the scan holds a 128-row slab
-    # of A, the table and a few row slabs, and it writes its files in chunks.
+    # of A, the table and a few row slabs, and it writes its files in chunks.  Before the
+    # pass it drops u before it copies psi into the state matrix, and psi after, so up to
+    # the pass it peaks under 2.7 times the states' B N G complex numbers.
     config = write_config(
         tmp_path / "run.json", bands=bands,
         lattice={"n_cells": shape[0], "cell_length": 1.0, "points_per_cell": shape[1]},
@@ -440,13 +442,17 @@ def test_a_streamed_scan_holds_no_g_by_g_array_beside_its_states(tmp_path, trace
     streamed_scan = blochlab.cli._streamed_scan
 
     def from_the_pass_on(*args):
+        before.append(peak())
         peak.reset()
         return streamed_scan(*args)
 
     monkeypatch.setattr("blochlab.cli._streamed_scan", from_the_pass_on)
+    before = []
     with traced_peak() as peak:
         assert main(["scan", "--config", str(config), "--observable", observable]) == 0
         assert peak() <= 0.25 * 2048**2 * 8
+    # Measured 2.59 (series) and 2.33 (h); a scan that holds u while it copies psi reads 3.0.
+    assert before[0] <= 2.7 * bands * shape[0] * 2048 * 16
 
 
 def test_a_projector_propagate_holds_the_real_h_and_the_basis(tmp_path, traced_peak):
@@ -1212,11 +1218,17 @@ def test_every_command_at_extreme_magnitudes_passes_its_check_or_fails_cleanly(
                                 scales) == []
 
 
-def dense_scan(grid, dtype, rows, hermitian, psis, band_count):
+def dense_scan(grid, dtype, rows, adjoint, psis, band_count):
     """The dense route of cmd_scan: A built whole by the row walker from -0.0, as
-    materialize builds it, then _scan and locality_report."""
+    materialize builds it, then _scan and locality_report.  It first holds the source of
+    A^dagger to conj(A)^T's values, or A to Hermitian if there is none."""
     a = np.full((grid.total_points,) * 2, -0.0 if dtype is float else complex(-0.0, -0.0))
     _add_rows(a, dtype, rows)
+    with np.errstate(all="ignore"):  # the route's errors stay those of the dense route
+        dagger = a
+        if adjoint is not None:
+            adjoint(dagger := np.empty_like(a), 0)
+        assert np.array_equal(dagger, a.conj().T, equal_nan=True)
     op = OperatorMatrix(grid, a)
     return _scan(op, psis, band_count), locality_report(op)
 

@@ -199,6 +199,8 @@ def _signed_zeros_and_normals(rng, shape):
 @example("h", "fd2", 3, 131, "real", 0)  # G = 393: three full row slabs and a short one
 @example("h", "fd4", 3, 131, "complex", 1)
 @example("series", "fd6", 3, 131, "+0.0", 2)
+@example("shift", "fd2", 2, 9, "real", 3)  # N = 2: T = T^dagger
+@example("shift", "fd2", 3, 9, "complex", 4)
 @settings(max_examples=60, deadline=None)
 def test_add_rows_has_the_bits_of_r_plus_a(source, scheme, n_cells, points, into, seed):
     # Oracle: R + A with A built whole: H from its kinetic matrix and its diagonal, T as
@@ -206,25 +208,28 @@ def test_add_rows_has_the_bits_of_r_plus_a(source, scheme, n_cells, points, into
     # one call of its row source over all G rows.  R holds +0.0 and -0.0 in every part,
     # so H's off-band -0.0 must be +0.0 and V must be on H's diagonal before H meets R.
     # From zeros of either sign (build_hamiltonian's and materialize's starts) the sum is
-    # A, which the public builders return bit for bit.
+    # A, which the public builders return bit for bit.  A^dagger's source, walked into
+    # the same R, gives R + conj(A)^T; H and a symmetrized series have none.
     grid = RingGrid(n_cells, 1.0, points)
     g = grid.total_points
     rng = np.random.default_rng(seed)
     if source == "h":
         potential = PotentialSpec(rng.normal(), ((1, rng.normal(), rng.normal()),))
         mass, hbar = rng.uniform(0.5, 2.0, size=2)
-        dtype, rows = float, _hamiltonian_rows(grid, potential, mass, hbar, scheme)
+        dtype, rows, adjoint = float, _hamiltonian_rows(grid, potential, mass, hbar, scheme), None
         kinetic = hbar**2 / (2.0 * mass) * momentum_matrix(grid, 2, scheme)
         a = kinetic + np.diag(potential.sample(grid))
         built = build_hamiltonian(grid, potential, mass=mass, hbar=hbar, scheme=scheme).entries
     elif source == "shift":
         built = build_translation(grid).entries
         dtype, rows, a = float, _matrix_rows(built), dense_translation(grid).entries
+        adjoint = _matrix_rows(built.T)  # T is real, so T^dagger = T^T
     else:
         series = LocalObservableSeries(((1, int(rng.integers(0, 4)), *rng.normal(size=2)),
                                         (3, 2, *rng.normal(size=2)), (0, 0, rng.normal(), 0.0)),
                                        symmetrize=bool(rng.integers(2)))
-        dtype, rows = _series_rows(series, grid, scheme)
+        dtype, rows, adjoint = _series_rows(series, grid, scheme)
+        assert (adjoint is None) == series.symmetrize
         a = np.full((g, g), np.nan, dtype=dtype)  # every entry is written
         rows(a, 0)
         built = materialize(series, grid, scheme=scheme).entries
@@ -236,6 +241,12 @@ def test_add_rows_has_the_bits_of_r_plus_a(source, scheme, n_cells, points, into
         if into == "complex" or np.dtype(dtype) == complex:
             r = r + 1j * _signed_zeros_and_normals(rng, (g, g))
     expected = r + a
+    if adjoint is not None:
+        walked, dagger = r.copy(), r + a.conj().T
+        _add_rows(walked, dtype, adjoint)
+        if np.dtype(dtype) == complex:  # B^dagger may hold +0.0 where conj gives -0.0
+            walked, dagger = walked + 0.0, dagger + 0.0
+        assert walked.tobytes() == dagger.tobytes()
     _add_rows(r, dtype, rows)
     assert r.dtype == expected.dtype
     assert r.tobytes() == expected.tobytes()
@@ -250,8 +261,8 @@ def test_add_rows_has_the_bits_of_r_plus_a(source, scheme, n_cells, points, into
 @settings(max_examples=60, deadline=None)
 def test_hamiltonian_rows_have_the_bits_of_build_hamiltonian(scheme, n_cells, points, seed,
                                                              data):
-    # H's row formula, asked for any run of at most _SLAB rows from any start, writes the
-    # bytes of those rows of build_hamiltonian's H, and the same into an adjoint buffer.
+    # H's row source, asked for any run of at most _SLAB rows from any start, writes the
+    # bytes of those rows of build_hamiltonian's H.
     grid = RingGrid(n_cells, 1.0, points)
     g = grid.total_points
     rng = np.random.default_rng(seed)
@@ -265,9 +276,9 @@ def test_hamiltonian_rows_have_the_bits_of_build_hamiltonian(scheme, n_cells, po
     else:
         start = data.draw(st.integers(0, g - 1))
         height = data.draw(st.integers(1, min(_SLAB, g - start)))
-    out, adjoint = np.full((2, height, g), np.nan)  # every entry is written
-    rows(out, start, adjoint)
-    assert out.tobytes() == adjoint.tobytes() == expected[start:start + height].tobytes()
+    out = np.full((height, g), np.nan)  # every entry is written
+    rows(out, start)
+    assert out.tobytes() == expected[start:start + height].tobytes()
 
 
 def test_add_rows_holds_no_g_by_g_temporary(traced_peak):
